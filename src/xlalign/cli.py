@@ -47,11 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="statistical analysis of features vs metrics")
     p_analyze.add_argument("--features", required=True, help="features CSV")
     p_analyze.add_argument("--metrics", required=True, help="metrics CSV")
-    p_analyze.add_argument(
-        "--mode", required=True, choices=["corr", "search", "ablate", "anova", "ancova", "pca", "pcr"]
-    )
+    p_analyze.add_argument("--mode", required=True, choices=list(pipeline.ANALYSES))
     p_analyze.add_argument("--folds", type=int, default=10)
-    p_analyze.add_argument("--seed", type=int, help="required for search/ablate/pcr")
+    seeded = [mode for mode, (_, takes_seed) in pipeline.ANALYSES.items() if takes_seed]
+    p_analyze.add_argument("--seed", type=int, help="required for " + "/".join(seeded))
     p_analyze.add_argument("--out", required=True, help="output JSON")
 
     p_zero = sub.add_parser("zero-shot", help="analyses over the zero-shot partitions")
@@ -116,26 +115,10 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    if args.mode in pipeline.STOCHASTIC_MODES and args.seed is None:
-        raise ValueError(f"--seed is required for mode {args.mode!r}")
     features_map = pipeline.read_features_csv(args.features)
     metrics_map = pipeline.read_metrics_csv(args.metrics)
     dataset = pipeline.make_analysis_dataset(features_map, metrics_map)
-    if args.mode == "corr":
-        report = pipeline.analyze_corr(dataset)
-    elif args.mode == "search":
-        report = pipeline.analyze_search(dataset, args.folds, args.seed)
-    elif args.mode == "ablate":
-        report = pipeline.analyze_ablate(dataset, args.folds, args.seed)
-    elif args.mode == "anova":
-        report = pipeline.analyze_anova(dataset)
-    elif args.mode == "ancova":
-        report = pipeline.analyze_ancova(dataset)
-    elif args.mode == "pca":
-        report = pipeline.analyze_pca(dataset)
-    else:
-        report = pipeline.analyze_pcr(dataset, args.folds, args.seed)
-    pipeline.write_json(report, args.out)
+    pipeline.write_json(pipeline.run_analysis(args.mode, dataset, args.folds, args.seed), args.out)
     return 0
 
 
@@ -144,13 +127,7 @@ def _cmd_zero_shot(args) -> int:
     table = load_language_table(args.languages)
     features_map = pipeline.read_features_csv(args.features) if args.features else None
     report = pipeline.run_zero_shot_analysis(metrics_map, table, features_map)
-    pipeline.write_json(report, args.out)
-    if args.plot_out:
-        pipeline.write_plot_csv(
-            pipeline._zero_shot_plot_rows(report),
-            ("factor", "level", "metric", "mean"),
-            args.plot_out,
-        )
+    pipeline.write_zero_shot_report(report, args.out, args.plot_out)
     return 0
 
 

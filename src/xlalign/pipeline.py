@@ -18,7 +18,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,9 +38,6 @@ from .corpus import (
 from .mining import average_margin, mine_intersection, retrieval_f1
 
 METRIC_NAMES = ("f1", "avg_margin", "svg", "econd_hm", "gh")
-
-ANALYSIS_MODES = ("corr", "search", "ablate", "anova", "ancova", "pca", "pcr", "zero_shot")
-STOCHASTIC_MODES = ("search", "ablate", "pcr")
 
 ANOVA_FACTORS = ("same_family", "same_subfamily", "same_word_order", "same_polysynthesis")
 ANCOVA_FACTORS = ("same_word_order", "same_polysynthesis")
@@ -113,10 +110,10 @@ class RunConfig:
             raise ValueError("gh_max_points must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        unknown = [a for a in self.analyses if a not in ANALYSIS_MODES]
+        unknown = [a for a in self.analyses if a not in ANALYSES and a != "zero_shot"]
         if unknown:
             raise ValueError(f"unknown analyses: {unknown}")
-        if self.seed is None and any(a in STOCHASTIC_MODES for a in self.analyses):
+        if self.seed is None and any(a in ANALYSES and ANALYSES[a][1] for a in self.analyses):
             raise ValueError("seed is required when a stochastic analysis is selected")
         needs_features = [a for a in self.analyses if a != "zero_shot"]
         if needs_features and self.languages is None:
@@ -230,13 +227,10 @@ def compute_pair_metrics(
     )
 
 
-def _mean_metrics(per_doc: Sequence[AlignmentMetrics]) -> AlignmentMetrics:
-    return AlignmentMetrics(
-        **{
-            name: float(np.mean([getattr(m, name) for m in per_doc]))
-            for name in METRIC_NAMES
-        }
-    )
+def _metric_means(members: Iterable[AlignmentMetrics]) -> dict[str, float]:
+    """Per-metric arithmetic mean over a group of metric records."""
+    members = list(members)
+    return {name: float(np.mean([getattr(m, name) for m in members])) for name in METRIC_NAMES}
 
 
 @dataclass
@@ -266,8 +260,8 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
 
     With several embedding directories (one per document), metrics are
     averaged per-metric across documents. A language with a missing or
-    unreadable file, or a pair whose computation fails, is recorded and
-    skipped without aborting the sweep.
+    unreadable file or a code the CSV outputs cannot hold, or a pair whose
+    computation fails, is recorded and skipped without aborting the sweep.
     """
     per_dir_files = [_embedding_files(d) for d in config.embeddings]
     all_langs = sorted(set().union(*per_dir_files))
@@ -279,6 +273,7 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
     usable: list[str] = []
     for lang in all_langs:
         try:
+            _check_language_codes(lang)
             for doc_index, files in enumerate(per_dir_files):
                 if lang not in files:
                     raise ValueError(f"missing embedding file in {config.embeddings[doc_index]}")
@@ -290,35 +285,29 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
 
     pairs = list(itertools.combinations(usable, 2))
 
-    def one_pair(pair: tuple[str, str]):
+    def guarded(pair: tuple[str, str]):
         lang_a, lang_b = pair
-        per_doc = [
-            compute_pair_metrics(
-                loaded[(d, lang_a)], loaded[(d, lang_b)], k=config.k,
-                gh_max_points=config.gh_max_points,
-            )
-            for d in range(len(per_dir_files))
-        ]
-        return _mean_metrics(per_doc)
+        try:
+            per_doc = [
+                compute_pair_metrics(
+                    loaded[(d, lang_a)], loaded[(d, lang_b)], k=config.k,
+                    gh_max_points=config.gh_max_points,
+                )
+                for d in range(len(per_dir_files))
+            ]
+            return pair, AlignmentMetrics(**_metric_means(per_doc))
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            return pair, exc
 
+    # pairs are in canonical order and map() keeps it, whatever the schedule
     n_workers = worker_count(config.workers)
-    outcomes: list[tuple[tuple[str, str], AlignmentMetrics | Exception]] = []
     if n_workers > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            def guarded(pair):
-                try:
-                    return pair, one_pair(pair)
-                except (ValueError, np.linalg.LinAlgError) as exc:
-                    return pair, exc
             outcomes = list(pool.map(guarded, pairs))
     else:
-        for pair in pairs:
-            try:
-                outcomes.append((pair, one_pair(pair)))
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                outcomes.append((pair, exc))
+        outcomes = list(map(guarded, pairs))
 
-    for pair, outcome in sorted(outcomes, key=lambda item: item[0]):
+    for pair, outcome in outcomes:
         if isinstance(outcome, Exception):
             result.failed_pairs[pair] = str(outcome)
         else:
@@ -330,9 +319,18 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _check_language_codes(*langs: str) -> None:
+    """Reject a language code that cannot be a cell of the metrics and
+    features CSVs, which are read back by splitting on line breaks and commas."""
+    for lang in langs:
+        if "," in lang or len((lang + ".").splitlines()) > 1:
+            raise ValueError(f"language code {lang!r} contains a comma or line break")
+
+
 def write_metrics_csv(rows: Mapping[tuple[str, str], AlignmentMetrics], path: str | Path) -> None:
     lines = ["lang_a,lang_b," + ",".join(METRIC_NAMES)]
     for (lang_a, lang_b) in sorted(rows):
+        _check_language_codes(lang_a, lang_b)
         metrics = rows[(lang_a, lang_b)]
         values = ",".join(_fmt(getattr(metrics, name)) for name in METRIC_NAMES)
         lines.append(f"{lang_a},{lang_b},{values}")
@@ -360,6 +358,7 @@ def write_features_csv(
 ) -> None:
     lines = ["lang_a,lang_b," + ",".join(feats.FEATURE_NAMES)]
     for (lang_a, lang_b) in sorted(rows):
+        _check_language_codes(lang_a, lang_b)
         vector = rows[(lang_a, lang_b)].as_dict()
         cells = []
         for name in feats.FEATURE_NAMES:
@@ -560,6 +559,24 @@ def _anova_json(result: stats.AnovaResult) -> dict:
     }
 
 
+def _tukey_json(groups: Sequence[Sequence[float]], labels: Sequence[str]) -> list[dict] | None:
+    """Tukey HSD comparisons, or None where the test is undefined."""
+    try:
+        tukey = stats.tukey_hsd(groups, labels)
+    except ValueError:
+        return None
+    return [
+        {
+            "group_a": c.group_a,
+            "group_b": c.group_b,
+            "mean_diff": c.mean_diff,
+            "q_stat": c.q_stat,
+            "p_value": c.p_value,
+        }
+        for c in tukey.comparisons
+    ]
+
+
 def _binary_groups(dataset: AnalysisDataset, factor: str, y: np.ndarray):
     col = dataset.X[:, feats.FEATURE_NAMES.index(factor)]
     levels = sorted(set(col.tolist()))
@@ -584,20 +601,7 @@ def analyze_anova(dataset: AnalysisDataset) -> dict:
                 label: float(np.mean(group)) for label, group in zip(labels, groups)
             }
             entry["group_sizes"] = {label: int(group.size) for label, group in zip(labels, groups)}
-            try:
-                tukey = stats.tukey_hsd(groups, labels)
-                entry["tukey"] = [
-                    {
-                        "group_a": c.group_a,
-                        "group_b": c.group_b,
-                        "mean_diff": c.mean_diff,
-                        "q_stat": c.q_stat,
-                        "p_value": c.p_value,
-                    }
-                    for c in tukey.comparisons
-                ]
-            except ValueError:
-                entry["tukey"] = None
+            entry["tukey"] = _tukey_json(groups, labels)
             per_metric[metric] = entry
         factors[factor] = per_metric
     return {
@@ -688,6 +692,30 @@ def analyze_pcr(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
     }
 
 
+# mode -> (analysis function, whether it takes folds and seed); ``zero_shot``
+# is the one further mode and runs on the metrics and language table instead
+ANALYSES: dict[str, tuple[Callable[..., dict], bool]] = {
+    "corr": (analyze_corr, False),
+    "search": (analyze_search, True),
+    "ablate": (analyze_ablate, True),
+    "anova": (analyze_anova, False),
+    "ancova": (analyze_ancova, False),
+    "pca": (analyze_pca, False),
+    "pcr": (analyze_pcr, True),
+}
+
+
+def run_analysis(mode: str, dataset: AnalysisDataset, folds: int, seed: int | None) -> dict:
+    """Run one dataset analysis mode from ``ANALYSES``; a mode that takes a
+    seed raises ``ValueError`` when none is given."""
+    analyze, seeded = ANALYSES[mode]
+    if not seeded:
+        return analyze(dataset)
+    if seed is None:
+        raise ValueError(f"seed is required for mode {mode!r}")
+    return analyze(dataset, folds, seed)
+
+
 def word_order_class(order: WordOrder) -> str | None:
     """Initial-constituent class (verb/subject/object-initial), None if unknown."""
     return _WORD_ORDER_CLASS.get(order)
@@ -713,13 +741,7 @@ def group_metrics_by_word_order_class(
     out: dict = {"excluded_pairs": excluded}
     for label, members in groups.items():
         if members:
-            out[label] = {
-                "n_pairs": len(members),
-                "means": {
-                    name: float(np.mean([getattr(m, name) for m in members]))
-                    for name in METRIC_NAMES
-                },
-            }
+            out[label] = {"n_pairs": len(members), "means": _metric_means(members)}
         else:
             out[label] = {"n_pairs": 0, "means": None}
     return out
@@ -776,10 +798,7 @@ def run_zero_shot_analysis(
                 for level in levels
             }
             means_block[factor] = {
-                level: {
-                    name: float(np.mean([getattr(rows[lang], name) for lang in langs]))
-                    for name in METRIC_NAMES
-                }
+                level: _metric_means(rows[lang] for lang in langs)
                 for level, langs in grouped.items()
             }
             per_metric: dict = {}
@@ -793,20 +812,7 @@ def run_zero_shot_analysis(
                     per_metric[name] = {"skipped": str(exc)}
                     continue
                 if factor == "word_order":
-                    try:
-                        tukey = stats.tukey_hsd(groups, levels)
-                        entry["tukey"] = [
-                            {
-                                "group_a": c.group_a,
-                                "group_b": c.group_b,
-                                "mean_diff": c.mean_diff,
-                                "q_stat": c.q_stat,
-                                "p_value": c.p_value,
-                            }
-                            for c in tukey.comparisons
-                        ]
-                    except ValueError:
-                        entry["tukey"] = None
+                    entry["tukey"] = _tukey_json(groups, levels)
                 per_metric[name] = entry
             anova_block[factor] = per_metric
         simple["anova"] = anova_block
@@ -870,16 +876,11 @@ def run_case_study_compare(
                 **{name: float(getattr(mb, name) - getattr(ma, name)) for name in METRIC_NAMES},
             }
         )
-    def means(metrics_map):
-        return {
-            name: float(np.mean([getattr(m, name) for m in metrics_map.values()]))
-            for name in METRIC_NAMES
-        }
     report = {
         "mode": "compare",
         "n_pairs": len(pairs),
-        "mean_a": means(metrics_a),
-        "mean_b": means(metrics_b),
+        "mean_a": _metric_means(metrics_a.values()),
+        "mean_b": _metric_means(metrics_b.values()),
         "mean_delta": {
             name: float(
                 np.mean([row[name] for row in per_pair])
@@ -922,83 +923,75 @@ def _zero_shot_plot_rows(report: dict) -> list[tuple]:
     return rows
 
 
+def write_zero_shot_report(report: dict, path: str | Path, plot_path: str | Path | None) -> None:
+    """Write the zero-shot JSON report and, if asked, its group-means plot CSV."""
+    write_json(report, path)
+    if plot_path:
+        write_plot_csv(_zero_shot_plot_rows(report), ("factor", "level", "metric", "mean"), plot_path)
+
+
 def run_report(config: RunConfig) -> int:
     """Full pipeline: sweep metrics, derive features, run analyses, write
     everything under ``config.out``. Returns the process exit code (0 ok,
-    2 when some languages or pairs were skipped)."""
+    2 when some languages or pairs were skipped). A fatal error after the
+    sweep is recorded under ``fatal`` in ``run_summary.json`` and re-raised."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
     sweep = run_pair_metrics(config)
     write_metrics_csv(sweep.rows, out / "metrics.csv")
-
-    table = load_language_table(config.languages) if config.languages else None
-    features_map = None
-    if table is not None:
-        corpora = [load_corpus(d) for d in config.corpus]
-        texts = {c.name: corpus_texts(c) for c in corpora}
-        char_texts = token_texts = None
-        if corpora:
-            names = [c.name for c in corpora]
-            char_name = config.char_doc or names[0]
-            token_name = config.token_doc or names[-1]
-            if char_name not in texts or token_name not in texts:
-                raise ValueError(f"char_doc/token_doc must be one of {names}")
-            char_texts = texts[char_name]
-            token_texts = texts[token_name]
-        langs = sorted({lang for pair in sweep.rows for lang in pair} & set(table))
-        features_map = build_pair_feature_table(table, char_texts, token_texts, langs)
-        write_features_csv(features_map, out / "features.csv")
-
-    analyses_run = []
-    for mode in dict.fromkeys(config.analyses):
-        if mode == "zero_shot":
-            feature_rows = (
-                {pair: vec.as_dict() for pair, vec in features_map.items()}
-                if features_map
-                else None
-            )
-            report = run_zero_shot_analysis(sweep.rows, table, feature_rows)
-            write_json(report, out / "analysis_zero_shot.json")
-            write_plot_csv(
-                _zero_shot_plot_rows(report),
-                ("factor", "level", "metric", "mean"),
-                out / "plot_zero_shot_groups.csv",
-            )
-        else:
-            feature_rows = {pair: vec.as_dict() for pair, vec in features_map.items()}
-            dataset = make_analysis_dataset(feature_rows, sweep.rows)
-            if mode == "corr":
-                report = analyze_corr(dataset)
-            elif mode == "search":
-                report = analyze_search(dataset, config.folds, config.seed)
-            elif mode == "ablate":
-                report = analyze_ablate(dataset, config.folds, config.seed)
-            elif mode == "anova":
-                report = analyze_anova(dataset)
-            elif mode == "ancova":
-                report = analyze_ancova(dataset)
-            elif mode == "pca":
-                report = analyze_pca(dataset)
-            elif mode == "pcr":
-                report = analyze_pcr(dataset, config.folds, config.seed)
-            else:  # pragma: no cover - guarded by RunConfig validation
-                raise ValueError(f"unknown analysis mode {mode!r}")
-            write_json(report, out / f"analysis_{mode}.json")
-        analyses_run.append(mode)
-
     summary = {
         "mode": "summary",
         "languages": sorted({lang for pair in sweep.rows for lang in pair}),
         "n_pairs": len(sweep.rows),
         "failed_languages": {k: v for k, v in sorted(sweep.failed_languages.items())},
         "failed_pairs": {f"{a}/{b}": v for (a, b), v in sorted(sweep.failed_pairs.items())},
-        "analyses": analyses_run,
+        "analyses": [],
         "k": config.k,
         "gh_max_points": config.gh_max_points,
         "folds": config.folds,
         "seed": config.seed,
     }
+
+    stage: dict = {"stage": "features", "mode": None}
+    try:
+        table = load_language_table(config.languages) if config.languages else None
+        features_map = None
+        if table is not None:
+            corpora = [load_corpus(d) for d in config.corpus]
+            texts = {c.name: corpus_texts(c) for c in corpora}
+            char_texts = token_texts = None
+            if corpora:
+                names = [c.name for c in corpora]
+                char_name = config.char_doc or names[0]
+                token_name = config.token_doc or names[-1]
+                if char_name not in texts or token_name not in texts:
+                    raise ValueError(f"char_doc/token_doc must be one of {names}")
+                char_texts = texts[char_name]
+                token_texts = texts[token_name]
+            langs = sorted({lang for pair in sweep.rows for lang in pair} & set(table))
+            features_map = build_pair_feature_table(table, char_texts, token_texts, langs)
+            write_features_csv(features_map, out / "features.csv")
+
+        feature_rows = {pair: vec.as_dict() for pair, vec in (features_map or {}).items()}
+        for mode in dict.fromkeys(config.analyses):
+            stage = {"stage": "analysis", "mode": mode}
+            if mode == "zero_shot":
+                write_zero_shot_report(
+                    run_zero_shot_analysis(sweep.rows, table, feature_rows or None),
+                    out / "analysis_zero_shot.json",
+                    out / "plot_zero_shot_groups.csv",
+                )
+            else:
+                dataset = make_analysis_dataset(feature_rows, sweep.rows)
+                write_json(run_analysis(mode, dataset, config.folds, config.seed),
+                           out / f"analysis_{mode}.json")
+            summary["analyses"].append(mode)
+    except Exception as exc:
+        # the sweep and the analyses already written stay on record
+        summary["fatal"] = {**stage, "error": str(exc)}
+        write_json(summary, out / "run_summary.json")
+        raise
     write_json(summary, out / "run_summary.json")
     return 2 if sweep.partial else 0
 
@@ -1112,6 +1105,7 @@ REPORT_SCHEMAS: dict[str, dict] = {
             "mode": {"const": "summary"},
             "languages": {"type": "array", "items": {"type": "string"}},
             "n_pairs": {"type": "integer"},
+            "fatal": {"type": "object", "required": ["stage", "mode", "error"]},
         },
     },
     "anova_entry": _ANOVA_ENTRY_SCHEMA,

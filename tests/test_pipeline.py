@@ -1,5 +1,8 @@
+import argparse
 import itertools
 import json
+import re
+import shutil
 import subprocess
 import sys
 
@@ -9,9 +12,10 @@ import pytest
 
 import xlalign as xa
 from xlalign import pipeline
-from xlalign.cli import main
+from xlalign.cli import _build_parser, main
 from xlalign.corpus import LanguageMeta, WordOrder
 from xlalign.pipeline import (
+    ANALYSES,
     AlignmentMetrics,
     METRIC_NAMES,
     REPORT_SCHEMAS,
@@ -129,6 +133,18 @@ def test_run_pair_metrics_counts_and_failures(workspace):
     assert len(sweep.rows) == 1
 
 
+def test_run_pair_metrics_skips_csv_breaking_language_codes(workspace, tmp_path):
+    config = load_config(workspace["config"])
+    for doc in ("matthew", "john"):
+        emb = workspace["root"] / "emb" / doc
+        shutil.copy(emb / "deu.xemb", emb / "a,b.xemb")
+    sweep = run_pair_metrics(config)
+    assert "'a,b'" in sweep.failed_languages["a,b"]
+    assert len(sweep.rows) == 6  # the four valid languages
+    write_metrics_csv(sweep.rows, tmp_path / "m.csv")
+    assert set(read_metrics_csv(tmp_path / "m.csv")) == set(sweep.rows)
+
+
 def test_run_pair_metrics_parallel_matches_serial(workspace):
     config = load_config(workspace["config"])
     serial = run_pair_metrics(config)
@@ -150,6 +166,20 @@ def test_metrics_csv_round_trip(tmp_path):
     bad.write_text("nope\n")
     with pytest.raises(ValueError, match="header"):
         read_metrics_csv(bad)
+
+
+@pytest.mark.parametrize("code", ["a,b", "a\nb", "a\r", "a\u2028b"])
+def test_csv_writers_reject_csv_breaking_language_codes(tmp_path, code):
+    message = re.escape(f"language code {code!r}")
+    with pytest.raises(ValueError, match=message):
+        write_metrics_csv({("deu", code): synthetic_metrics()}, tmp_path / "m.csv")
+    table = {
+        lang: LanguageMeta(lang=lang, family="F", subfamily="S", train_sentences=1)
+        for lang in ("deu", code)
+    }
+    with pytest.raises(ValueError, match=message):
+        write_features_csv(build_pair_feature_table(table), tmp_path / "f.csv")
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "f.csv").exists()
 
 
 def test_features_csv_round_trip(tmp_path):
@@ -192,10 +222,8 @@ def analysis_dataset():
             },
         )
     texts = {lang: f"{lang} word{i % 3} shared text" for i, lang in enumerate(langs)}
-    features_map = {
-        pair: vec.as_dict()
-        for pair, vec in build_pair_feature_table(table, texts, texts).items()
-    }
+    vectors = build_pair_feature_table(table, texts, texts)
+    features_map = {pair: vec.as_dict() for pair, vec in vectors.items()}
     metrics_map = {}
     for pair, vec in features_map.items():
         signal = 1e-6 * vec["combined_sentences"] + 0.2 * vec["same_word_order"]
@@ -208,7 +236,7 @@ def analysis_dataset():
             econd_hm=max(3.0 - signal, 1.0),
             gh=max(0.5 - signal + 0.01 * rng.standard_normal(), 0.0),
         )
-    return make_analysis_dataset(features_map, metrics_map), table, metrics_map, features_map
+    return make_analysis_dataset(features_map, metrics_map), table, metrics_map, features_map, vectors
 
 
 def _validate(report, mode):
@@ -469,6 +497,52 @@ def test_cli_features_analyze_zero_shot_compare(workspace, tmp_path):
     # deu/eng/fra are subject-initial, quc verb-initial: C(3,2) similar pairs
     assert report["word_order_groups"]["a"]["similar"]["n_pairs"] == 3
     assert report["word_order_groups"]["a"]["different"]["n_pairs"] == 3
+
+
+def test_analysis_table_drives_cli_and_schemas():
+    subcommands = next(a for a in _build_parser()._actions
+                       if isinstance(a, argparse._SubParsersAction))
+    mode_arg = next(a for a in subcommands.choices["analyze"]._actions if a.dest == "mode")
+    assert set(mode_arg.choices) == set(ANALYSES)
+    assert set(ANALYSES) | {"zero_shot"} <= set(REPORT_SCHEMAS)
+
+
+@pytest.fixture(scope="module")
+def analysis_csvs(analysis_dataset, tmp_path_factory):
+    _, _, metrics_map, _, vectors = analysis_dataset
+    root = tmp_path_factory.mktemp("analysis_csvs")
+    write_features_csv(vectors, root / "features.csv")
+    write_metrics_csv(metrics_map, root / "metrics.csv")
+    return root
+
+
+@pytest.mark.parametrize("mode", list(ANALYSES))
+def test_cli_analyze_every_mode(analysis_csvs, mode):
+    out = analysis_csvs / f"{mode}.json"
+    assert main(["analyze", "--features", str(analysis_csvs / "features.csv"),
+                 "--metrics", str(analysis_csvs / "metrics.csv"), "--mode", mode,
+                 "--folds", "3", "--seed", "5", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    _validate(report, mode)
+    assert report["n_used"] == 45
+
+
+@pytest.mark.parametrize("edit, stage, mode, analyses", [
+    (("analyses = corr, anova, ancova, pca, zero_shot", "analyses = corr, search"),
+     "analysis", "search", ["corr"]),  # search needs more than 6 pairs
+    (("out = results", "char_doc = luke\nout = results"), "features", None, []),
+], ids=["analysis", "features"])
+def test_cli_report_fatal_error_keeps_summary(workspace, capsys, edit, stage, mode, analyses):
+    config = workspace["config"]
+    config.write_text(config.read_text().replace(*edit))
+    assert main(["report", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    summary = json.loads((workspace["root"] / "results" / "run_summary.json").read_text())
+    _validate(summary, "summary")
+    assert summary["n_pairs"] == 6
+    assert summary["analyses"] == analyses
+    assert summary["fatal"]["stage"] == stage and summary["fatal"]["mode"] == mode
+    assert err == f"xlalign: error: {summary['fatal']['error']}\n"
 
 
 def test_cli_fatal_error_exit_code(tmp_path):
