@@ -75,8 +75,11 @@ def _filtered(values: tuple[float, ...]) -> np.ndarray:
 def svg(a: EmbeddingMatrix, b: EmbeddingMatrix) -> float:
     """Singular value gap: sum of squared natural-log differences of the two
     sorted spectra, truncated to the shorter length after zero-filtering."""
-    sa = _filtered(singular_values(a).values)
-    sb = _filtered(singular_values(b).values)
+    return _log_gap(singular_values(a), singular_values(b))
+
+
+def _log_gap(a: SingularSpectrum, b: SingularSpectrum) -> float:
+    sa, sb = _filtered(a.values), _filtered(b.values)
     n = min(sa.size, sb.size)
     sa, sb = sa[:n], sb[:n]
     if (sa <= _ABS_TOL).any() or (sb <= _ABS_TOL).any():

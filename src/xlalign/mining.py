@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -79,48 +79,60 @@ def margin_score(x_row, y_row, nn_x: NeighborList, nn_y: NeighborList, k: int) -
     return 2.0 * k * cosine(x_row, y_row) / denom
 
 
-def _mine_arrays(src_unit: np.ndarray, tgt_unit: np.ndarray, k: int) -> list[tuple[int, int, float]]:
-    cand_idx, cand_sim = _knn_topk(src_unit, tgt_unit, k)
-    src_sums = cand_sim.sum(axis=1)
-    _, back_sim = _knn_topk(tgt_unit, src_unit, k)
-    tgt_sums = back_sim.sum(axis=1)
-
-    denom = src_sums[:, None] + tgt_sums[cand_idx]
+def _margins(k: int, cos: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Margins ``2k cos / denom``, where ``denom`` adds both sides' top-k cosine sums."""
     if (denom <= _DENOM_FLOOR).any():
         raise ValueError("margin denominator is degenerate (all-orthogonal neighborhoods)")
-    margins = 2.0 * k * cand_sim / denom
+    return 2.0 * k * cos / denom
 
-    pairs = []
-    for i in range(src_unit.shape[0]):
-        best = np.lexsort((cand_idx[i], -margins[i]))[0]
-        pairs.append((i, int(cand_idx[i, best]), float(margins[i, best])))
-    return pairs
+
+class _PairTables:
+    """Unit rows, a->b and b->a top-k tables and their row sums for a pair (a, b)."""
+
+    def __init__(self, a: EmbeddingMatrix, b: EmbeddingMatrix, k: int):
+        if a.dim != b.dim:
+            raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        if not 1 <= k <= min(a.n_rows, b.n_rows):
+            raise ValueError(f"k={k} out of range [1, {min(a.n_rows, b.n_rows)}]")
+        self.k = k
+        self.unit = (unit_rows(a.data), unit_rows(b.data))
+        self.topk = (_knn_topk(*self.unit, k), _knn_topk(*self.unit[::-1], k))
+        self.sums = tuple(sim.sum(axis=1) for _, sim in self.topk)
+
+    def mine(self, side: int) -> list[tuple[int, int, float]]:
+        """(row_a, row_b, margin) per row of side 0 (a) or 1 (b): top margin, then lower index."""
+        idx, sim = self.topk[side]
+        margins = _margins(self.k, sim, self.sums[side][:, None] + self.sums[1 - side][idx])
+        pick = (np.arange(len(idx)), np.lexsort((idx, -margins), axis=1)[:, 0])
+        mined = zip(pick[0].tolist(), idx[pick].tolist(), margins[pick].tolist())
+        return [(q, t, m) if side == 0 else (t, q, m) for q, t, m in mined]
+
+    def intersection(self) -> MinedAlignment:
+        backward_set = {(a, b) for a, b, _ in self.mine(1)}
+        pairs = tuple(p for p in self.mine(0) if p[:2] in backward_set)
+        return MinedAlignment(pairs=pairs, direction=Direction.INTERSECTION)
+
+    def average_margin(self, gold: Sequence[tuple[int, int]]) -> float:
+        rows_a, rows_b = np.array(gold).T
+        # one BLAS dot per gold pair: einsum or a row-wise sum rounds differently
+        cos = np.clip([self.unit[0][i] @ self.unit[1][j] for i, j in gold], -1.0, 1.0)
+        return float(np.mean(_margins(self.k, cos, self.sums[0][rows_a] + self.sums[1][rows_b])))
 
 
 def mine_direction(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k: int) -> MinedAlignment:
     """Mine one pair per source row: the margin-score maximizer among its k
     cosine-nearest targets (ties toward the lower target index)."""
-    if src.dim != tgt.dim:
-        raise ValueError(f"dimension mismatch: {src.dim} vs {tgt.dim}")
-    if not 1 <= k <= min(src.n_rows, tgt.n_rows):
-        raise ValueError(f"k={k} out of range [1, {min(src.n_rows, tgt.n_rows)}]")
-    pairs = _mine_arrays(unit_rows(src.data), unit_rows(tgt.data), k)
-    return MinedAlignment(pairs=tuple(pairs), direction=Direction.FORWARD)
+    return MinedAlignment(tuple(_PairTables(src, tgt, k).mine(0)), Direction.FORWARD)
 
 
 def mine_backward(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k: int) -> MinedAlignment:
     """Mine one pair per *target* row, reported in (row_a, row_b) orientation."""
-    forward = mine_direction(tgt, src, k)
-    pairs = tuple(sorted((a, b, s) for b, a, s in forward.pairs))
-    return MinedAlignment(pairs=pairs, direction=Direction.BACKWARD)
+    return MinedAlignment(tuple(sorted(_PairTables(src, tgt, k).mine(1))), Direction.BACKWARD)
 
 
 def mine_intersection(a: EmbeddingMatrix, b: EmbeddingMatrix, k: int) -> MinedAlignment:
     """The intersection of forward and backward mining (forward margins kept)."""
-    forward = mine_direction(a, b, k)
-    backward_set = mine_backward(a, b, k).pair_set()
-    pairs = tuple(p for p in forward.pairs if (p[0], p[1]) in backward_set)
-    return MinedAlignment(pairs=pairs, direction=Direction.INTERSECTION)
+    return _PairTables(a, b, k).intersection()
 
 
 def retrieval_f1(mined: MinedAlignment, gold: Iterable[tuple[int, int]]) -> RetrievalScore:
@@ -151,20 +163,4 @@ def average_margin(pair: BitextPair, k: int) -> float:
     """
     if not pair.gold:
         raise ValueError("gold alignment is empty")
-    if not 1 <= k <= min(pair.mat_a.n_rows, pair.mat_b.n_rows):
-        raise ValueError(f"k={k} out of range")
-    a_unit = unit_rows(pair.mat_a.data)
-    b_unit = unit_rows(pair.mat_b.data)
-    _, a_sim = _knn_topk(a_unit, b_unit, k)
-    _, b_sim = _knn_topk(b_unit, a_unit, k)
-    a_sums = a_sim.sum(axis=1)
-    b_sums = b_sim.sum(axis=1)
-
-    margins = []
-    for i, j in pair.gold:
-        denom = a_sums[i] + b_sums[j]
-        if denom <= _DENOM_FLOOR:
-            raise ValueError("margin denominator is degenerate (all-orthogonal neighborhoods)")
-        cos_ij = float(np.clip(a_unit[i] @ b_unit[j], -1.0, 1.0))
-        margins.append(2.0 * k * cos_ij / denom)
-    return float(np.mean(margins))
+    return _PairTables(pair.mat_a, pair.mat_b, k).average_margin(pair.gold)

@@ -35,7 +35,7 @@ from .corpus import (
     load_embeddings,
     load_language_table,
 )
-from .mining import average_margin, mine_intersection, retrieval_f1
+from .mining import _PairTables, retrieval_f1
 
 METRIC_NAMES = ("f1", "avg_margin", "svg", "econd_hm", "gh")
 
@@ -213,16 +213,17 @@ def compute_pair_metrics(
     row-aligned submatrices.
     """
     pair = align_pair(mat_a, mat_b)
-    mined = mine_intersection(mat_a, mat_b, k)
-    f1 = retrieval_f1(mined, pair.gold).f1
-    avg = average_margin(pair, k)
+    tables = _PairTables(mat_a, mat_b, k)
+    f1 = retrieval_f1(tables.intersection(), pair.gold).f1
+    avg = tables.average_margin(pair.gold)
     sub_a = _submatrix(mat_a, [i for i, _ in pair.gold])
     sub_b = _submatrix(mat_b, [j for _, j in pair.gold])
+    spectra = (iso.singular_values(sub_a), iso.singular_values(sub_b))
     return AlignmentMetrics(
         f1=f1,
         avg_margin=avg,
-        svg=iso.svg(sub_a, sub_b),
-        econd_hm=iso.econd_hm(sub_a, sub_b),
+        svg=iso._log_gap(*spectra),
+        econd_hm=iso.condition_harmonic_mean(*map(iso.effective_condition_number, spectra)),
         gh=iso.gh_distance(sub_a, sub_b, gh_max_points),
     )
 
@@ -506,6 +507,7 @@ def analyze_search(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
         dv: {
             "best_features": list(report.per_dv_best[dv]),
             "adj_r2": report.per_dv_adj_r2[dv],
+            "n_skipped": report.per_dv_n_skipped[dv],
         }
         for dv in report.per_dv_best
     }
@@ -933,28 +935,20 @@ def write_zero_shot_report(report: dict, path: str | Path, plot_path: str | Path
 def run_report(config: RunConfig) -> int:
     """Full pipeline: sweep metrics, derive features, run analyses, write
     everything under ``config.out``. Returns the process exit code (0 ok,
-    2 when some languages or pairs were skipped). A fatal error after the
-    sweep is recorded under ``fatal`` in ``run_summary.json`` and re-raised."""
+    2 when some languages or pairs were skipped). A fatal error is recorded
+    under ``fatal`` in ``run_summary.json`` and re-raised."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    sweep = run_pair_metrics(config)
-    write_metrics_csv(sweep.rows, out / "metrics.csv")
-    summary = {
-        "mode": "summary",
-        "languages": sorted({lang for pair in sweep.rows for lang in pair}),
-        "n_pairs": len(sweep.rows),
-        "failed_languages": {k: v for k, v in sorted(sweep.failed_languages.items())},
-        "failed_pairs": {f"{a}/{b}": v for (a, b), v in sorted(sweep.failed_pairs.items())},
-        "analyses": [],
-        "k": config.k,
-        "gh_max_points": config.gh_max_points,
-        "folds": config.folds,
-        "seed": config.seed,
-    }
-
-    stage: dict = {"stage": "features", "mode": None}
+    # a sweep that raises leaves the empty result on record
+    sweep = SweepResult(rows={})
+    analyses: list[str] = []
+    stage: dict = {"stage": "sweep", "mode": None}
     try:
+        sweep = run_pair_metrics(config)
+        write_metrics_csv(sweep.rows, out / "metrics.csv")
+
+        stage = {"stage": "features", "mode": None}
         table = load_language_table(config.languages) if config.languages else None
         features_map = None
         if table is not None:
@@ -986,14 +980,30 @@ def run_report(config: RunConfig) -> int:
                 dataset = make_analysis_dataset(feature_rows, sweep.rows)
                 write_json(run_analysis(mode, dataset, config.folds, config.seed),
                            out / f"analysis_{mode}.json")
-            summary["analyses"].append(mode)
+            analyses.append(mode)
     except Exception as exc:
         # the sweep and the analyses already written stay on record
+        summary = _run_summary(config, sweep, analyses)
         summary["fatal"] = {**stage, "error": str(exc)}
         write_json(summary, out / "run_summary.json")
         raise
-    write_json(summary, out / "run_summary.json")
+    write_json(_run_summary(config, sweep, analyses), out / "run_summary.json")
     return 2 if sweep.partial else 0
+
+
+def _run_summary(config: RunConfig, sweep: SweepResult, analyses: list[str]) -> dict:
+    return {
+        "mode": "summary",
+        "languages": sorted({lang for pair in sweep.rows for lang in pair}),
+        "n_pairs": len(sweep.rows),
+        "failed_languages": {k: v for k, v in sorted(sweep.failed_languages.items())},
+        "failed_pairs": {f"{a}/{b}": v for (a, b), v in sorted(sweep.failed_pairs.items())},
+        "analyses": analyses,
+        "k": config.k,
+        "gh_max_points": config.gh_max_points,
+        "folds": config.folds,
+        "seed": config.seed,
+    }
 
 
 _ANOVA_ENTRY_SCHEMA = {

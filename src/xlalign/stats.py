@@ -67,11 +67,13 @@ class SearchResult:
 
 @dataclass(frozen=True)
 class FeatureSearchReport:
-    """Best subset per dependent variable plus appearance tallies."""
+    """Best subset per dependent variable, the count of rank-deficient
+    subsets skipped for it, and appearance tallies."""
 
     per_dv_best: dict[str, tuple[str, ...]]
     per_dv_adj_r2: dict[str, float]
     tallies: dict[str, int]
+    per_dv_n_skipped: dict[str, int]
 
 
 @dataclass(frozen=True)
@@ -306,14 +308,19 @@ def feature_search_report(
     names = _feature_names(feature_names, X.shape[1])
     per_dv_best: dict[str, tuple[str, ...]] = {}
     per_dv_adj: dict[str, float] = {}
+    per_dv_skipped: dict[str, int] = {}
     tallies = {name: 0 for name in names}
     for dv_name, y in dvs.items():
         result = exhaustive_feature_search(X, y, names, folds=folds, seed=seed)
         per_dv_best[dv_name] = result.best_features
         per_dv_adj[dv_name] = result.best_adj_r2
+        per_dv_skipped[dv_name] = result.n_skipped
         for feature in result.best_features:
             tallies[feature] += 1
-    return FeatureSearchReport(per_dv_best=per_dv_best, per_dv_adj_r2=per_dv_adj, tallies=tallies)
+    return FeatureSearchReport(
+        per_dv_best=per_dv_best, per_dv_adj_r2=per_dv_adj, tallies=tallies,
+        per_dv_n_skipped=per_dv_skipped,
+    )
 
 
 def ablation_single_step(

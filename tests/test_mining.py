@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import xlalign as xa
-from xlalign.knn import NeighborList
+from xlalign import isomorphism as iso
+from xlalign import mining
+from xlalign.knn import NeighborList, _knn_topk, unit_rows
 from xlalign.mining import (
     Direction,
     MinedAlignment,
@@ -15,6 +17,7 @@ from xlalign.mining import (
     mine_intersection,
     retrieval_f1,
 )
+from xlalign.pipeline import compute_pair_metrics
 
 from conftest import random_rotation
 
@@ -213,3 +216,150 @@ def test_exact_copy_intersection_f1_is_one():
     pair = xa.align_pair(a, b)
     mined = mine_intersection(a, b, 4)
     assert retrieval_f1(mined, pair.gold).f1 == 1.0
+
+
+# --------------------------------------------- differential: one pair kernel
+# The per-direction path the pair kernel replaced, kept as the reference:
+# every mining call searched both directions again, backward mining re-mined
+# from scratch, average margin searched a third time and checked each gold
+# denominator, and svg and econd_hm each took their own two SVDs.
+
+
+def _ref_mine_arrays(src_unit, tgt_unit, k):
+    cand_idx, cand_sim = _knn_topk(src_unit, tgt_unit, k)
+    src_sums = cand_sim.sum(axis=1)
+    _, back_sim = _knn_topk(tgt_unit, src_unit, k)
+    tgt_sums = back_sim.sum(axis=1)
+    denom = src_sums[:, None] + tgt_sums[cand_idx]
+    if (denom <= 1e-12).any():
+        raise ValueError("margin denominator is degenerate (all-orthogonal neighborhoods)")
+    margins = 2.0 * k * cand_sim / denom
+    pairs = []
+    for i in range(src_unit.shape[0]):
+        best = np.lexsort((cand_idx[i], -margins[i]))[0]
+        pairs.append((i, int(cand_idx[i, best]), float(margins[i, best])))
+    return pairs
+
+
+def _ref_forward(src, tgt, k):
+    return tuple(_ref_mine_arrays(unit_rows(src.data), unit_rows(tgt.data), k))
+
+
+def _ref_backward(src, tgt, k):
+    return tuple(sorted((a, b, s) for b, a, s in _ref_forward(tgt, src, k)))
+
+
+def _ref_intersection(a, b, k):
+    backward_set = {(i, j) for i, j, _ in _ref_backward(a, b, k)}
+    return tuple(p for p in _ref_forward(a, b, k) if (p[0], p[1]) in backward_set)
+
+
+def _ref_average_margin(pair, k):
+    a_unit = unit_rows(pair.mat_a.data)
+    b_unit = unit_rows(pair.mat_b.data)
+    _, a_sim = _knn_topk(a_unit, b_unit, k)
+    _, b_sim = _knn_topk(b_unit, a_unit, k)
+    a_sums = a_sim.sum(axis=1)
+    b_sums = b_sim.sum(axis=1)
+    margins = []
+    for i, j in pair.gold:
+        denom = a_sums[i] + b_sums[j]
+        if denom <= 1e-12:
+            raise ValueError("margin denominator is degenerate (all-orthogonal neighborhoods)")
+        cos_ij = float(np.clip(a_unit[i] @ b_unit[j], -1.0, 1.0))
+        margins.append(2.0 * k * cos_ij / denom)
+    return float(np.mean(margins))
+
+
+def _ref_svg(a, b):
+    sa = iso._filtered(iso.singular_values(a).values)
+    sb = iso._filtered(iso.singular_values(b).values)
+    n = min(sa.size, sb.size)
+    sa, sb = sa[:n], sb[:n]
+    if (sa <= 1e-12).any() or (sb <= 1e-12).any():
+        raise ValueError("paired singular value below tolerance; log gap undefined")
+    return float(np.sum((np.log(sa) - np.log(sb)) ** 2))
+
+
+def _ref_pair_metrics(mat_a, mat_b, k, gh_max_points):
+    pair = xa.align_pair(mat_a, mat_b)
+    mined = MinedAlignment(_ref_intersection(mat_a, mat_b, k), Direction.INTERSECTION)
+    rows_a = [i for i, _ in pair.gold]
+    rows_b = [j for _, j in pair.gold]
+    sub_a = xa.EmbeddingMatrix("a", mat_a.data[rows_a])
+    sub_b = xa.EmbeddingMatrix("b", mat_b.data[rows_b])
+    ka = iso.effective_condition_number(iso.singular_values(sub_a))
+    kb = iso.effective_condition_number(iso.singular_values(sub_b))
+    return {
+        "f1": retrieval_f1(mined, pair.gold).f1,
+        "avg_margin": _ref_average_margin(pair, k),
+        "svg": _ref_svg(sub_a, sub_b),
+        "econd_hm": iso.condition_harmonic_mean(ka, kb),
+        "gh": iso.gh_distance(sub_a, sub_b, gh_max_points),
+    }
+
+
+def _random_pair():
+    # 60 and 55 rows over 70 verses, so each side has distractor rows; the
+    # shared offset keeps top-k cosine sums positive up to k = 55
+    rng = np.random.default_rng(31)
+    base = rng.standard_normal((70, 16)) + 1.0
+    ids = [f"v{i:02d}" for i in range(70)]
+    rows_a = np.sort(rng.choice(70, 60, replace=False))
+    rows_b = np.sort(rng.choice(70, 55, replace=False))
+    a = base[rows_a] + 0.4 * rng.standard_normal((60, 16))
+    b = base[rows_b] + 0.4 * rng.standard_normal((55, 16))
+    return (xa.EmbeddingMatrix("a", a, tuple(ids[i] for i in rows_a)),
+            xa.EmbeddingMatrix("b", b, tuple(ids[i] for i in rows_b)))
+
+
+def _tied_pair():
+    # non-negative integer rows, so every cosine is >= 0; rows 5 and 9 repeat
+    # row 2 and row 7 is a multiple of row 1, so cosines and margins tie
+    rng = np.random.default_rng(32)
+    data = rng.integers(0, 3, (14, 6)).astype(float)
+    data[data.sum(axis=1) == 0, 0] = 1.0
+    data[5] = data[9] = data[2]
+    data[7] = 2.0 * data[1]
+    perm = rng.permutation(14)
+    ids = tuple(f"v{i:02d}" for i in range(14))
+    return (xa.EmbeddingMatrix("a", data, ids),
+            xa.EmbeddingMatrix("b", 3.0 * data[perm], tuple(ids[i] for i in perm)))
+
+
+_DIFF_CASES = [
+    (_random_pair, 1), (_random_pair, 4), (_random_pair, 55),
+    (_tied_pair, 1), (_tied_pair, 3), (_tied_pair, 4), (_tied_pair, 14),
+]
+
+
+@pytest.mark.parametrize("make, k", _DIFF_CASES,
+                         ids=[f"{make.__name__[1:]}-k{k}" for make, k in _DIFF_CASES])
+def test_pair_kernel_matches_reference_path(make, k):
+    a, b = make()
+    assert mine_direction(a, b, k).pairs == _ref_forward(a, b, k)
+    assert mine_backward(a, b, k).pairs == _ref_backward(a, b, k)
+    assert mine_intersection(a, b, k).pairs == _ref_intersection(a, b, k)
+    pair = xa.align_pair(a, b)
+    assert average_margin(pair, k) == _ref_average_margin(pair, k)
+    metrics = compute_pair_metrics(a, b, k=k, gh_max_points=20)
+    assert metrics.as_dict() == _ref_pair_metrics(a, b, k, 20)
+
+
+def test_pair_metrics_search_and_decompose_once(monkeypatch):
+    calls = {"knn": 0, "svd": 0}
+    knn, svd = mining._knn_topk, np.linalg.svd
+
+    def counted_knn(*args, **kwargs):
+        calls["knn"] += 1
+        return knn(*args, **kwargs)
+
+    def counted_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(mining, "_knn_topk", counted_knn)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    a, b = _random_pair()
+    compute_pair_metrics(a, b, k=4, gh_max_points=20)
+    assert calls == {"knn": 2, "svd": 2}

@@ -1,14 +1,18 @@
 import argparse
+import dataclasses
 import itertools
 import json
 import re
 import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import xlalign as xa
 from xlalign import pipeline
@@ -199,6 +203,74 @@ def test_features_csv_round_trip(tmp_path):
     assert vector["same_family"] == 1.0
 
 
+# Every character str.splitlines splits on, written out here rather than
+# taken from the writer, so the property checks the writer's rule.
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_CODES = st.text(st.sampled_from(",ab" + _LINE_BREAKS) | st.characters(), max_size=3)
+_METRICS = st.builds(
+    AlignmentMetrics, f1=st.floats(0, 1),
+    avg_margin=st.floats(allow_nan=False, allow_infinity=False),
+    svg=st.floats(0, 1e300), econd_hm=st.floats(1, 1e300), gh=st.floats(0, 1e300),
+)
+
+
+@st.composite
+def _feature_vectors(draw):
+    in_family = draw(st.integers(0, 10**12))
+    binary = {name: draw(st.integers(0, 1)) for name in pipeline.ANOVA_FACTORS}
+    fractions = {
+        name: draw(st.none() | st.floats(0, 1)) for name in ("token_overlap", "char_overlap")
+    }
+    distances = {
+        name: draw(st.none() | st.floats(0, 2))
+        for name in ("syntactic_dist", "phonological_dist", "inventory_dist", "geographic_dist")
+    }
+    return xa.PairFeatureVector(
+        combined_sentences=draw(st.integers(0, 10**12)), combined_in_family=in_family,
+        combined_in_subfamily=draw(st.integers(0, in_family)), **binary, **fractions, **distances,
+    )
+
+
+def _round_trip(write, read, rows):
+    """The rows read back, or None after checking that the writer refused a
+    language code with a comma or a line break."""
+    breaks = any(set(code) & set("," + _LINE_BREAKS) for pair in rows for code in pair)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        if breaks:
+            with pytest.raises(ValueError, match="contains a comma or line break"):
+                write(rows, path)
+            return None
+        write(rows, path)
+        return read(path)
+
+
+def _as_written(rows):
+    """Each row's values as the CSVs hold them: floats at 12 significant
+    digits, integers exactly, a missing value as None."""
+    def cell(value):
+        if value is None:
+            return None
+        return float(f"{value:.12g}") if isinstance(value, float) else float(value)
+    return {pair: {name: cell(v) for name, v in r.as_dict().items()} for pair, r in rows.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.tuples(_CODES, _CODES), _METRICS, max_size=4))
+def test_metrics_csv_round_trip_property(rows):
+    read = _round_trip(write_metrics_csv, read_metrics_csv, rows)
+    if read is not None:
+        assert {pair: m.as_dict() for pair, m in read.items()} == _as_written(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.dictionaries(st.tuples(_CODES, _CODES), _feature_vectors(), max_size=4))
+def test_features_csv_round_trip_property(rows):
+    read = _round_trip(write_features_csv, read_features_csv, rows)
+    if read is not None:
+        assert read == _as_written(rows)
+
+
 # ------------------------------------------------------------------ analyses
 
 @pytest.fixture(scope="module")
@@ -267,6 +339,18 @@ def test_analyze_search_and_ablate(analysis_dataset):
     assert len(ablate["ranking"]) == 13
     for metric in METRIC_NAMES:
         assert sorted(ablate["per_dv"][metric]["rank"].values()) == list(range(1, 14))
+
+
+def test_analyze_search_reports_skipped_subsets(analysis_dataset):
+    dataset, *_ = analysis_dataset
+    X = dataset.X.copy()
+    X[:, 1] = X[:, 0]  # every subset holding both columns is rank deficient
+    report = analyze_search(dataclasses.replace(dataset, X=X), folds=3, seed=5)
+    _validate(report, "search")
+    assert set(report["per_dv"]) == set(METRIC_NAMES)
+    for entry in report["per_dv"].values():
+        assert entry["n_skipped"] > 0
+        assert not set(xa.FEATURE_NAMES[:2]) <= set(entry["best_features"])
 
 
 def test_analyze_anova_ancova(analysis_dataset):
@@ -527,19 +611,23 @@ def test_cli_analyze_every_mode(analysis_csvs, mode):
     assert report["n_used"] == 45
 
 
-@pytest.mark.parametrize("edit, stage, mode, analyses", [
+@pytest.mark.parametrize("edit, stage, mode, analyses, n_pairs", [
     (("analyses = corr, anova, ancova, pca, zero_shot", "analyses = corr, search"),
-     "analysis", "search", ["corr"]),  # search needs more than 6 pairs
-    (("out = results", "char_doc = luke\nout = results"), "features", None, []),
-], ids=["analysis", "features"])
-def test_cli_report_fatal_error_keeps_summary(workspace, capsys, edit, stage, mode, analyses):
+     "analysis", "search", ["corr"], 6),  # search needs more than 6 pairs
+    (("out = results", "char_doc = luke\nout = results"), "features", None, [], 6),
+    (("embeddings = emb/matthew, emb/john", "embeddings = texts/matthew"),
+     "sweep", None, [], 0),  # no embedding files found
+], ids=["analysis", "features", "sweep"])
+def test_cli_report_fatal_error_keeps_summary(
+    workspace, capsys, edit, stage, mode, analyses, n_pairs
+):
     config = workspace["config"]
     config.write_text(config.read_text().replace(*edit))
     assert main(["report", "--config", str(config)]) == 1
     err = capsys.readouterr().err
     summary = json.loads((workspace["root"] / "results" / "run_summary.json").read_text())
     _validate(summary, "summary")
-    assert summary["n_pairs"] == 6
+    assert summary["n_pairs"] == n_pairs
     assert summary["analyses"] == analyses
     assert summary["fatal"]["stage"] == stage and summary["fatal"]["mode"] == mode
     assert err == f"xlalign: error: {summary['fatal']['error']}\n"
