@@ -4,8 +4,13 @@ ablation, ANOVA/ANCOVA with effect sizes, Tukey post-hoc, and PCA/PCR.
 Cross-validated fits shuffle once with a seeded generator, score the held-out
 fold of each split with plain r-squared, average the fold scores, and apply
 the adjusted-r-squared penalty a single time with the total sample size and
-the model's predictor count. All seeded procedures are reproducible
-bit-for-bit for a fixed seed and input.
+the model's predictor count. One engine, ``_FoldGrams``, scores every such fit
+(search, ablation, PCR, ``cv_adjusted_r2``) from Gram blocks of the z-scored
+design, which leaves adjusted r-squared unchanged and keeps raw count columns
+well conditioned; a rank-deficient model gets its minimum-norm fit. Scores
+within ``_TIE_TOL`` of the best tie and go to the earlier candidate (smaller
+subset, lower feature index, fewer components). All seeded procedures are
+reproducible bit-for-bit for a fixed seed and input.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .special import f_sf, studentized_range_sf
+
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -181,66 +188,63 @@ def _cv_folds(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return np.array_split(rng.permutation(n), folds)
 
 
-def _holdout_r2(aug: np.ndarray, y: np.ndarray, test_idx: np.ndarray) -> float:
-    mask = np.ones(y.size, dtype=bool)
-    mask[test_idx] = False
-    beta, *_ = np.linalg.lstsq(aug[mask], y[mask], rcond=None)
-    y_te = y[test_idx]
-    resid = y_te - aug[test_idx] @ beta
-    sse = float(resid @ resid)
-    sst = float(((y_te - y_te.mean()) ** 2).sum())
-    if sst == 0.0:
-        return 1.0 if sse < 1e-24 else 0.0
-    return 1.0 - sse / sst
+def _first_best(scores) -> int:
+    """Index of the first score within ``_TIE_TOL`` of the maximum."""
+    scores = np.asarray(scores, dtype=np.float64)
+    return int(np.flatnonzero(scores >= scores.max() - _TIE_TOL)[0])
+
+
+class _FoldGrams:
+    """Per-fold Gram blocks of the z-scored design plus an intercept, with
+    every dependent variable as one right-hand side: a feature subset costs
+    one small least-squares solve per fold, whatever n is."""
+
+    def __init__(self, X, Y, folds: int, seed: int):
+        X = np.asarray(X, dtype=np.float64)
+        n, k = X.shape
+        Y = np.column_stack([np.asarray(Y, dtype=np.float64)])
+        if n <= k + 1:
+            raise ValueError(f"need n > k + 1, got n={n}, k={k}")
+        if Y.shape[0] != n:
+            raise ValueError(f"{Y.shape[0]} target values for {n} rows")
+        centered = X - X.mean(axis=0)
+        scale = centered.std(axis=0, ddof=1)
+        # a spread at the rounding level of the design's largest entry (a
+        # constant column, a null principal component) is not scaled up, so
+        # least squares still sees that column as rank deficient
+        flat = scale <= n * np.finfo(np.float64).eps * np.abs(X).max(initial=0.0)
+        aug = _augment(centered / np.where(flat, 1.0, scale))
+        Y = Y - Y.mean(axis=0)  # else the Gram form of the held-out SSE loses digits to the mean
+        self.n = n
+        blocks = []
+        for test_idx in _cv_folds(n, folds, seed):
+            a_tr, y_tr = np.delete(aug, test_idx, axis=0), np.delete(Y, test_idx, axis=0)
+            a_te, y_te = aug[test_idx], Y[test_idx]
+            blocks.append((a_tr.T @ a_tr, a_tr.T @ y_tr, a_te.T @ a_te, a_te.T @ y_te,
+                           (y_te**2).sum(axis=0), ((y_te - y_te.mean(axis=0)) ** 2).sum(axis=0)))
+        self.g_tr, self.c_tr, self.g_te, self.c_te, self.yy_te, sst = map(np.stack, zip(*blocks))
+        self.constant_te = sst == 0.0
+        self.sst = np.where(self.constant_te, 1.0, sst)
+
+    def score(self, features: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """Adjusted cross-validated r2 of every dependent variable for the
+        model on the given columns of X, and whether each fold's fit had full
+        rank (a rank-deficient fold uses the minimum-norm solution)."""
+        cols = np.concatenate([[0], np.asarray(features, dtype=np.intp) + 1])
+        block = (slice(None), cols[:, None], cols)
+        fits = [np.linalg.lstsq(g, c, rcond=None) for g, c in zip(self.g_tr[block], self.c_tr[:, cols])]
+        beta = np.stack([fit[0] for fit in fits])
+        full_rank = np.array([fit[2] == cols.size for fit in fits])
+        sse = self.yy_te + (beta * (self.g_te[block] @ beta - 2.0 * self.c_te[:, cols])).sum(axis=1)
+        sse = np.maximum(sse, 0.0)
+        fold_r2 = np.where(self.constant_te, sse < 1e-24, 1.0 - sse / self.sst)
+        return adjusted_r2(fold_r2.mean(axis=0), self.n, cols.size - 1), full_rank
 
 
 def cv_adjusted_r2(X, y, folds: int, seed: int) -> float:
     """K-fold cross-validated fit: mean held-out r2, then one adjusted-r2
     penalty with the total n and the model's predictor count."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, k = X.shape
-    if n <= k + 1:
-        raise ValueError(f"need n > k + 1, got n={n}, k={k}")
-    aug = _augment(X)
-    fold_r2 = [_holdout_r2(aug, y, test_idx) for test_idx in _cv_folds(n, folds, seed)]
-    return adjusted_r2(float(np.mean(fold_r2)), n, k)
-
-
-class _FoldGrams:
-    """Per-fold Gram matrices so each feature subset costs O(k^3), not O(n k^2)."""
-
-    def __init__(self, aug: np.ndarray, y: np.ndarray, fold_indices: list[np.ndarray]):
-        self.entries = []
-        n = y.size
-        for test_idx in fold_indices:
-            mask = np.ones(n, dtype=bool)
-            mask[test_idx] = False
-            aug_tr, y_tr = aug[mask], y[mask]
-            aug_te, y_te = aug[test_idx], y[test_idx]
-            sst = float(((y_te - y_te.mean()) ** 2).sum())
-            self.entries.append(
-                (
-                    aug_tr.T @ aug_tr,
-                    aug_tr.T @ y_tr,
-                    aug_te.T @ aug_te,
-                    aug_te.T @ y_te,
-                    float(y_te @ y_te),
-                    sst,
-                )
-            )
-
-    def mean_holdout_r2(self, cols: np.ndarray) -> float:
-        total = 0.0
-        for g_tr, c_tr, g_te, c_te, yy_te, sst in self.entries:
-            beta = np.linalg.solve(g_tr[np.ix_(cols, cols)], c_tr[cols])
-            sse = yy_te - 2.0 * float(beta @ c_te[cols]) + float(beta @ g_te[np.ix_(cols, cols)] @ beta)
-            sse = max(sse, 0.0)
-            if sst == 0.0:
-                total += 1.0 if sse < 1e-24 else 0.0
-            else:
-                total += 1.0 - sse / sst
-        return total / len(self.entries)
+    return float(_FoldGrams(X, y, folds, seed).score(range(np.shape(X)[1]))[0][0])
 
 
 def _feature_names(names: Sequence[str] | None, k: int) -> tuple[str, ...]:
@@ -251,45 +255,43 @@ def _feature_names(names: Sequence[str] | None, k: int) -> tuple[str, ...]:
     return tuple(names)
 
 
+def _search(X: np.ndarray, Y, folds: int, seed: int) -> tuple[list, int, int]:
+    """Best (subset, score) for every dependent variable column of ``Y`` over
+    all nonempty feature subsets in (size, lexicographic) order, the model
+    count, and the count of subsets skipped for a rank-deficient fold."""
+    grams = _FoldGrams(X, Y, folds, seed)
+    k = X.shape[1]
+    subsets = [s for size in range(1, k + 1) for s in itertools.combinations(range(k), size)]
+    scores = np.full((len(subsets), grams.yy_te.shape[1]), -np.inf)
+    n_skipped = 0
+    for row, subset in zip(scores, subsets):
+        adj, full_rank = grams.score(subset)
+        if full_rank.all():
+            row[:] = adj
+        else:
+            n_skipped += 1
+    if n_skipped == len(subsets):
+        raise ValueError("every feature subset was rank deficient")
+    best = [_first_best(column) for column in scores.T]
+    return [(subsets[b], float(scores[b, j])) for j, b in enumerate(best)], len(subsets), n_skipped
+
+
 def exhaustive_feature_search(
     X, y, feature_names: Sequence[str] | None = None, folds: int = 10, seed: int = 0
 ) -> SearchResult:
     """Evaluate every nonempty feature subset by cross-validated adjusted r2.
 
-    Ties break toward the smaller subset, then lexicographic feature order.
-    Rank-deficient subsets (e.g. duplicated columns) are skipped and counted.
+    The best subset is the first, in (size, lexicographic) order, whose score
+    is within ``_TIE_TOL`` of the maximum. Rank-deficient subsets (e.g.
+    duplicated columns) are skipped and counted.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, k = X.shape
-    names = _feature_names(feature_names, k)
-    if n <= k + 1:
-        raise ValueError(f"need n > k + 1, got n={n}, k={k}")
-    grams = _FoldGrams(_augment(X), y, _cv_folds(n, folds, seed))
-
-    best_score = -np.inf
-    best: tuple[int, ...] | None = None
-    n_models = 0
-    n_skipped = 0
-    for size in range(1, k + 1):
-        for subset in itertools.combinations(range(k), size):
-            n_models += 1
-            cols = np.concatenate([[0], np.asarray(subset) + 1])
-            try:
-                mean_r2 = grams.mean_holdout_r2(cols)
-            except np.linalg.LinAlgError:
-                n_skipped += 1
-                continue
-            score = adjusted_r2(mean_r2, n, size)
-            if score > best_score:
-                best_score = score
-                best = subset
-    if best is None:
-        raise ValueError("every feature subset was rank deficient")
+    names = _feature_names(feature_names, X.shape[1])
+    [(best, score)], n_models, n_skipped = _search(X, y, folds, seed)
     return SearchResult(
         best_features=tuple(names[i] for i in best),
         best_indices=best,
-        best_adj_r2=float(best_score),
+        best_adj_r2=score,
         n_models=n_models,
         n_skipped=n_skipped,
     )
@@ -302,24 +304,17 @@ def feature_search_report(
     folds: int = 10,
     seed: int = 0,
 ) -> FeatureSearchReport:
-    """Run the exhaustive search once per dependent variable and tally how
-    often each feature lands in a best-subset list."""
+    """Run the exhaustive search for every dependent variable in one pass and
+    tally how often each feature lands in a best-subset list."""
     X = np.asarray(X, dtype=np.float64)
     names = _feature_names(feature_names, X.shape[1])
-    per_dv_best: dict[str, tuple[str, ...]] = {}
-    per_dv_adj: dict[str, float] = {}
-    per_dv_skipped: dict[str, int] = {}
-    tallies = {name: 0 for name in names}
-    for dv_name, y in dvs.items():
-        result = exhaustive_feature_search(X, y, names, folds=folds, seed=seed)
-        per_dv_best[dv_name] = result.best_features
-        per_dv_adj[dv_name] = result.best_adj_r2
-        per_dv_skipped[dv_name] = result.n_skipped
-        for feature in result.best_features:
-            tallies[feature] += 1
+    results, _, n_skipped = _search(X, np.column_stack(list(dvs.values())), folds, seed)
+    per_dv_best = {dv: tuple(names[i] for i in best) for dv, (best, _) in zip(dvs, results)}
     return FeatureSearchReport(
-        per_dv_best=per_dv_best, per_dv_adj_r2=per_dv_adj, tallies=tallies,
-        per_dv_n_skipped=per_dv_skipped,
+        per_dv_best=per_dv_best,
+        per_dv_adj_r2={dv: score for dv, (_, score) in zip(dvs, results)},
+        tallies={name: sum(best.count(name) for best in per_dv_best.values()) for name in names},
+        per_dv_n_skipped=dict.fromkeys(dvs, n_skipped),
     )
 
 
@@ -329,20 +324,24 @@ def ablation_single_step(
     """Drop each feature from the full model once and record the fit change.
 
     ``deltas[f]`` is baseline minus the ablated fit, so features whose removal
-    hurts most score highest; rank 1 goes to the largest delta (exact ties
-    resolve in feature order).
+    hurts most score highest. Rank 1 goes to the largest delta; deltas within
+    ``_TIE_TOL`` resolve in feature order. A rank-deficient model is scored
+    with its minimum-norm fit.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    names = _feature_names(feature_names, X.shape[1])
-    baseline = cv_adjusted_r2(X, y, folds, seed)
-    deltas = {}
-    for i, name in enumerate(names):
-        ablated = cv_adjusted_r2(np.delete(X, i, axis=1), y, folds, seed)
-        deltas[name] = baseline - ablated
-    order = sorted(range(len(names)), key=lambda i: (-deltas[names[i]], i))
-    ranks = {names[i]: rank for rank, i in enumerate(order, start=1)}
-    return AblationResult(baseline_adj_r2=float(baseline), deltas=deltas, ranks=ranks)
+    k = X.shape[1]
+    names = _feature_names(feature_names, k)
+    grams = _FoldGrams(X, y, folds, seed)
+    baseline = float(grams.score(range(k))[0][0])
+    deltas = {
+        name: baseline - float(grams.score([j for j in range(k) if j != i])[0][0])
+        for i, name in enumerate(names)
+    }
+    remaining, ranks = list(range(k)), {}
+    while remaining:
+        i = remaining.pop(_first_best([deltas[names[j]] for j in remaining]))
+        ranks[names[i]] = len(ranks) + 1
+    return AblationResult(baseline_adj_r2=baseline, deltas=deltas, ranks=ranks)
 
 
 def _as_groups(groups: Sequence) -> list[np.ndarray]:
@@ -510,17 +509,15 @@ def pca(X, standardize: bool = True) -> PCAResult:
 
 def pcr(X, y, m: int | None = None, folds: int = 10, seed: int = 0) -> PCRResult:
     """Principal component regression: cross-validated adjusted r2 for models
-    on the first 1..m standardized components; best_components is the argmax
-    (ties toward fewer components)."""
+    on the first 1..m standardized components; best_components is the first
+    count within ``_TIE_TOL`` of the best score."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     decomposition = pca(X, standardize=True)
     available = decomposition.components.shape[0]
     if m is None:
         m = available
     if not 1 <= m <= available:
         raise ValueError(f"m={m} out of range [1, {available}]")
-    scores = decomposition.scores
-    values = tuple(cv_adjusted_r2(scores[:, :j], y, folds, seed) for j in range(1, m + 1))
-    best = int(np.argmax(values)) + 1
-    return PCRResult(adj_r2_by_components=values, best_components=best)
+    grams = _FoldGrams(decomposition.scores[:, :m], y, folds, seed)
+    values = tuple(float(grams.score(range(j))[0][0]) for j in range(1, m + 1))
+    return PCRResult(adj_r2_by_components=values, best_components=_first_best(values) + 1)

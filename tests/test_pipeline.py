@@ -353,6 +353,16 @@ def test_analyze_search_reports_skipped_subsets(analysis_dataset):
         assert not set(xa.FEATURE_NAMES[:2]) <= set(entry["best_features"])
 
 
+def test_analyze_ablate_with_a_constant_feature(analysis_dataset):
+    dataset, *_ = analysis_dataset
+    X = dataset.X.copy()
+    X[:, xa.FEATURE_NAMES.index("same_family")] = 1.0  # every pair in one family
+    ablate = analyze_ablate(dataclasses.replace(dataset, X=X), folds=3, seed=5)
+    _validate(ablate, "ablate")
+    for metric in METRIC_NAMES:
+        assert sorted(ablate["per_dv"][metric]["rank"].values()) == list(range(1, 14))
+
+
 def test_analyze_anova_ancova(analysis_dataset):
     dataset, *_ = analysis_dataset
     report = analyze_anova(dataset)

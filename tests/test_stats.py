@@ -1,10 +1,13 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
+from xlalign import stats
 from xlalign.special import betainc_regularized, f_sf, studentized_range_cdf, studentized_range_sf
 from xlalign.stats import (
     ablation_single_step,
@@ -250,6 +253,238 @@ def test_ablation_all_irrelevant_near_zero():
     result = ablation_single_step(X, y, folds=10, seed=12)
     assert max(abs(d) for d in result.deltas.values()) <= 0.02
     assert sorted(result.ranks.values()) == list(range(1, 14))
+
+
+# ----------------------------------------- differential: one CV engine
+# The scorers the engine replaced, kept as the reference: a raw-design lstsq
+# refit per fold for cv_adjusted_r2, ablation (one np.delete refit per
+# feature) and pcr (one refit per prefix), and per-DV raw Gram solves for the
+# search, where a singular fold raised and skipped the subset. Selections go
+# through the shared tie rule, because the reference's own `>`, argmax and
+# sort resolved exact-arithmetic ties by rounding noise.
+
+_DIFF_TOL = 1e-11
+
+
+def _ref_holdout_r2(aug, y, test_idx):
+    mask = np.ones(y.size, dtype=bool)
+    mask[test_idx] = False
+    beta, *_ = np.linalg.lstsq(aug[mask], y[mask], rcond=None)
+    y_te = y[test_idx]
+    resid = y_te - aug[test_idx] @ beta
+    sse = float(resid @ resid)
+    sst = float(((y_te - y_te.mean()) ** 2).sum())
+    if sst == 0.0:
+        return 1.0 if sse < 1e-24 else 0.0
+    return 1.0 - sse / sst
+
+
+def _ref_cv(X, y, folds, seed):
+    n, k = X.shape
+    aug = np.hstack([np.ones((n, 1)), X])
+    fold_r2 = [_ref_holdout_r2(aug, y, test_idx) for test_idx in stats._cv_folds(n, folds, seed)]
+    return adjusted_r2(float(np.mean(fold_r2)), n, k)
+
+
+def _ref_search(X, y, folds, seed):
+    n, k = X.shape
+    aug = np.hstack([np.ones((n, 1)), X])
+    entries = []
+    for test_idx in stats._cv_folds(n, folds, seed):
+        mask = np.ones(n, dtype=bool)
+        mask[test_idx] = False
+        a_tr, y_tr, a_te, y_te = aug[mask], y[mask], aug[test_idx], y[test_idx]
+        entries.append((a_tr.T @ a_tr, a_tr.T @ y_tr, a_te.T @ a_te, a_te.T @ y_te,
+                         float(y_te @ y_te), float(((y_te - y_te.mean()) ** 2).sum())))
+    subsets, scores, n_skipped = [], [], 0
+    for size in range(1, k + 1):
+        for subset in itertools.combinations(range(k), size):
+            cols = np.concatenate([[0], np.asarray(subset) + 1])
+            total = 0.0
+            try:
+                for g_tr, c_tr, g_te, c_te, yy_te, sst in entries:
+                    beta = np.linalg.solve(g_tr[np.ix_(cols, cols)], c_tr[cols])
+                    sse = yy_te - 2.0 * float(beta @ c_te[cols]) + float(beta @ g_te[np.ix_(cols, cols)] @ beta)
+                    sse = max(sse, 0.0)
+                    total += (1.0 if sse < 1e-24 else 0.0) if sst == 0.0 else 1.0 - sse / sst
+            except np.linalg.LinAlgError:
+                n_skipped += 1
+                continue
+            subsets.append(subset)
+            scores.append(adjusted_r2(total / len(entries), n, size))
+    best = stats._first_best(scores)
+    return subsets[best], scores[best], n_skipped
+
+
+def _ref_ablation(X, y, folds, seed):
+    baseline = _ref_cv(X, y, folds, seed)
+    deltas = [baseline - _ref_cv(np.delete(X, i, axis=1), y, folds, seed) for i in range(X.shape[1])]
+    remaining, order = list(range(X.shape[1])), []
+    while remaining:
+        order.append(remaining.pop(stats._first_best([deltas[j] for j in remaining])))
+    return baseline, deltas, {f"f{i}": rank for rank, i in enumerate(order, start=1)}
+
+
+def _ref_pcr(X, y, folds, seed):
+    scores = pca(X, standardize=True).scores
+    values = [_ref_cv(scores[:, :j], y, folds, seed) for j in range(1, X.shape[1] + 1)]
+    return values, stats._first_best(values) + 1
+
+
+def _random_design(seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((120, 5))
+    dvs = {
+        "planted": X[:, 1] + 0.5 * rng.standard_normal(120),
+        "mixed": X[:, 0] - X[:, 3] + rng.standard_normal(120),
+        "noise": rng.standard_normal(120),
+    }
+    return X, dvs
+
+
+def _copied_design(seed):
+    X, dvs = _random_design(seed)
+    X[:, 4] = X[:, 0]
+    return X, dvs
+
+
+def _constant_design(seed, value=1.0):
+    X, dvs = _random_design(seed)
+    X[:, 2] = value
+    return X, dvs
+
+
+def _duplicated_design(seed):
+    X, dvs = _random_design(seed)
+    X[:, 4] = X[:, 1]
+    return X, dvs
+
+
+_ENGINE_CASES = [(_random_design, s) for s in (0, 1, 2)] + [
+    (_copied_design, 3), (_copied_design, 4), (_constant_design, 3), (_duplicated_design, 3),
+]
+
+
+@pytest.mark.parametrize("make, seed", _ENGINE_CASES,
+                         ids=[f"{make.__name__[1:]}-{seed}" for make, seed in _ENGINE_CASES])
+def test_cv_engine_matches_reference_scorers(make, seed):
+    X, dvs = make(seed)
+    report = feature_search_report(X, dvs, folds=10, seed=seed)
+    tallies = dict.fromkeys(report.tallies, 0)
+    for name, y in dvs.items():
+        best, score, n_skipped = _ref_search(X, y, 10, seed)
+        assert report.per_dv_best[name] == tuple(f"f{i}" for i in best)
+        assert report.per_dv_n_skipped[name] == n_skipped
+        assert abs(report.per_dv_adj_r2[name] - score) <= _DIFF_TOL
+        for i in best:
+            tallies[f"f{i}"] += 1
+        single = exhaustive_feature_search(X, y, folds=5, seed=seed + 1)
+        best, score, n_skipped = _ref_search(X, y, 5, seed + 1)
+        assert (single.best_indices, single.n_skipped) == (best, n_skipped)
+        assert abs(single.best_adj_r2 - score) <= _DIFF_TOL
+
+        assert abs(cv_adjusted_r2(X, y, 10, seed) - _ref_cv(X, y, 10, seed)) <= _DIFF_TOL
+        ablation = ablation_single_step(X, y, folds=10, seed=seed)
+        baseline, deltas, ranks = _ref_ablation(X, y, 10, seed)
+        assert ablation.ranks == ranks and list(ablation.ranks) == list(ranks)
+        assert abs(ablation.baseline_adj_r2 - baseline) <= _DIFF_TOL
+        assert max(abs(ablation.deltas[f"f{i}"] - d) for i, d in enumerate(deltas)) <= _DIFF_TOL
+        if np.ptp(X, axis=0).all():  # pca cannot standardize a constant column
+            result = pcr(X, y, folds=10, seed=seed)
+            values, best_components = _ref_pcr(X, y, 10, seed)
+            assert result.best_components == best_components
+            assert np.abs(np.array(result.adj_r2_by_components) - values).max() <= _DIFF_TOL
+    assert report.tallies == tallies
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tie_rule_prefers_the_earlier_feature(seed):
+    # f4 is a copy of f0: in exact arithmetic dropping either one gives the
+    # same fit, and every subset holding f4 ties the one holding f0 instead
+    X, dvs = _copied_design(seed)
+    for y in dvs.values():
+        ranks = ablation_single_step(X, y, folds=10, seed=seed).ranks
+        assert ranks["f4"] == ranks["f0"] + 1
+        assert 4 not in exhaustive_feature_search(X, y, folds=10, seed=seed).best_indices
+
+
+@pytest.mark.parametrize("make, n_skipped", [
+    (_constant_design, 16),
+    # the mean of 120 copies of 0.1 rounds away from 0.1, so the centered
+    # column is a tiny constant, not zeros; its subsets are still skipped
+    (lambda seed: _constant_design(seed, 0.1), 16),
+    (_duplicated_design, 8),
+], ids=["constant", "constant-0.1", "duplicated"])
+def test_rank_deficient_designs_keep_working(make, n_skipped):
+    X, dvs = make(3)
+    assert exhaustive_feature_search(X, dvs["mixed"], folds=10, seed=3).n_skipped == n_skipped
+    for y in dvs.values():
+        # every fold of the full model is rank deficient; it gets its minimum-norm fit
+        full = cv_adjusted_r2(X, y, 10, 3)
+        assert math.isfinite(full)
+        assert abs(full - _ref_cv(X, y, 10, 3)) <= _DIFF_TOL
+        ablation = ablation_single_step(X, y, folds=10, seed=3)
+        _, deltas, _ = _ref_ablation(X, y, 10, 3)
+        assert all(math.isfinite(d) for d in ablation.deltas.values())
+        assert max(abs(ablation.deltas[f"f{i}"] - d) for i, d in enumerate(deltas)) <= _DIFF_TOL
+
+
+def test_fold_split_drawn_once_per_call(monkeypatch):
+    calls = []
+    folds = stats._cv_folds
+
+    def counted(*args):
+        calls.append(args)
+        return folds(*args)
+
+    monkeypatch.setattr(stats, "_cv_folds", counted)
+    rng = np.random.default_rng(16)
+    X = rng.standard_normal((60, 13))
+    dvs = {f"m{i}": X[:, i] + rng.standard_normal(60) for i in range(5)}
+    feature_search_report(X[:, :4], dvs, folds=3, seed=1)
+    assert len(calls) == 1
+    ablation_single_step(X, dvs["m0"], folds=3, seed=1)
+    assert len(calls) == 2
+    pcr(X, dvs["m0"], folds=3, seed=1)
+    assert len(calls) == 3
+
+
+def _exact_cv_adjusted_r2(X, y, folds, seed):
+    """Normal equations on the raw design in exact rational arithmetic."""
+    n, k = X.shape
+    rows = [[Fraction(1)] + [Fraction(v) for v in X[i]] for i in range(n)]
+    ys = [Fraction(v) for v in y]
+    total = Fraction(0)
+    for test_idx in stats._cv_folds(n, folds, seed):
+        test = sorted(test_idx.tolist())
+        train = [i for i in range(n) if i not in test]
+        system = [[sum(rows[i][a] * rows[i][b] for i in train) for b in range(k + 1)]
+                  + [sum(rows[i][a] * ys[i] for i in train)] for a in range(k + 1)]
+        for c in range(k + 1):  # Gauss-Jordan elimination, exact
+            pivot = next(r for r in range(c, k + 1) if system[r][c] != 0)
+            system[c], system[pivot] = system[pivot], system[c]
+            for r in range(k + 1):
+                if r != c and system[r][c] != 0:
+                    f = system[r][c] / system[c][c]
+                    system[r] = [x - f * p for x, p in zip(system[r], system[c])]
+        beta = [system[i][k + 1] / system[i][i] for i in range(k + 1)]
+        mean = sum(ys[i] for i in test) / len(test)
+        sse = sum((ys[i] - sum(b * x for b, x in zip(beta, rows[i]))) ** 2 for i in test)
+        sst = sum((ys[i] - mean) ** 2 for i in test)
+        total += 1 - sse / sst
+    return 1 - (1 - total / folds) * (n - 1) / (n - k - 1)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1000.0])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cv_exact_with_raw_count_column(seed, offset):
+    # a training-sentence count column of 1e5..1e7 next to a unit-scale one,
+    # and a target whose mean dwarfs its spread
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.standard_normal(24), rng.integers(100_000, 10_000_000, 24).astype(float)])
+    y = offset + 0.5 * X[:, 0] + 2e-7 * X[:, 1] + rng.standard_normal(24)
+    exact = _exact_cv_adjusted_r2(X, y, 4, seed)
+    assert abs(Fraction(cv_adjusted_r2(X, y, 4, seed)) - exact) <= Fraction(1, 10**13)
 
 
 # ---------------------------------------------------------------------- anova
