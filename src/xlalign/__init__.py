@@ -22,9 +22,7 @@ from .corpus import (
 )
 from .features import (
     FEATURE_NAMES,
-    LanguageFeatureVector,
     PairFeatureVector,
-    language_features,
     multiset_jaccard,
     pair_features,
     per_language_metrics,

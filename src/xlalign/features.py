@@ -88,23 +88,6 @@ class PairFeatureVector:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
 
 
-@dataclass(frozen=True)
-class LanguageFeatureVector:
-    """Per-language predictors for individual-language analyses."""
-
-    family: str
-    subfamily: str
-    word_order: WordOrder
-    polysynthetic: bool
-    train_sentences: int
-    in_family_sentences: int
-    in_subfamily_sentences: int
-
-    def __post_init__(self):
-        if self.in_family_sentences < self.train_sentences:
-            raise ValueError("in_family_sentences below the language's own count")
-
-
 def multiset_jaccard(a: str, b: str, unit: str) -> float:
     """Weighted Jaccard overlap of two texts.
 
@@ -155,23 +138,6 @@ def training_aggregates(table: Mapping[str, LanguageMeta]) -> dict[str, Training
         lang: TrainingCounts(
             in_family=family_sums[meta.family],
             in_subfamily=subfamily_sums[(meta.family, meta.subfamily)],
-        )
-        for lang, meta in table.items()
-    }
-
-
-def language_features(table: Mapping[str, LanguageMeta]) -> dict[str, LanguageFeatureVector]:
-    """Per-language feature vectors with training aggregates filled in."""
-    aggregates = training_aggregates(table)
-    return {
-        lang: LanguageFeatureVector(
-            family=meta.family,
-            subfamily=meta.subfamily,
-            word_order=meta.word_order,
-            polysynthetic=meta.polysynthetic,
-            train_sentences=meta.train_sentences,
-            in_family_sentences=aggregates[lang].in_family,
-            in_subfamily_sentences=aggregates[lang].in_subfamily,
         )
         for lang, meta in table.items()
     }

@@ -160,7 +160,7 @@ def persistence_diagram_0d(m: EmbeddingMatrix, max_points: int = 500) -> Persist
     """
     if max_points < 1:
         raise ValueError("max_points must be >= 1")
-    cloud = unit_rows(m.data)[:max_points]
+    cloud = unit_rows(m.data[:max_points])
     n = cloud.shape[0]
     if n == 1:
         return PersistenceDiagram(deaths=())

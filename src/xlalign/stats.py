@@ -21,8 +21,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from scipy.special import fdtrc
 
-from .special import f_sf, studentized_range_sf
+from .special import studentized_range_sf
 
 _TIE_TOL = 1e-12
 
@@ -355,6 +356,24 @@ def _as_groups(groups: Sequence) -> list[np.ndarray]:
     return arrays
 
 
+def _f_test(ss_effect: float, ss_error: float, df_effect: int, df_error: int) -> AnovaResult:
+    """F test of an effect's sum of squares against the error term, with
+    partial eta-squared. A zero error sum of squares gives F = inf and p = 0
+    when the effect is nonzero, and F = 0 and p = 1 when it is zero too."""
+    if ss_error == 0.0:
+        if ss_effect > 0.0:
+            return AnovaResult(math.inf, 0.0, 1.0, df_effect, df_error)
+        return AnovaResult(0.0, 1.0, 0.0, df_effect, df_error)
+    f_stat = float((ss_effect / df_effect) / (ss_error / df_error))
+    return AnovaResult(
+        f_stat=f_stat,
+        p_value=float(fdtrc(df_effect, df_error, f_stat)),
+        eta_p2=float(ss_effect / (ss_effect + ss_error)),
+        df_effect=df_effect,
+        df_error=df_error,
+    )
+
+
 def anova_oneway(groups: Sequence) -> AnovaResult:
     """One-way ANOVA with partial eta-squared effect size.
 
@@ -366,20 +385,7 @@ def anova_oneway(groups: Sequence) -> AnovaResult:
     grand = all_values.mean()
     ssb = sum(g.size * (g.mean() - grand) ** 2 for g in arrays)
     ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in arrays)
-    df_effect = len(arrays) - 1
-    df_error = all_values.size - len(arrays)
-    if ssw == 0.0:
-        if ssb > 0.0:
-            return AnovaResult(math.inf, 0.0, 1.0, df_effect, df_error)
-        return AnovaResult(0.0, 1.0, 0.0, df_effect, df_error)
-    f_stat = (ssb / df_effect) / (ssw / df_error)
-    return AnovaResult(
-        f_stat=float(f_stat),
-        p_value=f_sf(float(f_stat), df_effect, df_error),
-        eta_p2=float(ssb / (ssb + ssw)),
-        df_effect=df_effect,
-        df_error=df_error,
-    )
+    return _f_test(ssb, ssw, len(arrays) - 1, all_values.size - len(arrays))
 
 
 def _sse(design: np.ndarray, y: np.ndarray) -> float:
@@ -423,19 +429,7 @@ def ancova(y, factor: Sequence, covariates=None) -> AnovaResult:
     if df_error < 1:
         raise ValueError("no error degrees of freedom left")
     sse_full = _sse(full, y)
-    ss_effect = max(_sse(reduced, y) - sse_full, 0.0)
-    if sse_full == 0.0:
-        if ss_effect > 0.0:
-            return AnovaResult(math.inf, 0.0, 1.0, df_effect, df_error)
-        return AnovaResult(0.0, 1.0, 0.0, df_effect, df_error)
-    f_stat = (ss_effect / df_effect) / (sse_full / df_error)
-    return AnovaResult(
-        f_stat=float(f_stat),
-        p_value=f_sf(float(f_stat), df_effect, df_error),
-        eta_p2=float(ss_effect / (ss_effect + sse_full)),
-        df_effect=df_effect,
-        df_error=df_error,
-    )
+    return _f_test(max(_sse(reduced, y) - sse_full, 0.0), sse_full, df_effect, df_error)
 
 
 def tukey_hsd(groups: Sequence, labels: Sequence[str] | None = None) -> TukeyResult:

@@ -6,7 +6,6 @@ from xlalign.corpus import LanguageMeta, WordOrder
 from xlalign.features import (
     FEATURE_NAMES,
     PairFeatureVector,
-    language_features,
     multiset_jaccard,
     pair_features,
     per_language_metrics,
@@ -85,13 +84,6 @@ def test_training_aggregates():
     # same subfamily label under different families must not leak across
     assert agg["a"].in_subfamily == 100
     assert agg["c"].in_subfamily == 25
-
-
-def test_language_features_invariant():
-    table = {"a": meta("a", train=10), "b": meta("b", train=5)}
-    lf = language_features(table)
-    assert lf["a"].in_family_sentences >= lf["a"].train_sentences
-    assert lf["a"].in_family_sentences == 15
 
 
 def test_pair_features_hand_sums():

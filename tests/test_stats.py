@@ -1,6 +1,9 @@
 import itertools
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from xlalign import stats
-from xlalign.special import betainc_regularized, f_sf, studentized_range_cdf, studentized_range_sf
+from xlalign.special import studentized_range_cdf, studentized_range_sf
 from xlalign.stats import (
     ablation_single_step,
     adjusted_r2,
@@ -28,27 +31,31 @@ from xlalign.stats import (
 
 # ---------------------------------------------------------------- special fns
 
-def test_betainc_against_scipy():
-    worst = 0.0
-    for a in (0.5, 1.0, 2.5, 6.0, 40.0, 150.0):
-        for b in (0.5, 1.0, 3.5, 12.0, 80.0):
-            for x in (1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1 - 1e-6):
-                worst = max(worst, abs(betainc_regularized(a, b, x) - scipy.special.betainc(a, b, x)))
-    assert worst < 1e-10
-
-
-def test_f_sf_edges():
-    assert f_sf(0.0, 3, 10) == 1.0
-    assert f_sf(math.inf, 3, 10) == 0.0
-    # closed form for df=(1,2): p = 1 - sqrt(f/(f+2)) at f=8 gives 1-sqrt(0.8)
-    assert f_sf(8.0, 1, 2) == pytest.approx(1 - math.sqrt(0.8), abs=1e-10)
-
-
 def test_studentized_range_published_table_value():
     # standard tables: q(alpha=0.05; k=3, df=12) = 3.77
     assert abs(studentized_range_sf(3.77, 3, 12) - 0.05) <= 0.01
     assert studentized_range_cdf(0.0, 3, 12) == 0.0
     assert studentized_range_cdf(50.0, 3, 12) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("df", [5, 40, 500, 5048])
+def test_studentized_range_two_groups_closed_form(df):
+    # with k = 2 the range is |Z1 - Z2| / s, so P(Q > q) = 2 P(T_df < -q/sqrt(2))
+    for q in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
+        exact = 2.0 * scipy.special.stdtr(df, -q / math.sqrt(2.0))
+        assert abs(studentized_range_sf(q, 2, df) - exact) <= 1e-9
+
+
+def test_import_does_not_load_scipy_stats():
+    # importing scipy.stats would more than double the import time of xlalign,
+    # which is why the Tukey tail is computed in-house
+    src = str(Path(stats.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", "import xlalign, sys; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, cwd=src,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 # --------------------------------------------------------------- correlations
@@ -493,6 +500,7 @@ def test_anova_identical_groups():
     result = anova_oneway([(1.0, 2.0), (1.0, 2.0)])
     assert result.f_stat == 0.0
     assert result.eta_p2 == 0.0
+    assert result.p_value == 1.0
 
 
 def test_anova_hand_computation():
@@ -501,6 +509,26 @@ def test_anova_hand_computation():
     assert result.eta_p2 == pytest.approx(0.8, abs=1e-12)
     assert (result.df_effect, result.df_error) == (1, 2)
     assert result.p_value == pytest.approx(1 - math.sqrt(0.8), abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [3, 12, 40, 500, 5047])
+def test_anova_f_tail_two_groups_closed_form(d):
+    # three groups leave df_effect = 2, where P(F > f) = (1 + 2f/d)^(-d/2)
+    sizes = [d // 3 + 1, (d + 1) // 3 + 1, (d + 2) // 3 + 1]
+    rng = np.random.default_rng(d)
+    noise = [rng.standard_normal(size) for size in sizes]
+    noise = [e - e.mean() for e in noise]
+    ssw = sum(float(e @ e) for e in noise)
+    spread = (-1.0, 0.0, 1.0)
+    grand = sum(n * c for n, c in zip(sizes, spread)) / sum(sizes)
+    ssb_unit = sum(n * (c - grand) ** 2 for n, c in zip(sizes, spread))
+    for f in (0.01, 0.1, 0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 100.0):
+        # shifting the group means by -t, 0, t sets F to f
+        t = math.sqrt(f * 2.0 * (ssw / d) / ssb_unit)
+        result = anova_oneway([e + t * c for e, c in zip(noise, spread)])
+        assert (result.df_effect, result.df_error) == (2, d)
+        exact = math.exp(-(d / 2.0) * math.log1p(2.0 * result.f_stat / d))
+        assert abs(result.p_value - exact) <= 1e-13 * exact
 
 
 def test_anova_p_matches_independent_incomplete_beta():
