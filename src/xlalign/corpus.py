@@ -60,9 +60,10 @@ class WordOrder(str, Enum):
 class EmbeddingMatrix:
     """A language-tagged matrix of sentence embeddings with row IDs.
 
-    Rows are validated on construction: every row must be finite and nonzero,
-    IDs must be unique, and the matrix must have at least one row and at least
-    two columns. ``ids`` defaults to ``"0" .. "n_rows-1"`` when omitted.
+    Rows are validated on construction: every row must be finite with a
+    nonzero computed norm, IDs must be unique, and the matrix must have at
+    least one row and at least two columns. ``ids`` defaults to
+    ``"0" .. "n_rows-1"`` when omitted.
     """
 
     lang: str
@@ -80,9 +81,16 @@ class EmbeddingMatrix:
             raise ValueError(f"embedding dimensionality must be >= 2, got {dim}")
         if not np.isfinite(data).all():
             raise ValueError(f"non-finite entry in embeddings for {self.lang!r}")
-        zero_rows = np.flatnonzero(~(data != 0.0).any(axis=1))
+        # knn.unit_rows rejects a row whose norm is 0, which includes tiny
+        # nonzero entries whose squares underflow. A sum of squares is 0
+        # exactly when every square is, in any summation order, so this is
+        # the same test without a matrix-sized temporary.
+        zero_rows = np.flatnonzero(np.einsum("ij,ij->i", data, data) == 0.0)
         if zero_rows.size:
-            raise ValueError(f"all-zero embedding row(s) {zero_rows[:5].tolist()} for {self.lang!r}")
+            raise ValueError(
+                f"all-zero embedding row(s) {zero_rows[:5].tolist()} for {self.lang!r}"
+                " (a row whose norm underflows to 0 counts as zero)"
+            )
         ids = tuple(self.ids) if self.ids else tuple(str(i) for i in range(n_rows))
         if len(ids) != n_rows:
             raise ValueError(f"{len(ids)} ids for {n_rows} rows")
@@ -246,7 +254,8 @@ def load_embeddings(path: str | Path, fmt: str | None = None, lang: str | None =
 
     Raises:
         ValueError: On malformed content, dimension mismatches, NaN/Inf
-            entries, all-zero rows, or duplicate IDs.
+            entries, all-zero rows (or rows whose norm underflows to 0),
+            or duplicate IDs.
     """
     path = Path(path)
     if fmt is None:

@@ -203,6 +203,52 @@ def _submatrix(matrix: EmbeddingMatrix, rows: Sequence[int]) -> EmbeddingMatrix:
     )
 
 
+def _reuses(rows: tuple[int, ...], n_rows: int, gh_max_points: int) -> tuple[bool, bool]:
+    """Whether a side's gold ``rows`` select exactly the rows of its
+    per-language spectrum (all rows) and of its per-language diagram (the
+    first ``gh_max_points`` rows)."""
+    return (
+        rows == tuple(range(n_rows)),
+        rows[:gh_max_points] == tuple(range(min(gh_max_points, n_rows))),
+    )
+
+
+def _pair_metrics(
+    mat_a: EmbeddingMatrix,
+    mat_b: EmbeddingMatrix,
+    k: int,
+    gh_max_points: int,
+    spectra: tuple[iso.SingularSpectrum | None, iso.SingularSpectrum | None],
+    diagrams: tuple[iso.PersistenceDiagram | None, iso.PersistenceDiagram | None],
+) -> AlignmentMetrics:
+    """``compute_pair_metrics``, taking a side's spectrum of all rows and
+    diagram of the first ``gh_max_points`` rows from ``spectra`` and
+    ``diagrams`` (None: not precomputed) when its gold rows are those rows."""
+    pair = align_pair(mat_a, mat_b)
+    tables = _PairTables(mat_a, mat_b, k)
+    f1 = retrieval_f1(tables.intersection(), pair.gold).f1
+    avg = tables.average_margin(pair.gold)
+    used_spectra, used_diagrams = [], []
+    for mat, rows, spectrum, diagram in zip((mat_a, mat_b), zip(*pair.gold), spectra, diagrams):
+        full, prefix = _reuses(rows, mat.n_rows, gh_max_points)
+        spectrum, diagram = spectrum if full else None, diagram if prefix else None
+        if spectrum is None or diagram is None:
+            sub = _submatrix(mat, rows)
+            if spectrum is None:
+                spectrum = iso.singular_values(sub)
+            if diagram is None:
+                diagram = iso.persistence_diagram_0d(sub, gh_max_points)
+        used_spectra.append(spectrum)
+        used_diagrams.append(diagram)
+    return AlignmentMetrics(
+        f1=f1,
+        avg_margin=avg,
+        svg=iso._log_gap(*used_spectra),
+        econd_hm=iso.condition_harmonic_mean(*map(iso.effective_condition_number, used_spectra)),
+        gh=iso.bottleneck_distance(*used_diagrams),
+    )
+
+
 def compute_pair_metrics(
     mat_a: EmbeddingMatrix, mat_b: EmbeddingMatrix, k: int = 4, gh_max_points: int = 500
 ) -> AlignmentMetrics:
@@ -212,20 +258,7 @@ def compute_pair_metrics(
     act as distractors); the isomorphism measures are computed on the
     row-aligned submatrices.
     """
-    pair = align_pair(mat_a, mat_b)
-    tables = _PairTables(mat_a, mat_b, k)
-    f1 = retrieval_f1(tables.intersection(), pair.gold).f1
-    avg = tables.average_margin(pair.gold)
-    sub_a = _submatrix(mat_a, [i for i, _ in pair.gold])
-    sub_b = _submatrix(mat_b, [j for _, j in pair.gold])
-    spectra = (iso.singular_values(sub_a), iso.singular_values(sub_b))
-    return AlignmentMetrics(
-        f1=f1,
-        avg_margin=avg,
-        svg=iso._log_gap(*spectra),
-        econd_hm=iso.condition_harmonic_mean(*map(iso.effective_condition_number, spectra)),
-        gh=iso.gh_distance(sub_a, sub_b, gh_max_points),
-    )
+    return _pair_metrics(mat_a, mat_b, k, gh_max_points, (None, None), (None, None))
 
 
 def _metric_means(members: Iterable[AlignmentMetrics]) -> dict[str, float]:
@@ -263,6 +296,12 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
     averaged per-metric across documents. A language with a missing or
     unreadable file or a code the CSV outputs cannot hold, or a pair whose
     computation fails, is recorded and skipped without aborting the sweep.
+
+    Before the pair loop, each (document, language) gets at most one
+    spectrum and one persistence diagram, for the pairs whose gold rows on
+    that side select all its rows (spectrum) or its first ``gh_max_points``
+    rows (diagram); every other pair computes them as
+    ``compute_pair_metrics`` does, so the metrics are identical either way.
     """
     per_dir_files = [_embedding_files(d) for d in config.embeddings]
     all_langs = sorted(set().union(*per_dir_files))
@@ -285,28 +324,55 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
         usable.append(lang)
 
     pairs = list(itertools.combinations(usable, 2))
+    docs = range(len(per_dir_files))
+    gh = config.gh_max_points
 
+    # Stage 1, per (document, language), computes only the entries some pair
+    # reuses. It ends before stage 2 starts, so stage 2 only reads them.
+    wanted: dict[tuple[int, str], tuple[bool, bool]] = {}
+    for (lang_a, lang_b), d in itertools.product(pairs, docs):
+        try:
+            gold = align_pair(loaded[(d, lang_a)], loaded[(d, lang_b)]).gold
+        except ValueError:
+            continue  # the pair records this failure in stage 2
+        for lang, rows in zip((lang_a, lang_b), zip(*gold)):
+            reuse = _reuses(rows, loaded[(d, lang)].n_rows, gh)
+            seen = wanted.get((d, lang), (False, False))
+            wanted[(d, lang)] = (seen[0] or reuse[0], seen[1] or reuse[1])
+    keys = sorted(key for key, (spectrum, diagram) in wanted.items() if spectrum or diagram)
+
+    def precompute(key: tuple[int, str]):
+        spectrum, diagram = wanted[key]
+        sub = _submatrix(loaded[key], range(loaded[key].n_rows))
+        try:
+            return (
+                iso.singular_values(sub) if spectrum else None,
+                iso.persistence_diagram_0d(sub, gh) if diagram else None,
+            )
+        except (ValueError, np.linalg.LinAlgError):
+            # left out: each pair that needs it recomputes it and records the failure
+            return None, None
+
+    # Stage 2, the pair loop
     def guarded(pair: tuple[str, str]):
         lang_a, lang_b = pair
         try:
-            per_doc = [
-                compute_pair_metrics(
-                    loaded[(d, lang_a)], loaded[(d, lang_b)], k=config.k,
-                    gh_max_points=config.gh_max_points,
-                )
-                for d in range(len(per_dir_files))
-            ]
+            per_doc = []
+            for d in docs:
+                spectra, diagrams = zip(*(entries.get((d, lang), (None, None)) for lang in pair))
+                per_doc.append(_pair_metrics(
+                    loaded[(d, lang_a)], loaded[(d, lang_b)], config.k, gh, spectra, diagrams
+                ))
             return pair, AlignmentMetrics(**_metric_means(per_doc))
         except (ValueError, np.linalg.LinAlgError) as exc:
             return pair, exc
 
     # pairs are in canonical order and map() keeps it, whatever the schedule
     n_workers = worker_count(config.workers)
-    if n_workers > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(guarded, pairs))
-    else:
-        outcomes = list(map(guarded, pairs))
+    with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        run = pool.map if n_workers > 1 else map
+        entries = dict(zip(keys, run(precompute, keys)))
+        outcomes = list(run(guarded, pairs))
 
     for pair, outcome in outcomes:
         if isinstance(outcome, Exception):

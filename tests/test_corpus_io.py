@@ -11,6 +11,7 @@ from xlalign.corpus import (
     load_language_table,
     save_embeddings,
 )
+from xlalign.knn import unit_rows
 
 
 def test_text_parse_plain(tmp_path):
@@ -88,9 +89,25 @@ def test_nan_and_zero_rows_rejected(tmp_path):
     path.write_text("1 nan\n2 3\n")
     with pytest.raises(ValueError, match="non-finite"):
         load_embeddings(path, fmt="text")
-    path.write_text("0 0\n1 2\n")
-    with pytest.raises(ValueError, match="all-zero"):
-        load_embeddings(path, fmt="text")
+    for zero_row in ("0 0", "1e-170 -1e-170"):  # the second row's norm underflows to 0
+        path.write_text(f"{zero_row}\n1 2\n")
+        with pytest.raises(ValueError, match="all-zero"):
+            load_embeddings(path, fmt="text")
+
+
+def test_zero_norm_rows_rejected_exactly_when_unit_rows_fails():
+    # magnitudes around the point where squares underflow (about 1.5e-162)
+    rng = np.random.default_rng(11)
+    for exponent in np.linspace(-170.0, -150.0, 41):
+        for dim in (2, 7, 768):
+            row = rng.uniform(0.5, 1.0, dim) * 10.0 ** exponent
+            try:
+                unit_rows(row[None, :])
+            except ValueError:
+                with pytest.raises(ValueError, match="all-zero"):
+                    EmbeddingMatrix("x", np.stack([row, np.ones(dim)]))
+            else:
+                EmbeddingMatrix("x", np.stack([row, np.ones(dim)]))
 
 
 def test_matrix_invariants():

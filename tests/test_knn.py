@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from xlalign.corpus import EmbeddingMatrix
-from xlalign.knn import NeighborList, cosine, knn_search, unit_rows
+from xlalign.knn import NeighborList, _knn_topk, _topk_block, cosine, knn_search, unit_rows
 
 from conftest import knn_sort_oracle
 
@@ -102,3 +102,61 @@ def test_unit_rows():
     np.testing.assert_allclose(np.linalg.norm(normed, axis=1), 1.0, atol=1e-12)
     with pytest.raises(ValueError, match="zero row"):
         unit_rows(np.array([[0.0, 0.0]]))
+
+
+def _argsort_topk_block(sims, k):
+    """Reference: the full stable-argsort kernel that partial selection replaced."""
+    order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+    return order, np.take_along_axis(sims, order, axis=1)
+
+
+def _argsort_knn_topk(queries_unit, targets_unit, k, block_size):
+    idx, sim = [], []
+    for start in range(0, queries_unit.shape[0], block_size):
+        block = np.clip(queries_unit[start:start + block_size] @ targets_unit.T, -1.0, 1.0)
+        block_idx, block_sim = _argsort_topk_block(block, k)
+        idx.append(block_idx)
+        sim.append(block_sim)
+    return np.concatenate(idx), np.concatenate(sim)
+
+
+def _similarity_blocks(m):
+    rng = np.random.default_rng(31)
+    yield "random", rng.uniform(-1.0, 1.0, (40, m))
+    yield "rounded", np.round(rng.uniform(-1.0, 1.0, (40, m)), 1)
+    yield "few levels", rng.choice([-0.5, 0.0, 0.5], size=(40, m))
+    # each row: two values above a run of six ties, so the k-th value's ties
+    # straddle position k for k in 3..8
+    straddle = np.array([0.9, 0.9] + [0.5] * 6 + [0.1] * (m - 8))
+    yield "straddle", np.stack([rng.permutation(straddle) for _ in range(40)])
+    yield "signed zeros", np.where(rng.random((40, m)) < 0.5, 0.0, -0.0)
+    yield "constant", np.full((6, m), 0.25)
+
+
+@pytest.mark.parametrize("k", [1, 4, 16, 32, 33])
+def test_topk_block_matches_stable_argsort(k):
+    m = 33
+    for name, sims in _similarity_blocks(m):
+        got = _topk_block(sims, k)
+        expected = _argsort_topk_block(sims, k)
+        assert np.array_equal(got[0], expected[0]), name
+        # bit-level: signed zeros must come back as stored
+        assert np.array_equal(got[1].view(np.int64), expected[1].view(np.int64)), name
+
+
+@pytest.mark.parametrize("k", [1, 4, 16, 28, 29])
+def test_knn_topk_matches_stable_argsort_across_blocks(k):
+    rng = np.random.default_rng(7)
+    for rounded in (False, True):
+        q = rng.standard_normal((23, 6))
+        t = rng.standard_normal((29, 6))
+        t[3] = 2.0 * t[0]  # duplicated direction: tied cosines in every row
+        if rounded:  # small integer rows: many exactly tied cosines
+            q, t = np.round(q), np.round(t)
+            q[(q == 0).all(axis=1), 0] = 1.0
+            t[(t == 0).all(axis=1), 0] = 1.0
+        q, t = unit_rows(q), unit_rows(t)
+        got = _knn_topk(q, t, k, block_size=5)
+        expected = _argsort_knn_topk(q, t, k, block_size=5)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -156,6 +157,114 @@ def test_run_pair_metrics_parallel_matches_serial(workspace):
         RunConfig(**{**config.__dict__, "workers": 4})
     )
     assert serial.rows == parallel.rows
+
+
+def test_run_pair_metrics_rejects_underflowing_rows_at_load(workspace):
+    # every entry is nonzero, but the row's norm underflows to 0
+    for doc in ("matthew", "john"):
+        ref = xa.load_embeddings(workspace["root"] / "emb" / doc / "deu.xemb")
+        lines = [" ".join(["#id:" + vid] + [repr(v) for v in row])
+                 for vid, row in zip(ref.ids, ref.data.tolist())]
+        lines[3] = " ".join(["#id:" + ref.ids[3]] + ["1e-170"] * ref.dim)
+        (workspace["root"] / "emb" / doc / "tiny.txt").write_text("\n".join(lines) + "\n")
+    sweep = run_pair_metrics(load_config(workspace["config"]))
+    assert list(sweep.failed_languages) == ["tiny"]
+    assert "'tiny'" in sweep.failed_languages["tiny"]
+    assert sweep.failed_pairs == {}
+    assert len(sweep.rows) == 6  # the four valid languages
+
+
+class _CallCounter:
+    """Counts calls of a function, from any thread, while passing them through."""
+
+    def __init__(self, func):
+        self.func = func
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, *args, **kwargs):
+        with self.lock:
+            self.calls += 1
+        return self.func(*args, **kwargs)
+
+
+def _count_isometry_calls(monkeypatch) -> tuple[_CallCounter, _CallCounter]:
+    svd = _CallCounter(np.linalg.svd)
+    diagram = _CallCounter(pipeline.iso.persistence_diagram_0d)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(pipeline.iso, "persistence_diagram_0d", diagram)
+    return svd, diagram
+
+
+def test_run_pair_metrics_isolates_a_failing_language_spectrum(workspace, monkeypatch):
+    singular_values = pipeline.iso.singular_values
+
+    def failing(m):
+        if m.lang == "quc":
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return singular_values(m)
+
+    monkeypatch.setattr(pipeline.iso, "singular_values", failing)
+    sweep = run_pair_metrics(load_config(workspace["config"]))
+    assert sweep.failed_pairs == {
+        pair: "SVD did not converge" for pair in [("deu", "quc"), ("eng", "quc"), ("fra", "quc")]
+    }
+    assert len(sweep.rows) == 3
+
+
+def _mixed_coverage_workspace(root: Path) -> RunConfig:
+    """Two documents, four languages: two with every verse, one with a strict
+    subset of them, and one that lacks verses and has verses nobody else has."""
+    rng = np.random.default_rng(3)
+    verses = [f"V{i:03d}" for i in range(30)]
+    coverage = {
+        "full1": verses,
+        "full2": verses,
+        "part": [v for i, v in enumerate(verses) if i not in (12, 17, 22)],
+        # its own verses sort first, so none of its rows line up with a prefix
+        "ragged": ["A000", "A001"] + [v for i, v in enumerate(verses) if i not in (1, 3)],
+    }
+    dirs = []
+    for doc in ("matthew", "john"):
+        base = dict(zip(["A000", "A001"] + verses, rng.standard_normal((32, 6))))
+        emb = root / doc
+        emb.mkdir(parents=True)
+        for lang, ids in coverage.items():
+            data = np.array([base[v] for v in ids]) + 0.1 * rng.standard_normal((len(ids), 6))
+            xa.save_embeddings(xa.EmbeddingMatrix(lang, data, tuple(ids)), emb / f"{lang}.xemb")
+        dirs.append(emb)
+    return RunConfig(embeddings=tuple(dirs), out=root / "out", k=3, gh_max_points=10)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_pair_metrics_matches_public_pair_metrics(tmp_path, monkeypatch, workers):
+    config = dataclasses.replace(_mixed_coverage_workspace(tmp_path), workers=workers)
+    mats = {
+        (d, path.stem): xa.load_embeddings(path)
+        for d, directory in enumerate(config.embeddings)
+        for path in sorted(directory.glob("*.xemb"))
+    }
+    expected = {
+        (a, b): AlignmentMetrics(**pipeline._metric_means(
+            compute_pair_metrics(mats[(d, a)], mats[(d, b)], config.k, config.gh_max_points)
+            for d in range(2)
+        ))
+        for a, b in itertools.combinations(["full1", "full2", "part", "ragged"], 2)
+    }
+    svd, diagram = _count_isometry_calls(monkeypatch)
+    sweep = run_pair_metrics(config)
+    assert not sweep.partial
+    assert sweep.rows == expected
+    # per document, stage 1 covers full1, full2 and part; the pairs then
+    # recompute 8 spectra and 6 diagrams (the public path takes 12 and 12)
+    assert (svd.calls, diagram.calls) == (2 * 11, 2 * 9)
+
+
+def test_run_pair_metrics_decomposes_once_per_language(workspace, monkeypatch):
+    svd, diagram = _count_isometry_calls(monkeypatch)
+    sweep = run_pair_metrics(load_config(workspace["config"]))
+    assert len(sweep.rows) == 6
+    assert (svd.calls, diagram.calls) == (8, 8)  # 4 languages x 2 documents
 
 
 def test_metrics_csv_round_trip(tmp_path):
