@@ -68,7 +68,6 @@ from .pipeline import (
 )
 from .stats import (
     AnovaResult,
-    RegressionFit,
     ablation_single_step,
     adjusted_r2,
     ancova,
@@ -76,7 +75,6 @@ from .stats import (
     cv_adjusted_r2,
     exhaustive_feature_search,
     feature_search_report,
-    ols_fit,
     pca,
     pcr,
     pearson,

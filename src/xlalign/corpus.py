@@ -255,7 +255,7 @@ def load_embeddings(path: str | Path, fmt: str | None = None, lang: str | None =
     Raises:
         ValueError: On malformed content, dimension mismatches, NaN/Inf
             entries, all-zero rows (or rows whose norm underflows to 0),
-            or duplicate IDs.
+            or duplicate IDs. Each of these messages names the file.
     """
     path = Path(path)
     if fmt is None:
@@ -266,7 +266,10 @@ def load_embeddings(path: str | Path, fmt: str | None = None, lang: str | None =
         data, ids = _parse_text_matrix(path)
     else:
         raise ValueError(f"unknown embedding format {fmt!r}")
-    return EmbeddingMatrix(lang=lang or path.stem, data=data, ids=ids or ())
+    try:
+        return EmbeddingMatrix(lang=lang or path.stem, data=data, ids=ids or ())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, fmt: str | None = None) -> None:

@@ -59,12 +59,9 @@ def unit_rows(data: np.ndarray) -> np.ndarray:
 
 
 def _topk_block(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k largest entries, descending, ties toward the lower column."""
+    """Each row's k largest entries (1 <= k <= columns), descending, ties
+    toward the lower column."""
     n, m = sims.shape
-    if k >= m:
-        # stable sort of -sims: ties keep ascending target-index order
-        order = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        return order, np.take_along_axis(sims, order, axis=1)
     kth = np.partition(sims, m - k, axis=1)[:, m - k, None]
     # every entry ranked above the k-th survives, and so does every tie with it
     rows, cols = np.nonzero(sims >= kth)

@@ -203,14 +203,23 @@ def _submatrix(matrix: EmbeddingMatrix, rows: Sequence[int]) -> EmbeddingMatrix:
     )
 
 
-def _reuses(rows: tuple[int, ...], n_rows: int, gh_max_points: int) -> tuple[bool, bool]:
-    """Whether a side's gold ``rows`` select exactly the rows of its
-    per-language spectrum (all rows) and of its per-language diagram (the
-    first ``gh_max_points`` rows)."""
+def _covers(m: EmbeddingMatrix, partner: EmbeddingMatrix) -> bool:
+    """Whether ``align_pair`` puts all of ``m``'s rows, in file order, into
+    its gold alignment with ``partner``: the dims match, ``m``'s verse ids
+    ascend in file order, and ``partner`` has every one of them."""
     return (
-        rows == tuple(range(n_rows)),
-        rows[:gh_max_points] == tuple(range(min(gh_max_points, n_rows))),
+        m.dim == partner.dim
+        and all(a < b for a, b in zip(m.ids, m.ids[1:]))
+        and set(partner.ids).issuperset(m.ids)
     )
+
+
+_Side = tuple[iso.SingularSpectrum, iso.PersistenceDiagram]
+
+
+def _side(m: EmbeddingMatrix, gh_max_points: int) -> _Side:
+    """The spectrum and the diagram one side of a pair contributes."""
+    return iso.singular_values(m), iso.persistence_diagram_0d(m, gh_max_points)
 
 
 def _pair_metrics(
@@ -218,34 +227,25 @@ def _pair_metrics(
     mat_b: EmbeddingMatrix,
     k: int,
     gh_max_points: int,
-    spectra: tuple[iso.SingularSpectrum | None, iso.SingularSpectrum | None],
-    diagrams: tuple[iso.PersistenceDiagram | None, iso.PersistenceDiagram | None],
+    sides: tuple[_Side | None, _Side | None],
 ) -> AlignmentMetrics:
-    """``compute_pair_metrics``, taking a side's spectrum of all rows and
-    diagram of the first ``gh_max_points`` rows from ``spectra`` and
-    ``diagrams`` (None: not precomputed) when its gold rows are those rows."""
+    """``compute_pair_metrics``, taking a side's spectrum and diagram from
+    ``sides`` unless it is None. The caller passes one only for a side whose
+    matrix ``_covers`` the partner, i.e. whose gold rows are all its rows."""
     pair = align_pair(mat_a, mat_b)
     tables = _PairTables(mat_a, mat_b, k)
     f1 = retrieval_f1(tables.intersection(), pair.gold).f1
     avg = tables.average_margin(pair.gold)
-    used_spectra, used_diagrams = [], []
-    for mat, rows, spectrum, diagram in zip((mat_a, mat_b), zip(*pair.gold), spectra, diagrams):
-        full, prefix = _reuses(rows, mat.n_rows, gh_max_points)
-        spectrum, diagram = spectrum if full else None, diagram if prefix else None
-        if spectrum is None or diagram is None:
-            sub = _submatrix(mat, rows)
-            if spectrum is None:
-                spectrum = iso.singular_values(sub)
-            if diagram is None:
-                diagram = iso.persistence_diagram_0d(sub, gh_max_points)
-        used_spectra.append(spectrum)
-        used_diagrams.append(diagram)
+    spectra, diagrams = zip(*(
+        side if side is not None else _side(_submatrix(mat, rows), gh_max_points)
+        for mat, rows, side in zip((mat_a, mat_b), zip(*pair.gold), sides)
+    ))
     return AlignmentMetrics(
         f1=f1,
         avg_margin=avg,
-        svg=iso._log_gap(*used_spectra),
-        econd_hm=iso.condition_harmonic_mean(*map(iso.effective_condition_number, used_spectra)),
-        gh=iso.bottleneck_distance(*used_diagrams),
+        svg=iso._log_gap(*spectra),
+        econd_hm=iso.condition_harmonic_mean(*map(iso.effective_condition_number, spectra)),
+        gh=iso.bottleneck_distance(*diagrams),
     )
 
 
@@ -258,7 +258,7 @@ def compute_pair_metrics(
     act as distractors); the isomorphism measures are computed on the
     row-aligned submatrices.
     """
-    return _pair_metrics(mat_a, mat_b, k, gh_max_points, (None, None), (None, None))
+    return _pair_metrics(mat_a, mat_b, k, gh_max_points, (None, None))
 
 
 def _metric_means(members: Iterable[AlignmentMetrics]) -> dict[str, float]:
@@ -298,10 +298,12 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
     computation fails, is recorded and skipped without aborting the sweep.
 
     Before the pair loop, each (document, language) gets at most one
-    spectrum and one persistence diagram, for the pairs whose gold rows on
-    that side select all its rows (spectrum) or its first ``gh_max_points``
-    rows (diagram); every other pair computes them as
-    ``compute_pair_metrics`` does, so the metrics are identical either way.
+    spectrum and one persistence diagram, computed from its whole matrix.
+    A pair side reads them only when its gold rows are all of that matrix's
+    rows, in order: the partner has every verse id of the language, and the
+    ids ascend in file order. Any other side computes its spectrum and
+    diagram from its own gold rows, as ``compute_pair_metrics`` does, so the
+    metrics are identical either way.
     """
     per_dir_files = [_embedding_files(d) for d in config.embeddings]
     all_langs = sorted(set().union(*per_dir_files))
@@ -327,31 +329,22 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
     docs = range(len(per_dir_files))
     gh = config.gh_max_points
 
-    # Stage 1, per (document, language), computes only the entries some pair
-    # reuses. It ends before stage 2 starts, so stage 2 only reads them.
-    wanted: dict[tuple[int, str], tuple[bool, bool]] = {}
-    for (lang_a, lang_b), d in itertools.product(pairs, docs):
-        try:
-            gold = align_pair(loaded[(d, lang_a)], loaded[(d, lang_b)]).gold
-        except ValueError:
-            continue  # the pair records this failure in stage 2
-        for lang, rows in zip((lang_a, lang_b), zip(*gold)):
-            reuse = _reuses(rows, loaded[(d, lang)].n_rows, gh)
-            seen = wanted.get((d, lang), (False, False))
-            wanted[(d, lang)] = (seen[0] or reuse[0], seen[1] or reuse[1])
-    keys = sorted(key for key, (spectrum, diagram) in wanted.items() if spectrum or diagram)
+    # Stage 1, per (document, language): one spectrum and one diagram of
+    # each matrix that covers some partner. It ends before stage 2 starts,
+    # so stage 2 only reads them.
+    covered = {
+        (d, lang, partner)
+        for (lang_a, lang_b), d in itertools.product(pairs, docs)
+        for lang, partner in ((lang_a, lang_b), (lang_b, lang_a))
+        if _covers(loaded[(d, lang)], loaded[(d, partner)])
+    }
+    keys = sorted({(d, lang) for d, lang, _ in covered})
 
-    def precompute(key: tuple[int, str]):
-        spectrum, diagram = wanted[key]
-        sub = _submatrix(loaded[key], range(loaded[key].n_rows))
+    def precompute(key: tuple[int, str]) -> _Side | None:
         try:
-            return (
-                iso.singular_values(sub) if spectrum else None,
-                iso.persistence_diagram_0d(sub, gh) if diagram else None,
-            )
+            return _side(loaded[key], gh)
         except (ValueError, np.linalg.LinAlgError):
-            # left out: each pair that needs it recomputes it and records the failure
-            return None, None
+            return None  # each pair that needs it recomputes it and records the failure
 
     # Stage 2, the pair loop
     def guarded(pair: tuple[str, str]):
@@ -359,9 +352,11 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
         try:
             per_doc = []
             for d in docs:
-                spectra, diagrams = zip(*(entries.get((d, lang), (None, None)) for lang in pair))
+                sides = tuple(
+                    entries[(d, x)] if (d, x, y) in covered else None for x, y in (pair, pair[::-1])
+                )
                 per_doc.append(_pair_metrics(
-                    loaded[(d, lang_a)], loaded[(d, lang_b)], config.k, gh, spectra, diagrams
+                    loaded[(d, lang_a)], loaded[(d, lang_b)], config.k, gh, sides
                 ))
             return pair, AlignmentMetrics(**_metric_means(per_doc))
         except (ValueError, np.linalg.LinAlgError) as exc:

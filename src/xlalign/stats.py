@@ -29,17 +29,6 @@ _TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class RegressionFit:
-    """OLS fit summary; ``coefficients[0]`` is the intercept."""
-
-    coefficients: tuple[float, ...]
-    r2: float
-    adj_r2: float
-    n: int
-    k: int
-
-
-@dataclass(frozen=True)
 class AnovaResult:
     f_stat: float
     p_value: float
@@ -145,41 +134,6 @@ def adjusted_r2(r2: float, n: int, k: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
 
 
-def _augment(design: np.ndarray) -> np.ndarray:
-    return np.hstack([np.ones((design.shape[0], 1)), design])
-
-
-def ols_fit(design, y) -> RegressionFit:
-    """Least-squares fit of ``y`` on ``design`` plus an intercept.
-
-    Solved with an orthogonalization-based routine; rank deficiency is
-    reported as an error rather than silently regularized. A constant target
-    yields r2 = 0 by convention.
-    """
-    design = np.asarray(design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if design.ndim != 2 or y.ndim != 1 or design.shape[0] != y.size:
-        raise ValueError("design must be n x k and y length n")
-    n, k = design.shape
-    if n <= k + 1:
-        raise ValueError(f"need n > k + 1, got n={n}, k={k}")
-    aug = _augment(design)
-    if np.linalg.matrix_rank(aug) < k + 1:
-        raise ValueError("design matrix is rank deficient after intercept augmentation")
-    beta, *_ = np.linalg.lstsq(aug, y, rcond=None)
-    resid = y - aug @ beta
-    sse = float(resid @ resid)
-    sst = float(((y - y.mean()) ** 2).sum())
-    r2 = 1.0 - sse / sst if sst > 0.0 else 0.0
-    return RegressionFit(
-        coefficients=tuple(beta.tolist()),
-        r2=r2,
-        adj_r2=adjusted_r2(r2, n, k),
-        n=n,
-        k=k,
-    )
-
-
 def _cv_folds(n: int, folds: int, seed: int) -> list[np.ndarray]:
     if folds < 2:
         raise ValueError("need at least 2 folds")
@@ -214,7 +168,7 @@ class _FoldGrams:
         # constant column, a null principal component) is not scaled up, so
         # least squares still sees that column as rank deficient
         flat = scale <= n * np.finfo(np.float64).eps * np.abs(X).max(initial=0.0)
-        aug = _augment(centered / np.where(flat, 1.0, scale))
+        aug = np.hstack([np.ones((n, 1)), centered / np.where(flat, 1.0, scale)])
         Y = Y - Y.mean(axis=0)  # else the Gram form of the held-out SSE loses digits to the mean
         self.n = n
         blocks = []

@@ -91,8 +91,9 @@ def test_nan_and_zero_rows_rejected(tmp_path):
         load_embeddings(path, fmt="text")
     for zero_row in ("0 0", "1e-170 -1e-170"):  # the second row's norm underflows to 0
         path.write_text(f"{zero_row}\n1 2\n")
-        with pytest.raises(ValueError, match="all-zero"):
+        with pytest.raises(ValueError, match="all-zero") as excinfo:
             load_embeddings(path, fmt="text")
+        assert str(excinfo.value).startswith(f"{path}: ")
 
 
 def test_zero_norm_rows_rejected_exactly_when_unit_rows_fails():

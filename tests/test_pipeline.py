@@ -170,6 +170,7 @@ def test_run_pair_metrics_rejects_underflowing_rows_at_load(workspace):
     sweep = run_pair_metrics(load_config(workspace["config"]))
     assert list(sweep.failed_languages) == ["tiny"]
     assert "'tiny'" in sweep.failed_languages["tiny"]
+    assert str(workspace["root"] / "emb" / "matthew" / "tiny.txt") in sweep.failed_languages["tiny"]
     assert sweep.failed_pairs == {}
     assert len(sweep.rows) == 6  # the four valid languages
 
@@ -236,28 +237,55 @@ def _mixed_coverage_workspace(root: Path) -> RunConfig:
     return RunConfig(embeddings=tuple(dirs), out=root / "out", k=3, gh_max_points=10)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_run_pair_metrics_matches_public_pair_metrics(tmp_path, monkeypatch, workers):
-    config = dataclasses.replace(_mixed_coverage_workspace(tmp_path), workers=workers)
+def _public_path_rows(config: RunConfig) -> dict[tuple[str, str], AlignmentMetrics]:
+    """Every pair's per-document mean of public ``compute_pair_metrics`` calls."""
     mats = {
         (d, path.stem): xa.load_embeddings(path)
         for d, directory in enumerate(config.embeddings)
         for path in sorted(directory.glob("*.xemb"))
     }
-    expected = {
+    docs = range(len(config.embeddings))
+    return {
         (a, b): AlignmentMetrics(**pipeline._metric_means(
             compute_pair_metrics(mats[(d, a)], mats[(d, b)], config.k, config.gh_max_points)
-            for d in range(2)
+            for d in docs
         ))
-        for a, b in itertools.combinations(["full1", "full2", "part", "ragged"], 2)
+        for a, b in itertools.combinations(sorted({lang for _, lang in mats}), 2)
     }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_pair_metrics_matches_public_pair_metrics(tmp_path, monkeypatch, workers):
+    config = dataclasses.replace(_mixed_coverage_workspace(tmp_path), workers=workers)
+    expected = _public_path_rows(config)
     svd, diagram = _count_isometry_calls(monkeypatch)
     sweep = run_pair_metrics(config)
     assert not sweep.partial
     assert sweep.rows == expected
     # per document, stage 1 covers full1, full2 and part; the pairs then
-    # recompute 8 spectra and 6 diagrams (the public path takes 12 and 12)
-    assert (svd.calls, diagram.calls) == (2 * 11, 2 * 9)
+    # recompute 8 sides (the public path takes 12)
+    assert (svd.calls, diagram.calls) == (2 * 11, 2 * 11)
+
+
+def test_run_pair_metrics_bypasses_a_permuted_language(tmp_path, monkeypatch):
+    config = _mixed_coverage_workspace(tmp_path)
+    # full1's verses in another file order: the partners have all of them,
+    # but its gold rows are not its rows in order, so it never reuses
+    rng = np.random.default_rng(5)
+    for directory in config.embeddings:
+        full = xa.load_embeddings(directory / "full1.xemb")
+        order = rng.permutation(full.n_rows)
+        data = full.data[order] + 0.1 * rng.standard_normal(full.data.shape)
+        ids = tuple(full.ids[i] for i in order)
+        xa.save_embeddings(xa.EmbeddingMatrix("perm", data, ids), directory / "perm.xemb")
+    expected = _public_path_rows(config)
+    svd, diagram = _count_isometry_calls(monkeypatch)
+    sweep = run_pair_metrics(config)
+    assert not sweep.partial
+    assert sweep.rows == expected
+    # per document, stage 1 covers full1, full2 and part, and the ten pairs
+    # recompute 13 sides: every perm side among them
+    assert (svd.calls, diagram.calls) == (2 * 16, 2 * 16)
 
 
 def test_run_pair_metrics_decomposes_once_per_language(workspace, monkeypatch):
@@ -265,6 +293,57 @@ def test_run_pair_metrics_decomposes_once_per_language(workspace, monkeypatch):
     sweep = run_pair_metrics(load_config(workspace["config"]))
     assert len(sweep.rows) == 6
     assert (svd.calls, diagram.calls) == (8, 8)  # 4 languages x 2 documents
+
+
+def test_run_pair_metrics_aligns_each_pair_document_once(workspace, monkeypatch):
+    align = _CallCounter(pipeline.align_pair)
+    monkeypatch.setattr(pipeline, "align_pair", align)
+    sweep = run_pair_metrics(dataclasses.replace(load_config(workspace["config"]), workers=2))
+    assert len(sweep.rows) == 6
+    assert align.calls == 6 * 2  # pairs x documents
+
+
+def _gold_is_all_rows(m: xa.EmbeddingMatrix, partner: xa.EmbeddingMatrix) -> bool:
+    try:
+        gold = xa.align_pair(m, partner).gold
+    except ValueError:
+        return False
+    return tuple(i for i, _ in gold) == tuple(range(m.n_rows))
+
+
+@pytest.mark.parametrize("ids, partner_ids, partner_dim", [
+    (("a", "b", "c"), ("a", "b", "c"), 3),  # equal ids
+    (("a", "c"), ("a", "b", "c"), 3),  # subset
+    (("a", "b", "c", "d"), ("b", "c"), 3),  # superset
+    (("b", "a", "c"), ("a", "b", "c"), 3),  # a set match, not in ascending file order
+    (("a", "b"), ("a", "b"), 4),  # dims mismatch
+    (("a", "b"), ("c", "d"), 3),  # disjoint
+    (("10", "9"), ("9", "10"), 3),  # verse ids order as strings
+])
+def test_covers_matches_align_pair(ids, partner_ids, partner_dim):
+    m = xa.EmbeddingMatrix("m", np.ones((len(ids), 3)), ids)
+    partner = xa.EmbeddingMatrix("p", np.ones((len(partner_ids), partner_dim)), partner_ids)
+    assert pipeline._covers(m, partner) == _gold_is_all_rows(m, partner)
+    assert pipeline._covers(partner, m) == _gold_is_all_rows(partner, m)
+
+
+def test_covers_matches_align_pair_on_random_ids():
+    rng = np.random.default_rng(13)
+    pool = [f"V{i}" for i in range(12)]
+    seen = set()
+    for _ in range(300):
+        ids_a, ids_b = (
+            tuple(rng.choice(pool, size=rng.integers(1, 13), replace=False).tolist())
+            for _ in range(2)
+        )
+        if rng.random() < 0.5:
+            ids_a = tuple(sorted(ids_a))
+        a = xa.EmbeddingMatrix("a", np.ones((len(ids_a), 2)), ids_a)
+        b = xa.EmbeddingMatrix("b", np.ones((len(ids_b), 2)), ids_b)
+        covers = pipeline._covers(a, b)
+        assert covers == _gold_is_all_rows(a, b)
+        seen.add(covers)
+    assert seen == {True, False}
 
 
 def test_metrics_csv_round_trip(tmp_path):
