@@ -81,11 +81,7 @@ def _cmd_mine(args) -> int:
         "intersection": mine_intersection,
     }
     mined = miners[args.direction](src, tgt, args.k)
-    lines = ["row_a\trow_b\tmargin"]
-    for row_a, row_b, margin in mined.pairs:
-        lines.append(f"{row_a}\t{row_b}\t{margin:.12g}")
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    pipeline._write_table(mined.pairs, ("row_a", "row_b", "margin"), args.out, sep="\t")
     return 0
 
 

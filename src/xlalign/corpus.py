@@ -239,13 +239,12 @@ def _parse_binary_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...] | None
     return data, ids
 
 
-def load_embeddings(path: str | Path, fmt: str | None = None, lang: str | None = None) -> EmbeddingMatrix:
-    """Load an embedding matrix from ``path``.
+def load_embeddings(path: str | Path, *, lang: str | None = None) -> EmbeddingMatrix:
+    """Load an embedding matrix from ``path``: the binary format for a
+    ``.xemb`` suffix, the text format for any other suffix.
 
     Args:
         path: File to read.
-        fmt: ``"binary"`` or ``"text"``; ``None`` infers binary from a
-            ``.xemb`` suffix and text otherwise.
         lang: Language code to tag the matrix with; defaults to the file stem.
 
     Returns:
@@ -258,43 +257,35 @@ def load_embeddings(path: str | Path, fmt: str | None = None, lang: str | None =
             or duplicate IDs. Each of these messages names the file.
     """
     path = Path(path)
-    if fmt is None:
-        fmt = "binary" if path.suffix == ".xemb" else "text"
-    if fmt == "binary":
-        data, ids = _parse_binary_matrix(path)
-    elif fmt == "text":
-        data, ids = _parse_text_matrix(path)
-    else:
-        raise ValueError(f"unknown embedding format {fmt!r}")
+    parse = _parse_binary_matrix if path.suffix == ".xemb" else _parse_text_matrix
+    data, ids = parse(path)
     try:
         return EmbeddingMatrix(lang=lang or path.stem, data=data, ids=ids or ())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def save_embeddings(matrix: EmbeddingMatrix, path: str | Path, fmt: str | None = None) -> None:
-    """Write ``matrix`` to ``path`` in the binary or text format (with IDs)."""
+def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
+    """Write ``matrix`` with its IDs to ``path``: the binary format for a
+    ``.xemb`` suffix, the text format for any other suffix."""
     path = Path(path)
-    if fmt is None:
-        fmt = "binary" if path.suffix == ".xemb" else "text"
-    if fmt == "binary":
+    if path.suffix == ".xemb":
         parts = [_HEADER.pack(XEMB_MAGIC, XEMB_VERSION, matrix.n_rows, matrix.dim)]
         parts.append(matrix.data.astype("<f4").tobytes())
         for row_id in matrix.ids:
             raw = row_id.encode("utf-8")
             parts.append(_U32.pack(len(raw)) + raw)
         path.write_bytes(b"".join(parts))
-    elif fmt == "text":
+    else:
         with open(path, "w", encoding="utf-8") as fh:
             for row_id, row in zip(matrix.ids, matrix.data):
                 values = " ".join(f"{v:.17g}" for v in row)
                 fh.write(f"#id:{row_id} {values}\n")
-    else:
-        raise ValueError(f"unknown embedding format {fmt!r}")
 
 
-def load_corpus(directory: str | Path, name: str | None = None) -> Corpus:
-    """Load a directory of ``<lang>.tsv`` verse files into a :class:`Corpus`.
+def load_corpus(directory: str | Path) -> Corpus:
+    """Load a directory of ``<lang>.tsv`` verse files into a :class:`Corpus`
+    named after the directory.
 
     Raises:
         ValueError: If the directory holds no documents, a document is empty,
@@ -322,7 +313,7 @@ def load_corpus(directory: str | Path, name: str | None = None) -> Corpus:
         documents[lang] = verses
     if not documents:
         raise ValueError(f"{directory}: no .tsv documents found")
-    return Corpus(name=name or directory.name, documents=documents)
+    return Corpus(name=directory.name, documents=documents)
 
 
 def align_pair(ea: EmbeddingMatrix, eb: EmbeddingMatrix) -> BitextPair:

@@ -381,74 +381,89 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _breaks_cell(text: str, sep: str) -> bool:
+    """Whether ``text`` holds ``sep`` or a line break: tables are read back by
+    splitting on line breaks and separators, so it cannot be one cell."""
+    return sep in text or len((text + ".").splitlines()) > 1
+
+
 def _check_language_codes(*langs: str) -> None:
     """Reject a language code that cannot be a cell of the metrics and
-    features CSVs, which are read back by splitting on line breaks and commas."""
+    features CSVs."""
     for lang in langs:
-        if "," in lang or len((lang + ".").splitlines()) > 1:
+        if _breaks_cell(lang, ","):
             raise ValueError(f"language code {lang!r} contains a comma or line break")
 
 
-def write_metrics_csv(rows: Mapping[tuple[str, str], AlignmentMetrics], path: str | Path) -> None:
-    lines = ["lang_a,lang_b," + ",".join(METRIC_NAMES)]
-    for (lang_a, lang_b) in sorted(rows):
-        _check_language_codes(lang_a, lang_b)
-        metrics = rows[(lang_a, lang_b)]
-        values = ",".join(_fmt(getattr(metrics, name)) for name in METRIC_NAMES)
-        lines.append(f"{lang_a},{lang_b},{values}")
+def _write_table(
+    rows: Iterable[Sequence], header: Sequence[str], path: str | Path, sep: str = ","
+) -> None:
+    """Write ``header`` and one ``sep``-joined line per row. A float cell goes
+    through ``_fmt``, ``None`` becomes an empty cell and anything else goes
+    through ``str``. A cell that holds ``sep`` or a line break is rejected
+    before anything is written, so a rejected table leaves no file."""
+    lines = [sep.join(header)]
+    for row in rows:
+        cells = []
+        for value in row:
+            cell = "" if value is None else _fmt(value) if isinstance(value, float) else str(value)
+            if _breaks_cell(cell, sep):
+                raise ValueError(f"cell {cell!r} contains {sep!r} or a line break")
+            cells.append(cell)
+        lines.append(sep.join(cells))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_metrics_csv(path: str | Path) -> dict[tuple[str, str], AlignmentMetrics]:
+def _write_pair_csv(
+    rows: Mapping[tuple[str, str], object], names: Sequence[str], path: str | Path
+) -> None:
+    """Write a ``lang_a,lang_b,<names>`` table: pairs in sorted order, then
+    each record's ``as_dict()`` values."""
+    pairs = sorted(rows)
+    _check_language_codes(*itertools.chain.from_iterable(pairs))
+    table = [(*pair, *map(rows[pair].as_dict().get, names)) for pair in pairs]
+    _write_table(table, ("lang_a", "lang_b", *names), path)
+
+
+def _read_pair_csv(
+    path: str | Path, names: Sequence[str], kind: str, convert: Callable[[dict], object]
+) -> dict:
+    """Read a ``lang_a,lang_b,<names>`` table into ``(lang_a, lang_b) ->
+    convert(cells)``, where ``cells`` maps each name to its cell string."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "lang_a,lang_b," + ",".join(METRIC_NAMES):
-        raise ValueError(f"{path}: unexpected metrics header")
-    rows: dict[tuple[str, str], AlignmentMetrics] = {}
+    if not lines or lines[0] != ",".join(("lang_a", "lang_b", *names)):
+        raise ValueError(f"{path}: unexpected {kind} header")
+    rows = {}
     for line in lines[1:]:
         cells = line.split(",")
-        if len(cells) != 2 + len(METRIC_NAMES):
+        if len(cells) != 2 + len(names):
             raise ValueError(f"{path}: malformed row {line!r}")
-        key = (cells[0], cells[1])
-        rows[key] = AlignmentMetrics(**{
-            name: float(cells[2 + i]) for i, name in enumerate(METRIC_NAMES)
-        })
+        rows[(cells[0], cells[1])] = convert(dict(zip(names, cells[2:])))
     return rows
+
+
+def write_metrics_csv(rows: Mapping[tuple[str, str], AlignmentMetrics], path: str | Path) -> None:
+    _write_pair_csv(rows, METRIC_NAMES, path)
+
+
+def read_metrics_csv(path: str | Path) -> dict[tuple[str, str], AlignmentMetrics]:
+    return _read_pair_csv(
+        path, METRIC_NAMES, "metrics",
+        lambda cells: AlignmentMetrics(**{name: float(c) for name, c in cells.items()}),
+    )
 
 
 def write_features_csv(
     rows: Mapping[tuple[str, str], feats.PairFeatureVector], path: str | Path
 ) -> None:
-    lines = ["lang_a,lang_b," + ",".join(feats.FEATURE_NAMES)]
-    for (lang_a, lang_b) in sorted(rows):
-        _check_language_codes(lang_a, lang_b)
-        vector = rows[(lang_a, lang_b)].as_dict()
-        cells = []
-        for name in feats.FEATURE_NAMES:
-            value = vector[name]
-            if value is None:
-                cells.append("")
-            elif isinstance(value, float):
-                cells.append(_fmt(value))
-            else:
-                cells.append(str(value))
-        lines.append(f"{lang_a},{lang_b}," + ",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_pair_csv(rows, feats.FEATURE_NAMES, path)
 
 
 def read_features_csv(path: str | Path) -> dict[tuple[str, str], dict[str, float | None]]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "lang_a,lang_b," + ",".join(feats.FEATURE_NAMES):
-        raise ValueError(f"{path}: unexpected features header")
-    rows: dict[tuple[str, str], dict[str, float | None]] = {}
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != 2 + len(feats.FEATURE_NAMES):
-            raise ValueError(f"{path}: malformed row {line!r}")
-        rows[(cells[0], cells[1])] = {
-            name: (float(cells[2 + i]) if cells[2 + i] != "" else None)
-            for i, name in enumerate(feats.FEATURE_NAMES)
-        }
-    return rows
+    return _read_pair_csv(
+        path, feats.FEATURE_NAMES, "features",
+        lambda cells: {name: float(c) if c != "" else None for name, c in cells.items()},
+    )
 
 
 def corpus_texts(corpus: Corpus) -> dict[str, str]:
@@ -714,7 +729,7 @@ def analyze_pca(dataset: AnalysisDataset) -> dict:
     names, X = _varying_columns(dataset)
     if len(names) < 2:
         raise ValueError("fewer than two varying features; PCA not meaningful")
-    result = stats.pca(X, standardize=True)
+    result = stats.pca(X)
     loadings = {
         name: [float(result.components[c, i]) for c in range(result.components.shape[0])]
         for i, name in enumerate(names)
@@ -970,10 +985,7 @@ def write_json(obj: dict, path: str | Path) -> None:
 
 def write_plot_csv(rows: Sequence[tuple], header: Sequence[str], path: str | Path) -> None:
     """Plain x/y/group plot data for external plotting tools."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(rows, header, path)
 
 
 def _zero_shot_plot_rows(report: dict) -> list[tuple]:
@@ -987,10 +999,11 @@ def _zero_shot_plot_rows(report: dict) -> list[tuple]:
 
 
 def write_zero_shot_report(report: dict, path: str | Path, plot_path: str | Path | None) -> None:
-    """Write the zero-shot JSON report and, if asked, its group-means plot CSV."""
-    write_json(report, path)
+    """Write the zero-shot JSON report and, if asked, its group-means plot CSV.
+    The plot goes first, so a plot the CSV writer refuses leaves neither file."""
     if plot_path:
         write_plot_csv(_zero_shot_plot_rows(report), ("factor", "level", "metric", "mean"), plot_path)
+    write_json(report, path)
 
 
 def run_report(config: RunConfig) -> int:

@@ -85,8 +85,8 @@ class PCAResult:
     """Principal axes (rows of ``components``), variances, and scores.
 
     Each component is signed so that its largest-magnitude loading is
-    positive; ``scores @ components`` reproduces the centered (and, when
-    standardized, scaled) data.
+    positive; ``scores @ components`` reproduces the standardized data
+    ``(X - mean) / scale``.
     """
 
     components: np.ndarray
@@ -94,7 +94,7 @@ class PCAResult:
     explained_variance_ratio: np.ndarray
     scores: np.ndarray
     mean: np.ndarray
-    scale: np.ndarray | None
+    scale: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -422,20 +422,17 @@ def tukey_hsd(groups: Sequence, labels: Sequence[str] | None = None) -> TukeyRes
     return TukeyResult(comparisons=tuple(comparisons), ms_within=ms_within, df_error=df_error)
 
 
-def pca(X, standardize: bool = True) -> PCAResult:
-    """PCA via SVD of the centered (optionally z-scored) data matrix."""
+def pca(X) -> PCAResult:
+    """PCA via SVD of the z-scored data matrix."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("PCA needs an n x k matrix with n > 1")
     mean = X.mean(axis=0)
     centered = X - mean
-    scale = None
-    if standardize:
-        scale = centered.std(axis=0, ddof=1)
-        if (scale == 0.0).any():
-            raise ValueError("zero-variance column cannot be standardized")
-        centered = centered / scale
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
+    scale = centered.std(axis=0, ddof=1)
+    if (scale == 0.0).any():
+        raise ValueError("zero-variance column cannot be standardized")
+    u, s, vt = np.linalg.svd(centered / scale, full_matrices=False)
     # sign convention: largest-magnitude loading of each component positive
     for i in range(vt.shape[0]):
         pivot = int(np.argmax(np.abs(vt[i])))
@@ -455,17 +452,11 @@ def pca(X, standardize: bool = True) -> PCAResult:
     )
 
 
-def pcr(X, y, m: int | None = None, folds: int = 10, seed: int = 0) -> PCRResult:
+def pcr(X, y, *, folds: int = 10, seed: int = 0) -> PCRResult:
     """Principal component regression: cross-validated adjusted r2 for models
-    on the first 1..m standardized components; best_components is the first
-    count within ``_TIE_TOL`` of the best score."""
-    X = np.asarray(X, dtype=np.float64)
-    decomposition = pca(X, standardize=True)
-    available = decomposition.components.shape[0]
-    if m is None:
-        m = available
-    if not 1 <= m <= available:
-        raise ValueError(f"m={m} out of range [1, {available}]")
-    grams = _FoldGrams(decomposition.scores[:, :m], y, folds, seed)
-    values = tuple(float(grams.score(range(j))[0][0]) for j in range(1, m + 1))
+    on the first 1, 2, ..., all standardized components; best_components is
+    the first count within ``_TIE_TOL`` of the best score."""
+    scores = pca(X).scores
+    grams = _FoldGrams(scores, y, folds, seed)
+    values = tuple(float(grams.score(range(j))[0][0]) for j in range(1, scores.shape[1] + 1))
     return PCRResult(adj_r2_by_components=values, best_components=_first_best(values) + 1)

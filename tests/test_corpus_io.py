@@ -17,7 +17,7 @@ from xlalign.knn import unit_rows
 def test_text_parse_plain(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("1 0 0\n0 1 0\n")
-    m = load_embeddings(path, fmt="text")
+    m = load_embeddings(path)
     assert m.n_rows == 2 and m.dim == 3
     assert m.ids == ("0", "1")
     np.testing.assert_array_equal(m.data, [[1, 0, 0], [0, 1, 0]])
@@ -26,7 +26,7 @@ def test_text_parse_plain(tmp_path):
 def test_text_parse_with_ids(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("#id:MAT_1_1 0.5 0.25\n#id:MAT_1_2 1 2\n")
-    m = load_embeddings(path, fmt="text")
+    m = load_embeddings(path)
     assert m.ids == ("MAT_1_1", "MAT_1_2")
 
 
@@ -34,14 +34,14 @@ def test_text_inconsistent_ids_rejected(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("#id:a 1 0\n0 1\n")
     with pytest.raises(ValueError, match="all rows or none"):
-        load_embeddings(path, fmt="text")
+        load_embeddings(path)
 
 
 def test_text_ragged_row_rejected(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("1 0 0 0\n1 2 3\n")
     with pytest.raises(ValueError, match="expected 4"):
-        load_embeddings(path, fmt="text")
+        load_embeddings(path)
 
 
 def test_binary_round_trip_bitwise(tmp_path):
@@ -88,11 +88,11 @@ def test_nan_and_zero_rows_rejected(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("1 nan\n2 3\n")
     with pytest.raises(ValueError, match="non-finite"):
-        load_embeddings(path, fmt="text")
+        load_embeddings(path)
     for zero_row in ("0 0", "1e-170 -1e-170"):  # the second row's norm underflows to 0
         path.write_text(f"{zero_row}\n1 2\n")
         with pytest.raises(ValueError, match="all-zero") as excinfo:
-            load_embeddings(path, fmt="text")
+            load_embeddings(path)
         assert str(excinfo.value).startswith(f"{path}: ")
 
 
@@ -123,14 +123,15 @@ def test_matrix_invariants():
         m.data[0, 0] = 5.0  # loaded matrices are immutable
 
 
-def test_unknown_format_rejected(tmp_path):
-    m = EmbeddingMatrix("x", np.eye(2))
-    with pytest.raises(ValueError, match="unknown embedding format"):
-        save_embeddings(m, tmp_path / "m.dat", fmt="csv")
-    save_embeddings(m, tmp_path / "m.dat", fmt="binary")
-    with pytest.raises(ValueError, match="unknown embedding format"):
-        load_embeddings(tmp_path / "m.dat", fmt="csv")
-    assert load_embeddings(tmp_path / "m.dat", fmt="binary").n_rows == 2
+def test_suffix_alone_picks_the_format(tmp_path):
+    m = EmbeddingMatrix("x", np.eye(2), ("a", "b"))
+    for name, head in (("m.xemb", b"XEMB"), ("m.dat", b"#id:a "), ("m", b"#id:a ")):
+        save_embeddings(m, tmp_path / name)
+        assert (tmp_path / name).read_bytes().startswith(head)
+        assert load_embeddings(tmp_path / name).ids == ("a", "b")
+    with pytest.raises(TypeError):
+        load_embeddings(tmp_path / "m.dat", "text")  # lang is keyword-only
+    assert load_embeddings(tmp_path / "m.dat", lang="deu").lang == "deu"
 
 
 def test_binary_text_agreement(tmp_path):

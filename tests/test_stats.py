@@ -296,7 +296,7 @@ def _ref_ablation(X, y, folds, seed):
 
 
 def _ref_pcr(X, y, folds, seed):
-    scores = pca(X, standardize=True).scores
+    scores = pca(X).scores
     values = [_ref_cv(scores[:, :j], y, folds, seed) for j in range(1, X.shape[1] + 1)]
     return values, stats._first_best(values) + 1
 
@@ -609,7 +609,7 @@ def test_tukey_pair_count_and_labels():
 def test_pca_perfect_line():
     t = np.linspace(-2, 2, 40)
     X = np.column_stack([t, t])
-    result = pca(X, standardize=False)
+    result = pca(X)
     assert result.explained_variance_ratio[0] == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(result.components[0], [math.sqrt(0.5)] * 2, atol=1e-9)
 
@@ -617,7 +617,7 @@ def test_pca_perfect_line():
 def test_pca_orthonormal_and_reconstruction():
     rng = np.random.default_rng(32)
     X = rng.standard_normal((60, 5))
-    result = pca(X, standardize=True)
+    result = pca(X)
     gram = result.components @ result.components.T
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-9)
     standardized = (X - result.mean) / result.scale
@@ -627,12 +627,12 @@ def test_pca_orthonormal_and_reconstruction():
 def test_pca_sign_convention_and_errors():
     rng = np.random.default_rng(33)
     X = rng.standard_normal((40, 4))
-    result = pca(X, standardize=False)
+    result = pca(X)
     for row in result.components:
         assert row[int(np.argmax(np.abs(row)))] > 0
     X[:, 2] = 5.0
     with pytest.raises(ValueError, match="zero-variance"):
-        pca(X, standardize=True)
+        pca(X)
 
 
 # ------------------------------------------------------------------------ pcr
@@ -641,7 +641,7 @@ def test_pcr_planted_first_direction():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((300, 6))
     X[:, 0] = X[:, 0] * 2 + X[:, 1]
-    scores = pca(X, standardize=True).scores
+    scores = pca(X).scores
     y = scores[:, 0] + 0.3 * rng.standard_normal(300)
     result = pcr(X, y, folds=10, seed=6)
     assert result.best_components == 1
@@ -660,7 +660,7 @@ def test_pcr_training_r2_monotone():
     rng = np.random.default_rng(8)
     X = rng.standard_normal((150, 6))
     y = X @ rng.standard_normal(6) + rng.standard_normal(150)
-    scores = pca(X, standardize=True).scores
+    scores = pca(X).scores
     r2s = []
     for j in range(1, 7):
         design = np.column_stack([np.ones(150), scores[:, :j]])
@@ -668,11 +668,3 @@ def test_pcr_training_r2_monotone():
         resid = y - design @ beta
         r2s.append(1.0 - resid @ resid / ((y - y.mean()) ** 2).sum())
     assert all(later >= earlier - 1e-12 for earlier, later in zip(r2s, r2s[1:]))
-
-
-def test_pcr_m_validation():
-    rng = np.random.default_rng(9)
-    X = rng.standard_normal((50, 3))
-    y = rng.standard_normal(50)
-    with pytest.raises(ValueError, match="out of range"):
-        pcr(X, y, m=4, folds=5, seed=0)
