@@ -6,9 +6,10 @@ File formats:
   uint32-LE row count, uint32-LE dimensionality, ``n_rows * dim`` IEEE-754
   little-endian float32 values row-major, then an optional trailing ID block
   (one uint32-LE byte length + UTF-8 payload per row).
-* Text matrix: one row per line, whitespace-separated decimals. A line may
-  carry its row ID as a first token of the form ``#id:<verse-id>``; ID
-  annotations must be all-or-nothing across the file.
+* Text matrix: one row per line, whitespace-separated decimals (ASCII, or
+  ``nan``/``inf`` as ``float`` reads them; no ``_`` digit separators). A
+  line may carry its row ID as a first token of the form ``#id:<verse-id>``;
+  ID annotations must be all-or-nothing across the file.
 * Corpus document: ``<lang>.tsv``, two tab-separated columns (verse_id, text),
   UTF-8, no header row.
 * Language table: TSV with header ``lang family subfamily word_order
@@ -25,6 +26,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -99,6 +101,18 @@ class EmbeddingMatrix:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "ids", ids)
+
+    def _take_rows(self, rows: Sequence[int]) -> EmbeddingMatrix:
+        """The matrix of the distinct, nonempty row indices ``rows``, in that
+        order. Rows of a valid matrix pass every check of the constructor, so
+        this takes one copy (the fancy index) and runs none of them."""
+        sub = object.__new__(EmbeddingMatrix)
+        data = self.data[list(rows)]
+        data.flags.writeable = False
+        object.__setattr__(sub, "lang", self.lang)
+        object.__setattr__(sub, "data", data)
+        object.__setattr__(sub, "ids", tuple(self.ids[i] for i in rows))
+        return sub
 
     @property
     def n_rows(self) -> int:
@@ -176,33 +190,74 @@ class LanguageMeta:
 
 
 def _parse_text_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...] | None]:
-    rows: list[list[float]] = []
+    """One pass over the lines takes off the ``#id:`` tokens, then one
+    ``np.loadtxt`` call parses every value. Both round a decimal the way
+    ``float`` does. A file that fails is rescanned for its first bad line."""
     ids: list[str] = []
+    bodies: list[str] = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            head = line.split(None, 1)
+            if not head:
+                continue
+            if head[0].startswith("#id:"):
+                ids.append(head[0][4:])
+                line = head[1] if len(head) > 1 else ""
+            bodies.append(line)
+    if not bodies:
+        raise ValueError(f"{path}: no data rows")
+    try:
+        # loadtxt skips an empty body (an id-only line), so the row count
+        # below catches one; when every body is empty there is nothing to parse
+        data = (
+            np.loadtxt(bodies, dtype=np.float64, comments=None, ndmin=2)
+            if any(bodies)
+            else np.empty((len(bodies), 0))
+        )
+    except ValueError:
+        data = None
+    ids_ok = not ids or (len(ids) == len(bodies) and all(ids))
+    if data is None or len(data) != len(bodies) or not ids_ok:
+        raise ValueError(_text_matrix_error(path))
+    return data, (tuple(ids) if ids else None)
+
+
+def _is_decimal(token: str) -> bool:
+    """Whether ``np.loadtxt`` parses ``token``: what ``float`` accepts, minus
+    ``_`` digit separators and non-ASCII digits."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.isascii() and "_" not in token
+
+
+def _text_matrix_error(path: Path) -> str:
+    """The message for the first fault of a text matrix that failed to parse:
+    an empty id or a bad token in line order, then ids on some rows only,
+    then the first row whose length differs from the first row's."""
+    lengths: list[int] = []
+    n_ids = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             tokens = line.split()
             if not tokens:
                 continue
             if tokens[0].startswith("#id:"):
-                row_id = tokens[0][4:]
-                if not row_id:
-                    raise ValueError(f"{path}:{lineno}: empty row id")
-                ids.append(row_id)
+                if tokens[0] == "#id:":
+                    return f"{path}:{lineno}: empty row id"
+                n_ids += 1
                 tokens = tokens[1:]
-            try:
-                values = [float(t) for t in tokens]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            rows.append(values)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    if ids and len(ids) != len(rows):
-        raise ValueError(f"{path}: id annotations must cover all rows or none")
-    dim = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != dim:
-            raise ValueError(f"{path}: row {i} has {len(row)} values, expected {dim}")
-    return np.array(rows, dtype=np.float64), (tuple(ids) if ids else None)
+            for token in tokens:
+                if not _is_decimal(token):
+                    return f"{path}:{lineno}: could not convert string to float: {token!r}"
+            lengths.append(len(tokens))
+    if n_ids and n_ids != len(lengths):
+        return f"{path}: id annotations must cover all rows or none"
+    for i, n in enumerate(lengths):
+        if n != lengths[0]:
+            return f"{path}: row {i} has {n} values, expected {lengths[0]}"
+    return f"{path}: unparseable text matrix"
 
 
 def _parse_binary_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...] | None]:

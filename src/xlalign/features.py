@@ -12,7 +12,7 @@ import dataclasses
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -88,6 +88,23 @@ class PairFeatureVector:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
 
 
+def _unit_counts(text: str, unit: str) -> Counter:
+    """The multiset of ``unit`` items of ``text`` that ``multiset_jaccard`` compares."""
+    if unit == "char":
+        return Counter(c for c in unicodedata.normalize("NFC", text) if not c.isspace())
+    if unit == "token":
+        return Counter(text.split())
+    raise ValueError(f"unknown overlap unit {unit!r}")
+
+
+def _counts_jaccard(count_a: Counter, count_b: Counter, unit: str) -> float:
+    if not count_a or not count_b:
+        raise ValueError(f"text empty after {unit} segmentation")
+    intersection = sum(min(count_a[e], count_b[e]) for e in count_a.keys() & count_b.keys())
+    union = sum(max(count_a[e], count_b[e]) for e in count_a.keys() | count_b.keys())
+    return intersection / union
+
+
 def multiset_jaccard(a: str, b: str, unit: str) -> float:
     """Weighted Jaccard overlap of two texts.
 
@@ -96,21 +113,17 @@ def multiset_jaccard(a: str, b: str, unit: str) -> float:
     pre-tokenized input. The score is the ratio of summed per-element minimum
     counts to summed maximum counts.
     """
-    if unit == "char":
-        items_a = [c for c in unicodedata.normalize("NFC", a) if not c.isspace()]
-        items_b = [c for c in unicodedata.normalize("NFC", b) if not c.isspace()]
-    elif unit == "token":
-        items_a = a.split()
-        items_b = b.split()
-    else:
-        raise ValueError(f"unknown overlap unit {unit!r}")
-    if not items_a or not items_b:
-        raise ValueError(f"text empty after {unit} segmentation")
-    count_a = Counter(items_a)
-    count_b = Counter(items_b)
-    intersection = sum(min(count_a[e], count_b[e]) for e in count_a.keys() & count_b.keys())
-    union = sum(max(count_a[e], count_b[e]) for e in count_a.keys() | count_b.keys())
-    return intersection / union
+    return _counts_jaccard(_unit_counts(a, unit), _unit_counts(b, unit), unit)
+
+
+def _unit_counts_by_language(
+    texts: Mapping[str, str] | None, unit: str, langs: Iterable[str]
+) -> dict[str, Counter] | None:
+    """Each of ``langs`` that has a text, mapped to its ``unit`` counts; None
+    without texts. Counted once, they serve every pair of the languages."""
+    if texts is None:
+        return None
+    return {lang: _unit_counts(texts[lang], unit) for lang in langs if lang in texts}
 
 
 def typological_distance(va, vb) -> float:
@@ -156,13 +169,31 @@ def pair_features(
     never counts as agreement, not even with another UNKNOWN. Overlap features
     are computed only when both languages have text in the given mapping.
     """
+    langs = (ma.lang, mb.lang)
+    return _pair_features_from_counts(
+        ma, mb, aggregates,
+        _unit_counts_by_language(char_texts, "char", langs),
+        _unit_counts_by_language(token_texts, "token", langs),
+    )
+
+
+def _pair_features_from_counts(
+    ma: LanguageMeta,
+    mb: LanguageMeta,
+    aggregates: Mapping[str, TrainingCounts],
+    char_counts: Mapping[str, Counter] | None,
+    token_counts: Mapping[str, Counter] | None,
+) -> PairFeatureVector:
+    """``pair_features`` with the texts already counted by
+    ``_unit_counts_by_language``, so a table of pairs counts each text once.
+    The overlaps are the same: both sum integer counts."""
     agg_a = aggregates[ma.lang]
     agg_b = aggregates[mb.lang]
 
-    def overlap(texts: Mapping[str, str] | None, unit: str) -> float | None:
-        if texts is None or ma.lang not in texts or mb.lang not in texts:
+    def overlap(counts: Mapping[str, Counter] | None, unit: str) -> float | None:
+        if counts is None or ma.lang not in counts or mb.lang not in counts:
             return None
-        return multiset_jaccard(texts[ma.lang], texts[mb.lang], unit)
+        return _counts_jaccard(counts[ma.lang], counts[mb.lang], unit)
 
     def distance(kind: str) -> float | None:
         va = ma.typo_vectors.get(kind)
@@ -184,8 +215,8 @@ def pair_features(
         same_subfamily=int(ma.family == mb.family and ma.subfamily == mb.subfamily),
         same_word_order=same_word_order,
         same_polysynthesis=int(ma.polysynthetic == mb.polysynthetic),
-        token_overlap=overlap(token_texts, "token"),
-        char_overlap=overlap(char_texts, "char"),
+        token_overlap=overlap(token_counts, "token"),
+        char_overlap=overlap(char_counts, "char"),
         syntactic_dist=distance("syntax"),
         phonological_dist=distance("phonology"),
         inventory_dist=distance("inventory"),

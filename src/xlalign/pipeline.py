@@ -195,14 +195,6 @@ def worker_count(requested: int) -> int:
     return max(1, min(requested, cap_value))
 
 
-def _submatrix(matrix: EmbeddingMatrix, rows: Sequence[int]) -> EmbeddingMatrix:
-    return EmbeddingMatrix(
-        lang=matrix.lang,
-        data=matrix.data[list(rows)],
-        ids=tuple(matrix.ids[i] for i in rows),
-    )
-
-
 def _covers(m: EmbeddingMatrix, partner: EmbeddingMatrix) -> bool:
     """Whether ``align_pair`` puts all of ``m``'s rows, in file order, into
     its gold alignment with ``partner``: the dims match, ``m``'s verse ids
@@ -237,7 +229,7 @@ def _pair_metrics(
     f1 = retrieval_f1(tables.intersection(), pair.gold).f1
     avg = tables.average_margin(pair.gold)
     spectra, diagrams = zip(*(
-        side if side is not None else _side(_submatrix(mat, rows), gh_max_points)
+        side if side is not None else _side(mat._take_rows(rows), gh_max_points)
         for mat, rows, side in zip((mat_a, mat_b), zip(*pair.gold), sides)
     ))
     return AlignmentMetrics(
@@ -305,6 +297,16 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
     diagram from its own gold rows, as ``compute_pair_metrics`` does, so the
     metrics are identical either way.
     """
+    return _sweep_pairs(config, *_load_sweep_languages(config))
+
+
+def _load_sweep_languages(
+    config: RunConfig,
+) -> tuple[SweepResult, dict[tuple[int, str], EmbeddingMatrix], list[str]]:
+    """The sweep's load stage: the result so far, each usable language's
+    matrix per document index, and the usable languages in sorted order. A
+    language with a missing or unreadable file or a code the CSV outputs
+    cannot hold goes to the result's ``failed_languages`` instead."""
     per_dir_files = [_embedding_files(d) for d in config.embeddings]
     all_langs = sorted(set().union(*per_dir_files))
     if not all_langs:
@@ -324,9 +326,18 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
             result.failed_languages[lang] = str(exc)
             continue
         usable.append(lang)
+    return result, loaded, usable
 
+
+def _sweep_pairs(
+    config: RunConfig,
+    result: SweepResult,
+    loaded: Mapping[tuple[int, str], EmbeddingMatrix],
+    usable: Sequence[str],
+) -> SweepResult:
+    """The sweep's pair stages, over what ``_load_sweep_languages`` returned."""
     pairs = list(itertools.combinations(usable, 2))
-    docs = range(len(per_dir_files))
+    docs = range(len(config.embeddings))
     gh = config.gh_max_points
 
     # Stage 1, per (document, language): one spectrum and one diagram of
@@ -389,10 +400,15 @@ def _breaks_cell(text: str, sep: str) -> bool:
 
 def _check_language_codes(*langs: str) -> None:
     """Reject a language code that cannot be a cell of the metrics and
-    features CSVs."""
+    features CSVs: one with a comma or line break, or with a lone surrogate,
+    which UTF-8 cannot encode (a file name that is not valid UTF-8 gives one)."""
     for lang in langs:
         if _breaks_cell(lang, ","):
             raise ValueError(f"language code {lang!r} contains a comma or line break")
+        try:
+            lang.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"language code {lang!r} cannot be encoded as UTF-8") from None
 
 
 def _write_table(
@@ -400,8 +416,9 @@ def _write_table(
 ) -> None:
     """Write ``header`` and one ``sep``-joined line per row. A float cell goes
     through ``_fmt``, ``None`` becomes an empty cell and anything else goes
-    through ``str``. A cell that holds ``sep`` or a line break is rejected
-    before anything is written, so a rejected table leaves no file."""
+    through ``str``. A cell that holds ``sep`` or a line break is rejected,
+    and the text is encoded before the file is opened, so a rejected table,
+    or one with a cell UTF-8 cannot encode, leaves no file."""
     lines = [sep.join(header)]
     for row in rows:
         cells = []
@@ -411,7 +428,7 @@ def _write_table(
                 raise ValueError(f"cell {cell!r} contains {sep!r} or a line break")
             cells.append(cell)
         lines.append(sep.join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _write_pair_csv(
@@ -486,8 +503,12 @@ def build_pair_feature_table(
     missing = [lang for lang in langs if lang not in table]
     if missing:
         raise ValueError(f"languages missing from table: {missing}")
+    char_counts = feats._unit_counts_by_language(char_texts, "char", langs)
+    token_counts = feats._unit_counts_by_language(token_texts, "token", langs)
     return {
-        (a, b): feats.pair_features(table[a], table[b], aggregates, char_texts, token_texts)
+        (a, b): feats._pair_features_from_counts(
+            table[a], table[b], aggregates, char_counts, token_counts
+        )
         for a, b in itertools.combinations(langs, 2)
     }
 
@@ -825,6 +846,11 @@ def group_metrics_by_word_order_class(
     return out
 
 
+def _is_zero_shot(meta: LanguageMeta) -> bool:
+    """Whether a language has no training data: the zero-shot partition."""
+    return meta.train_sentences == 0
+
+
 def run_zero_shot_analysis(
     metrics_map: Mapping[tuple[str, str], AlignmentMetrics],
     table: Mapping[str, LanguageMeta],
@@ -849,7 +875,7 @@ def run_zero_shot_analysis(
             lang
             for pair in known_pairs
             for lang in pair
-            if table[lang].train_sentences == 0
+            if _is_zero_shot(table[lang])
         }
     )
     simple: dict = {"n_languages": len(zs_langs), "languages": zs_langs}
@@ -900,7 +926,7 @@ def run_zero_shot_analysis(
     double_pairs = sorted(
         pair
         for pair in known_pairs
-        if table[pair[0]].train_sentences == 0 and table[pair[1]].train_sentences == 0
+        if _is_zero_shot(table[pair[0]]) and _is_zero_shot(table[pair[1]])
     )
     double: dict = {"n_pairs": len(double_pairs)}
     if not double_pairs:
@@ -1006,6 +1032,18 @@ def write_zero_shot_report(report: dict, path: str | Path, plot_path: str | Path
     write_json(report, path)
 
 
+def _check_zero_shot_families(table: Mapping[str, LanguageMeta], langs: Iterable[str]) -> None:
+    """Refuse a zero-shot language among ``langs``, the languages the sweep
+    loaded, whose family the zero-shot plot CSV cannot hold as a cell."""
+    for lang in langs:
+        meta = table.get(lang)
+        if meta is not None and _is_zero_shot(meta) and _breaks_cell(meta.family, ","):
+            raise ValueError(
+                f"zero-shot language {lang!r} has family {meta.family!r}, which contains"
+                " a comma or line break and cannot be a cell of the zero-shot plot CSV"
+            )
+
+
 def run_report(config: RunConfig) -> int:
     """Full pipeline: sweep metrics, derive features, run analyses, write
     everything under ``config.out``. Returns the process exit code (0 ok,
@@ -1019,11 +1057,20 @@ def run_report(config: RunConfig) -> int:
     analyses: list[str] = []
     stage: dict = {"stage": "sweep", "mode": None}
     try:
-        sweep = run_pair_metrics(config)
+        loaded, matrices, usable = _load_sweep_languages(config)
+        table = None
+        if "zero_shot" in config.analyses:
+            # before the pair loop, not after it
+            stage = {"stage": "preflight", "mode": None}
+            table = load_language_table(config.languages)
+            _check_zero_shot_families(table, usable)
+            stage = {"stage": "sweep", "mode": None}
+        sweep = _sweep_pairs(config, loaded, matrices, usable)
         write_metrics_csv(sweep.rows, out / "metrics.csv")
 
         stage = {"stage": "features", "mode": None}
-        table = load_language_table(config.languages) if config.languages else None
+        if table is None and config.languages:
+            table = load_language_table(config.languages)
         features_map = None
         if table is not None:
             corpora = [load_corpus(d) for d in config.corpus]

@@ -27,13 +27,23 @@ def _panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.nd
     return nodes, weights
 
 
+_Z, _WZ = _panel_nodes(-8.5, 8.5, 12)
+_PHI = np.exp(-0.5 * _Z * _Z) / math.sqrt(2.0 * math.pi)
+_NDTR_Z = ndtr(_Z)
+
+
 def _normal_range_cdf(r: np.ndarray, k: int) -> np.ndarray:
     """P(range of k iid standard normals <= r), vectorized over r >= 0."""
-    z, wz = _panel_nodes(-8.5, 8.5, 12)
-    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    # inner = Phi(z + r) - Phi(z), clipped against fp cancellation
-    inner = np.clip(ndtr(z[None, :] + r[:, None]) - ndtr(z)[None, :], 0.0, 1.0)
-    return np.clip(k * ((inner ** (k - 1) * phi) @ wz), 0.0, 1.0)
+    # inner = Phi(z + r) - Phi(z), clipped against fp cancellation, built in
+    # one (len(r), len(z)) buffer
+    inner = np.add.outer(r, _Z)
+    ndtr(inner, out=inner)
+    inner -= _NDTR_Z
+    np.clip(inner, 0.0, 1.0, out=inner)
+    if k > 2:
+        inner = inner ** (k - 1)
+    inner *= _PHI
+    return np.clip(k * (inner @ _WZ), 0.0, 1.0)
 
 
 def studentized_range_cdf(q: float, k: int, df: float) -> float:

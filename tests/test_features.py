@@ -1,6 +1,10 @@
+import itertools
+import unicodedata
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from xlalign.corpus import LanguageMeta, WordOrder
 from xlalign.features import (
@@ -12,7 +16,7 @@ from xlalign.features import (
     training_aggregates,
     typological_distance,
 )
-from xlalign.pipeline import AlignmentMetrics
+from xlalign.pipeline import AlignmentMetrics, build_pair_feature_table
 
 
 def meta(lang, family="fam", subfamily="sub", order=WordOrder.SVO, poly=False, train=0, vectors=None):
@@ -55,6 +59,74 @@ def test_jaccard_bounds_and_identity(a, b):
     assert multiset_jaccard(a, a, "char") == 1.0
     if value == 1.0:
         assert sorted(a) == sorted(b)
+
+
+def ref_multiset_jaccard(a, b, unit):
+    # frozen copy of the two-text implementation
+    if unit == "char":
+        items_a = [c for c in unicodedata.normalize("NFC", a) if not c.isspace()]
+        items_b = [c for c in unicodedata.normalize("NFC", b) if not c.isspace()]
+    elif unit == "token":
+        items_a = a.split()
+        items_b = b.split()
+    else:
+        raise ValueError(f"unknown overlap unit {unit!r}")
+    if not items_a or not items_b:
+        raise ValueError(f"text empty after {unit} segmentation")
+    count_a = Counter(items_a)
+    count_b = Counter(items_b)
+    intersection = sum(min(count_a[e], count_b[e]) for e in count_a.keys() & count_b.keys())
+    union = sum(max(count_a[e], count_b[e]) for e in count_a.keys() | count_b.keys())
+    return intersection / union
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except ValueError as exc:
+        return str(exc)
+
+
+LANGS = ("aaa", "bbb", "ccc", "ddd")
+# letters, a combining accent (NFC folds "e\u0301"), and whitespace, so a
+# text can be empty after segmentation
+texts_st = st.dictionaries(
+    st.sampled_from(LANGS),
+    st.text(alphabet="abe\u0301\u00e9 \t\n", max_size=40),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts_st, texts_st)
+def test_pair_table_overlaps_equal_two_text_jaccard(char_texts, token_texts):
+    """Counting each language once gives every pair the overlaps that the
+    two-text function gives, or the first pair's error, token before char."""
+    table = {lang: meta(lang) for lang in LANGS}
+
+    def reference():
+        out = {}
+        for a, b in itertools.combinations(LANGS, 2):
+            out[(a, b)] = tuple(
+                ref_multiset_jaccard(texts[a], texts[b], unit)
+                if a in texts and b in texts else None
+                for texts, unit in ((token_texts, "token"), (char_texts, "char"))
+            )
+        return out
+
+    def ours():
+        rows = build_pair_feature_table(table, char_texts, token_texts)
+        return {pair: (v.token_overlap, v.char_overlap) for pair, v in rows.items()}
+
+    expected = _outcome(reference)
+    assert _outcome(ours) == expected
+    if isinstance(expected, dict):
+        aggregates = training_aggregates(table)
+        for (a, b), overlaps in expected.items():
+            vector = pair_features(table[a], table[b], aggregates, char_texts, token_texts)
+            assert (vector.token_overlap, vector.char_overlap) == overlaps
+            for texts, unit, value in zip((token_texts, char_texts), ("token", "char"), overlaps):
+                if value is not None:
+                    assert multiset_jaccard(texts[a], texts[b], unit) == value
 
 
 def test_typological_distance_cases():

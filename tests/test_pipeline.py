@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -143,8 +144,11 @@ def test_run_pair_metrics_skips_csv_breaking_language_codes(workspace, tmp_path)
     for doc in ("matthew", "john"):
         emb = workspace["root"] / "emb" / doc
         shutil.copy(emb / "deu.xemb", emb / "a,b.xemb")
+        # a file name that is not valid UTF-8: its code holds a lone surrogate
+        shutil.copy(emb / "deu.xemb", emb / os.fsdecode(b"x\xff.xemb"))
     sweep = run_pair_metrics(config)
     assert "'a,b'" in sweep.failed_languages["a,b"]
+    assert "cannot be encoded as UTF-8" in sweep.failed_languages["x\udcff"]
     assert len(sweep.rows) == 6  # the four valid languages
     write_metrics_csv(sweep.rows, tmp_path / "m.csv")
     assert set(read_metrics_csv(tmp_path / "m.csv")) == set(sweep.rows)
@@ -360,7 +364,7 @@ def test_metrics_csv_round_trip(tmp_path):
         read_metrics_csv(bad)
 
 
-@pytest.mark.parametrize("code", ["a,b", "a\nb", "a\r", "a\u2028b"])
+@pytest.mark.parametrize("code", ["a,b", "a\nb", "a\r", "a\u2028b", "a\udcff"])
 def test_csv_writers_reject_csv_breaking_language_codes(tmp_path, code):
     message = re.escape(f"language code {code!r}")
     with pytest.raises(ValueError, match=message):
@@ -419,15 +423,27 @@ def _feature_vectors(draw):
     )
 
 
+def _encodes(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _round_trip(write, read, rows):
     """The rows read back, or None after checking that the writer refused a
-    language code with a comma or a line break."""
-    breaks = any(set(code) & set("," + _LINE_BREAKS) for pair in rows for code in pair)
+    language code with a comma, a line break or a lone surrogate, and wrote
+    no file."""
+    codes = [code for pair in rows for code in pair]
+    breaks = any(set(code) & set("," + _LINE_BREAKS) or not _encodes(code) for code in codes)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         if breaks:
-            with pytest.raises(ValueError, match="contains a comma or line break"):
+            with pytest.raises(ValueError,
+                               match="contains a comma or line break|cannot be encoded as UTF-8"):
                 write(rows, path)
+            assert not path.exists()
             return None
         write(rows, path)
         return read(path)
@@ -829,6 +845,47 @@ def test_cli_report_fatal_error_keeps_summary(
     assert summary["analyses"] == analyses
     assert summary["fatal"]["stage"] == stage and summary["fatal"]["mode"] == mode
     assert err == f"xlalign: error: {summary['fatal']['error']}\n"
+
+
+def test_cli_report_refuses_a_zero_shot_family_with_a_comma_before_the_sweep(
+    workspace, capsys, monkeypatch
+):
+    table = workspace["root"] / "languages.tsv"
+    table.write_text(table.read_text().replace("\tMayan\t", "\tMayan, K\t"))
+    align = _CallCounter(pipeline.align_pair)
+    monkeypatch.setattr(pipeline, "align_pair", align)
+    assert main(["report", "--config", str(workspace["config"])]) == 1
+    err = capsys.readouterr().err
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    _validate(summary, "summary")
+    assert align.calls == 0
+    assert not (results / "metrics.csv").exists()
+    assert summary["fatal"]["stage"] == "preflight" and summary["fatal"]["mode"] is None
+    assert "'quc'" in summary["fatal"]["error"] and "'Mayan, K'" in summary["fatal"]["error"]
+    assert (summary["n_pairs"], summary["analyses"]) == (0, [])
+    assert err == f"xlalign: error: {summary['fatal']['error']}\n"
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda path: path.unlink(),
+    lambda path: path.write_bytes(b"XEMBgarbage"),
+], ids=["missing", "unreadable"])
+def test_cli_report_keeps_a_zero_shot_family_with_a_comma_the_sweep_skips(
+    workspace, capsys, spoil
+):
+    """A zero-shot language that fails to load in some document never
+    reaches the zero-shot plot, so its family passes the preflight."""
+    table = workspace["root"] / "languages.tsv"
+    table.write_text(table.read_text().replace("\tMayan\t", "\tMayan, K\t"))
+    spoil(workspace["root"] / "emb" / "john" / "quc.xemb")
+    assert main(["report", "--config", str(workspace["config"])]) == 2
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    _validate(summary, "summary")
+    assert "fatal" not in summary and "zero_shot" in summary["analyses"]
+    assert list(summary["failed_languages"]) == ["quc"]
+    assert "Mayan" not in (results / "plot_zero_shot_groups.csv").read_text()
 
 
 def test_cli_fatal_error_exit_code(tmp_path):

@@ -10,7 +10,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from xlalign import stats
+from xlalign import special, stats
 from xlalign.special import studentized_range_cdf, studentized_range_sf
 from xlalign.stats import (
     ablation_single_step,
@@ -43,6 +43,25 @@ def test_studentized_range_two_groups_closed_form(df):
     for q in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
         exact = 2.0 * scipy.special.stdtr(df, -q / math.sqrt(2.0))
         assert abs(studentized_range_sf(q, 2, df) - exact) <= 1e-9
+
+
+def _ref_normal_range_cdf(r, k):
+    # frozen copy of the quadrature with per-call nodes and temporaries
+    z, wz = special._panel_nodes(-8.5, 8.5, 12)
+    phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    inner = np.clip(scipy.special.ndtr(z[None, :] + r[:, None])
+                    - scipy.special.ndtr(z)[None, :], 0.0, 1.0)
+    return np.clip(k * ((inner ** (k - 1) * phi) @ wz), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 7])
+def test_studentized_range_matches_per_call_quadrature_bitwise(monkeypatch, k):
+    rng = np.random.default_rng(k)
+    cases = [(q, df) for df in (1, 2, 3, 4, 9, 30, 200, 5000)
+             for q in (0.0, *rng.uniform(0.0, 8.5, 3))]
+    ours = [studentized_range_cdf(q, k, df) for q, df in cases]
+    monkeypatch.setattr(special, "_normal_range_cdf", _ref_normal_range_cdf)
+    assert ours == [studentized_range_cdf(q, k, df) for q, df in cases]
 
 
 def test_import_does_not_load_scipy_stats():

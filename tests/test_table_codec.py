@@ -168,18 +168,38 @@ def _written(write, *args, name="table.csv"):
         return (path.read_bytes() if path.exists() else None), outcome[0], outcome[2:]
 
 
+def _encodes(text):
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _assert_writes_like_reference(new, ref, texts):
+    """``new == ref``, unless a cell text holds a lone surrogate, which UTF-8
+    cannot encode. The reference opened its file before encoding and left it
+    empty; the writer must raise and leave no file."""
+    if all(map(_encodes, texts)):
+        assert new == ref
+    else:
+        assert new[:2] == (None, "raised")
+
+
 # ------------------------------------------------------------------ writers
 
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(st.tuples(_CODES, _CODES), _METRICS, max_size=5))
 def test_metrics_writer_matches_reference(rows):
-    assert _written(pipeline.write_metrics_csv, rows) == _written(ref_write_metrics_csv, rows)
+    _assert_writes_like_reference(_written(pipeline.write_metrics_csv, rows),
+                                  _written(ref_write_metrics_csv, rows), sum(rows, ()))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.dictionaries(st.tuples(_CODES, _CODES), _feature_vectors(), max_size=5))
 def test_features_writer_matches_reference(rows):
-    assert _written(pipeline.write_features_csv, rows) == _written(ref_write_features_csv, rows)
+    _assert_writes_like_reference(_written(pipeline.write_features_csv, rows),
+                                  _written(ref_write_features_csv, rows), sum(rows, ()))
 
 
 _PLAIN_TEXT = st.text(st.characters(blacklist_characters="," + _LINE_BREAKS), max_size=6)
@@ -191,8 +211,9 @@ _PLAIN_TEXT = st.text(st.characters(blacklist_characters="," + _LINE_BREAKS), ma
 def test_plot_writer_matches_reference(rows):
     header = ("factor", "level", "mean")
     new = _written(pipeline.write_plot_csv, rows, header)
-    assert new == _written(ref_write_plot_csv, rows, header)
-    assert new[1] == "ok"
+    texts = [cell for row in rows for cell in row if isinstance(cell, str)]
+    _assert_writes_like_reference(new, _written(ref_write_plot_csv, rows, header), texts)
+    assert new[1] == ("ok" if all(map(_encodes, texts)) else "raised")
 
 
 def _write_mined_tsv(pairs, path):
@@ -219,6 +240,13 @@ def test_table_writer_rejects_a_cell_that_breaks_the_table(tmp_path, sep, cell):
     assert not path.exists()
 
 
+def test_table_writer_leaves_no_file_for_a_cell_utf8_cannot_encode(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(UnicodeEncodeError):
+        pipeline.write_plot_csv([("ok", 1.5), ("a\udcff", 2.0)], ("x", "y"), path)
+    assert not path.exists()
+
+
 # ------------------------------------------------------------------ readers
 
 # lines that break a table in every way the readers check: wrong cell
@@ -230,7 +258,9 @@ _JUNK_LINES = st.text(st.sampled_from("ab,,,0.5-1e9x "), max_size=40)
 def _damaged(draw, table, write):
     """A table written by the reference writer, then maybe given a junk
     line, a dropped line or a replaced header."""
-    rows = draw(st.dictionaries(st.tuples(_PLAIN_TEXT, _PLAIN_TEXT), table, max_size=4))
+    # the readers read UTF-8 files, which cannot hold a lone surrogate
+    text = _PLAIN_TEXT.filter(_encodes)
+    rows = draw(st.dictionaries(st.tuples(text, text), table, max_size=4))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         write(rows, path)
