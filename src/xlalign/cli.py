@@ -137,7 +137,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config = pipeline.load_config(args.config)
+    config = pipeline._load_report_config(args.config)
     return pipeline.run_report(config)
 
 

@@ -71,6 +71,9 @@ class AlignmentMetrics:
     gh: float
 
     def __post_init__(self):
+        for name, value in self.as_dict().items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} is not finite: {value}")
         if not 0.0 <= self.f1 <= 1.0:
             raise ValueError(f"f1 outside [0, 1]: {self.f1}")
         if self.svg < 0.0 or self.gh < 0.0:
@@ -129,7 +132,28 @@ class RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     """Parse a ``key = value`` config file (``#`` starts a comment line)."""
     path = Path(path)
-    base = path.parent
+    return _config_from_raw(path, _read_config_file(path))
+
+
+def _load_report_config(path: str | Path) -> RunConfig:
+    """``load_config`` for ``report``: once the file is read and names
+    ``out``, a config error is also recorded under ``fatal`` (stage
+    ``config``) in ``<out>/run_summary.json``."""
+    path = Path(path)
+    raw = _read_config_file(path)
+    try:
+        return _config_from_raw(path, raw)
+    except ValueError as exc:
+        if "out" in raw:
+            out = path.parent / raw["out"]
+            out.mkdir(parents=True, exist_ok=True)
+            summary = _run_summary(None, SweepResult(rows={}), [])
+            summary["fatal"] = {"stage": "config", "mode": None, "error": str(exc)}
+            write_json(summary, out / "run_summary.json")
+        raise
+
+
+def _read_config_file(path: Path) -> dict[str, str]:
     raw: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -143,6 +167,11 @@ def load_config(path: str | Path) -> RunConfig:
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
             raw[key] = value.strip()
+    return raw
+
+
+def _config_from_raw(path: Path, raw: Mapping[str, str]) -> RunConfig:
+    base = path.parent
 
     def paths(key: str) -> tuple[Path, ...]:
         if key not in raw:
@@ -1112,7 +1141,8 @@ def run_report(config: RunConfig) -> int:
     return 2 if sweep.partial else 0
 
 
-def _run_summary(config: RunConfig, sweep: SweepResult, analyses: list[str]) -> dict:
+def _run_summary(config: RunConfig | None, sweep: SweepResult, analyses: list[str]) -> dict:
+    """The run summary; a config that failed to load leaves its settings null."""
     return {
         "mode": "summary",
         "languages": sorted({lang for pair in sweep.rows for lang in pair}),
@@ -1120,10 +1150,8 @@ def _run_summary(config: RunConfig, sweep: SweepResult, analyses: list[str]) -> 
         "failed_languages": {k: v for k, v in sorted(sweep.failed_languages.items())},
         "failed_pairs": {f"{a}/{b}": v for (a, b), v in sorted(sweep.failed_pairs.items())},
         "analyses": analyses,
-        "k": config.k,
-        "gh_max_points": config.gh_max_points,
-        "folds": config.folds,
-        "seed": config.seed,
+        **{name: None if config is None else getattr(config, name)
+           for name in ("k", "gh_max_points", "folds", "seed")},
     }
 
 

@@ -72,16 +72,26 @@ def write_language_table(path: Path, rows: list[dict]) -> Path:
 WORKSPACE_LANGS = ("deu", "eng", "fra", "quc")
 
 
-def build_workspace(root: Path, seed: int = 42) -> dict:
-    """Small but complete run directory: two documents, four languages,
-    embeddings (.xemb with verse IDs), corpus TSVs, language table, config."""
+# further zero-shot Mayan languages, for runs that need more pairs and a
+# zero-shot word-order factor with three levels
+EXTRA_LANGS = {"kek": "VSO", "mam": "SOV", "tzo": "SVO"}
+
+
+def build_workspace(root: Path, seed: int = 42,
+                    langs: tuple[str, ...] = WORKSPACE_LANGS) -> dict:
+    """Small but complete run directory: two documents, four languages
+    (``langs`` may add those of ``EXTRA_LANGS``), embeddings (.xemb with
+    verse IDs), corpus TSVs, language table, config."""
     rng = np.random.default_rng(seed)
-    orders = {"deu": "SOV", "eng": "SVO", "fra": "SVO", "quc": "VSO"}
+    orders = {"deu": "SOV", "eng": "SVO", "fra": "SVO", "quc": "VSO", **EXTRA_LANGS}
     fams = {"deu": ("IE", "Germanic"), "eng": ("IE", "Germanic"),
-            "fra": ("IE", "Romance"), "quc": ("Mayan", "Core")}
-    train = {"deu": 120000, "eng": 500000, "fra": 80000, "quc": 0}
+            "fra": ("IE", "Romance"), "quc": ("Mayan", "Core"),
+            **{lang: ("Mayan", "Core") for lang in EXTRA_LANGS}}
+    train = {"deu": 120000, "eng": 500000, "fra": 80000, "quc": 0,
+             **dict.fromkeys(EXTRA_LANGS, 0)}
     words = {"deu": "hund katze haus der", "eng": "dog cat house the",
-             "fra": "chien chat maison le", "quc": "tzi mes ja ri"}
+             "fra": "chien chat maison le", "quc": "tzi mes ja ri",
+             "kek": "tzi ke ja li", "mam": "txi me ja ri", "tzo": "ts'i mut na li"}
     n, d = 36, 8
     for doc in ("matthew", "john"):
         base = rng.standard_normal((n, d))
@@ -91,7 +101,7 @@ def build_workspace(root: Path, seed: int = 42) -> dict:
         emb_dir.mkdir(parents=True)
         txt_dir.mkdir(parents=True)
         ids = tuple(f"{doc[:3].upper()}_{i // 10}_{i % 10}" for i in range(n))
-        for li, lang in enumerate(WORKSPACE_LANGS):
+        for li, lang in enumerate(langs):
             data = base + 0.05 * (li + 1) * rng.standard_normal((n, d))
             xa.save_embeddings(xa.EmbeddingMatrix(lang, data, ids), emb_dir / f"{lang}.xemb")
             toks = words[lang].split()
@@ -113,7 +123,7 @@ def build_workspace(root: Path, seed: int = 42) -> dict:
                 "inventory_vec": rng.uniform(0.1, 1.0, 4),
                 "geo_vec": rng.uniform(0.1, 1.0, 4),
             }
-            for lang in WORKSPACE_LANGS
+            for lang in langs
         ],
     )
     config = root / "run.cfg"
@@ -129,7 +139,7 @@ def build_workspace(root: Path, seed: int = 42) -> dict:
         "out = results\n",
         encoding="utf-8",
     )
-    return {"root": root, "config": config, "langs": WORKSPACE_LANGS}
+    return {"root": root, "config": config, "langs": langs}
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xlalign as xa
-from xlalign import pipeline
+from xlalign import pipeline, special
 from xlalign.cli import _build_parser, main
 from xlalign.corpus import LanguageMeta, WordOrder
 from xlalign.pipeline import (
@@ -49,6 +49,7 @@ from xlalign.pipeline import (
     write_metrics_csv,
 )
 
+import conftest
 from conftest import build_workspace
 
 
@@ -117,6 +118,29 @@ def test_alignment_metrics_invariants():
         AlignmentMetrics(f1=1.5, avg_margin=1.0, svg=0.0, econd_hm=1.0, gh=0.0)
     with pytest.raises(ValueError, match="econd"):
         AlignmentMetrics(f1=0.5, avg_margin=1.0, svg=0.0, econd_hm=0.5, gh=0.0)
+
+
+@pytest.mark.parametrize("name", METRIC_NAMES)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_alignment_metrics_reject_non_finite_values(name, value):
+    fields = {**synthetic_metrics().as_dict(), name: value}
+    with pytest.raises(ValueError, match=re.escape(f"{name} is not finite: {value}")):
+        AlignmentMetrics(**fields)
+
+
+def test_cli_analyze_names_a_non_finite_metric_and_writes_no_json(
+    analysis_csvs, tmp_path, capsys
+):
+    lines = (analysis_csvs / "metrics.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2 + METRIC_NAMES.index("svg")] = "nan"
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("\n".join([*lines[:3], ",".join(cells), *lines[4:]]) + "\n")
+    out = tmp_path / "corr.json"
+    assert main(["analyze", "--features", str(analysis_csvs / "features.csv"),
+                 "--metrics", str(metrics), "--mode", "corr", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "xlalign: error: svg is not finite: nan\n"
+    assert not out.exists()
 
 
 def test_run_pair_metrics_counts_and_failures(workspace):
@@ -722,6 +746,65 @@ def test_cli_report_and_determinism(workspace, tmp_path):
         assert (out / name).read_bytes() == (second["root"] / "results" / name).read_bytes()
 
 
+_EVERY_ANALYSIS = ", ".join([*ANALYSES, "zero_shot"])
+
+
+def test_cli_report_is_byte_identical_across_hash_seeds(tmp_path):
+    """Separate interpreters with different string hashing write the same
+    bytes: every analysis, zero_shot included, on a workspace large enough
+    for search, ablate and pcr."""
+    langs = (*conftest.WORKSPACE_LANGS, *conftest.EXTRA_LANGS)
+    outputs = []
+    for hash_seed in ("1", "2"):
+        ws = build_workspace(tmp_path / hash_seed, langs=langs)
+        config = ws["config"]
+        config.write_text(config.read_text().replace(
+            "analyses = corr, anova, ancova, pca, zero_shot", f"analyses = {_EVERY_ANALYSIS}"
+        ))
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "xlalign", "report", "--config",
+                                 str(config)], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        out = ws["root"] / "results"
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    # metrics, features and summary; one JSON per mode; the zero-shot JSON and plot
+    assert len(outputs[0]) == 3 + len(ANALYSES) + 2
+    assert outputs[0] == outputs[1]
+
+
+def test_two_group_tukey_skips_the_quadrature(analysis_dataset, workspace, monkeypatch):
+    quadrature = _CallCounter(special._normal_range_cdf)
+    monkeypatch.setattr(special, "_normal_range_cdf", quadrature)
+    dataset, *_ = analysis_dataset
+    _validate(analyze_anova(dataset), "anova")
+    config = workspace["config"]
+    config.write_text(config.read_text().replace(
+        "analyses = corr, anova, ancova, pca, zero_shot", "analyses = corr, anova"
+    ))
+    assert main(["report", "--config", str(config)]) == 0
+    assert quadrature.calls == 0
+
+
+def test_three_zero_shot_word_orders_use_the_quadrature(monkeypatch):
+    quadrature = _CallCounter(special._normal_range_cdf)
+    monkeypatch.setattr(special, "_normal_range_cdf", quadrature)
+    rng = np.random.default_rng(11)
+    langs = [f"z{i}" for i in range(9)]
+    orders = ["VSO", "SVO", "SOV"] * 3
+    table = {
+        lang: LanguageMeta(lang=lang, family="F", subfamily="s",
+                           word_order=WordOrder(order), train_sentences=0)
+        for lang, order in zip(langs, orders)
+    }
+    rows = {pair: synthetic_metrics(float(rng.uniform(0.1, 0.9)))
+            for pair in itertools.combinations(langs, 2)}
+    report = run_zero_shot_analysis(rows, table)
+    assert len(report["simple"]["anova"]["word_order"]["f1"]["tukey"]) == 3
+    assert quadrature.calls >= 1
+
+
 def test_cli_report_partial_failure_exit_code(workspace):
     (workspace["root"] / "emb" / "john" / "fra.xemb").unlink()
     assert main(["report", "--config", str(workspace["config"])]) == 2
@@ -831,7 +914,10 @@ def test_cli_analyze_every_mode(analysis_csvs, mode):
     (("out = results", "char_doc = luke\nout = results"), "features", None, [], 6),
     (("embeddings = emb/matthew, emb/john", "embeddings = texts/matthew"),
      "sweep", None, [], 0),  # no embedding files found
-], ids=["analysis", "features", "sweep"])
+    (("k = 4", "k = four"), "config", None, [], 0),
+    (("k = 4", "k = 4\nmystery = 1"), "config", None, [], 0),
+    (("folds = 3", "folds = 1"), "config", None, [], 0),  # RunConfig refuses it
+], ids=["analysis", "features", "sweep", "config-integer", "config-key", "config-check"])
 def test_cli_report_fatal_error_keeps_summary(
     workspace, capsys, edit, stage, mode, analyses, n_pairs
 ):
@@ -845,6 +931,23 @@ def test_cli_report_fatal_error_keeps_summary(
     assert summary["analyses"] == analyses
     assert summary["fatal"]["stage"] == stage and summary["fatal"]["mode"] == mode
     assert err == f"xlalign: error: {summary['fatal']['error']}\n"
+    if stage == "config":
+        assert summary["languages"] == [] and summary["failed_languages"] == {}
+        assert summary["failed_pairs"] == {}
+        assert [summary[key] for key in ("k", "gh_max_points", "folds", "seed")] == [None] * 4
+
+
+@pytest.mark.parametrize("edit", [
+    ("out = results", ""),  # no out
+    ("k = 4", "k 4"),  # a line that is not 'key = value'
+    ("k = 4", "k = 4\nk = 5"),  # a duplicate key
+], ids=["no-out", "syntax", "duplicate"])
+def test_cli_report_writes_no_summary_without_a_parsed_out(workspace, capsys, edit):
+    config = workspace["config"]
+    config.write_text(config.read_text().replace(*edit))
+    assert main(["report", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.startswith(f"xlalign: error: {config}")
+    assert not (workspace["root"] / "results").exists()
 
 
 def test_cli_report_refuses_a_zero_shot_family_with_a_comma_before_the_sweep(

@@ -43,6 +43,7 @@ def test_studentized_range_two_groups_closed_form(df):
     for q in (0.5, 1.0, 2.0, 3.0, 4.0, 6.0):
         exact = 2.0 * scipy.special.stdtr(df, -q / math.sqrt(2.0))
         assert abs(studentized_range_sf(q, 2, df) - exact) <= 1e-9
+        assert studentized_range_cdf(q, 2, df) == 1.0 - studentized_range_sf(q, 2, df)
 
 
 def _ref_normal_range_cdf(r, k):
@@ -613,6 +614,31 @@ def test_tukey_separated_groups():
 def test_tukey_zero_within_variance():
     with pytest.raises(ValueError, match="zero within-group"):
         tukey_hsd([(1.0, 1.0), (2.0, 2.0)])
+
+
+@pytest.mark.parametrize("df, top", [(1, 497.0), (4, 210.0), (5048, 5.17)])
+def test_tukey_two_groups_p_equals_the_f_test_p(df, top):
+    # With two groups q^2 / 2 is the F statistic, so both tests give one
+    # p-value. A single value shifted away from a centered group of df + 1
+    # takes p from about 0.9 down to about 1e-250 (1e-150 at df = 1, where a
+    # larger shift overflows F). The two statistics come from different
+    # arithmetic and differ by a few ulp, which the tail magnifies by
+    # kappa = |d ln p / d ln F|, about 500 at p = 1e-250 and df = 5048.
+    noise = np.random.default_rng(df).standard_normal(df + 1)
+    noise -= noise.mean()
+    noise *= math.sqrt(df / float(noise @ noise))  # unit within-group mean square
+    seen = []
+    for shift in 2.0 ** np.linspace(-6.0, top, 60):
+        groups = [noise, [shift]]
+        f_test = anova_oneway(groups)
+        (cmp,) = tukey_hsd(groups).comparisons
+        assert f_test.df_error == df and f_test.p_value > 0.0
+        kappa = abs(math.log(scipy.special.fdtrc(1, df, f_test.f_stat * (1.0 + 1e-7)))
+                    - math.log(f_test.p_value)) / 1e-7
+        tol = 1e-13 + 16.0 * np.finfo(float).eps * kappa
+        assert abs(cmp.p_value - f_test.p_value) <= tol * f_test.p_value
+        seen.append(f_test.p_value)
+    assert max(seen) > 0.5 and min(seen) < (1e-145 if df == 1 else 1e-245)
 
 
 def test_tukey_pair_count_and_labels():
