@@ -91,7 +91,11 @@ class PairFeatureVector:
 def _unit_counts(text: str, unit: str) -> Counter:
     """The multiset of ``unit`` items of ``text`` that ``multiset_jaccard`` compares."""
     if unit == "char":
-        return Counter(c for c in unicodedata.normalize("NFC", text) if not c.isspace())
+        # count every code point in C, then drop the few whitespace keys
+        counts = Counter(unicodedata.normalize("NFC", text))
+        for c in [c for c in counts if c.isspace()]:
+            del counts[c]
+        return counts
     if unit == "token":
         return Counter(text.split())
     raise ValueError(f"unknown overlap unit {unit!r}")

@@ -475,16 +475,21 @@ def _read_pair_csv(
     path: str | Path, names: Sequence[str], kind: str, convert: Callable[[dict], object]
 ) -> dict:
     """Read a ``lang_a,lang_b,<names>`` table into ``(lang_a, lang_b) ->
-    convert(cells)``, where ``cells`` maps each name to its cell string."""
+    convert(cells)``, where ``cells`` maps each name to its cell string. A
+    cell that ``convert`` rejects is reported as ``path:line: lang_a,lang_b:``
+    followed by its message."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != ",".join(("lang_a", "lang_b", *names)):
         raise ValueError(f"{path}: unexpected {kind} header")
     rows = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != 2 + len(names):
             raise ValueError(f"{path}: malformed row {line!r}")
-        rows[(cells[0], cells[1])] = convert(dict(zip(names, cells[2:])))
+        try:
+            rows[(cells[0], cells[1])] = convert(dict(zip(names, cells[2:])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {cells[0]},{cells[1]}: {exc}") from None
     return rows
 
 

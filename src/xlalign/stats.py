@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import fdtrc
 
-from .special import studentized_range_sf
+from .special import f_sf, studentized_range_sf
 
 _TIE_TOL = 1e-12
 
@@ -321,7 +320,7 @@ def _f_test(ss_effect: float, ss_error: float, df_effect: int, df_error: int) ->
     f_stat = float((ss_effect / df_effect) / (ss_error / df_error))
     return AnovaResult(
         f_stat=f_stat,
-        p_value=float(fdtrc(df_effect, df_error, f_stat)),
+        p_value=f_sf(f_stat, df_effect, df_error),
         eta_p2=float(ss_effect / (ss_effect + ss_error)),
         df_effect=df_effect,
         df_error=df_error,

@@ -10,6 +10,7 @@ from xlalign.corpus import LanguageMeta, WordOrder
 from xlalign.features import (
     FEATURE_NAMES,
     PairFeatureVector,
+    _unit_counts,
     multiset_jaccard,
     pair_features,
     per_language_metrics,
@@ -59,6 +60,39 @@ def test_jaccard_bounds_and_identity(a, b):
     assert multiset_jaccard(a, a, "char") == 1.0
     if value == 1.0:
         assert sorted(a) == sorted(b)
+
+
+def _ref_char_counts(text):
+    # frozen copy of the per-character generator that _unit_counts replaced
+    return Counter(c for c in unicodedata.normalize("NFC", text) if not c.isspace())
+
+
+# every isspace code point, named ones first: ASCII, the information
+# separators \x1c-\x1f, NEL, NBSP, the line separator and the ideographic space
+SPACES = " \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000" + "".join(
+    chr(i) for i in range(0x110000) if chr(i).isspace()
+)
+# combining marks that NFC folds into a precomposed letter (e + acute, A +
+# ring, Hangul jamo) or keeps apart (a + dot below + macron, a bare mark)
+MARKS = "e\u0301A\u030a\u1100\u1161a\u0323\u0304\u0301x\u20dd"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=SPACES + MARKS + "abé", max_size=60))
+def test_char_counts_match_the_generator(text):
+    ours = _unit_counts(text, "char")
+    reference = _ref_char_counts(text)
+    assert ours == reference
+    assert list(ours) == list(reference)
+    assert list(ours.values()) == list(reference.values())
+
+
+def test_char_counts_match_the_generator_on_every_space():
+    text = "".join(f"{m}{s}" for m, s in itertools.zip_longest(MARKS * 3, SPACES, fillvalue="q"))
+    assert set(SPACES) <= set(text)
+    ours = _unit_counts(text, "char")
+    assert list(ours.items()) == list(_ref_char_counts(text).items())
+    assert not any(c.isspace() for c in ours)
 
 
 def ref_multiset_jaccard(a, b, unit):

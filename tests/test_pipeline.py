@@ -139,7 +139,9 @@ def test_cli_analyze_names_a_non_finite_metric_and_writes_no_json(
     out = tmp_path / "corr.json"
     assert main(["analyze", "--features", str(analysis_csvs / "features.csv"),
                  "--metrics", str(metrics), "--mode", "corr", "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "xlalign: error: svg is not finite: nan\n"
+    assert capsys.readouterr().err == (
+        f"xlalign: error: {metrics}:4: {cells[0]},{cells[1]}: svg is not finite: nan\n"
+    )
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 import itertools
+import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -65,16 +67,71 @@ def test_studentized_range_matches_per_call_quadrature_bitwise(monkeypatch, k):
     assert ours == [studentized_range_cdf(q, k, df) for q, df in cases]
 
 
-def test_import_does_not_load_scipy_stats():
-    # importing scipy.stats would more than double the import time of xlalign,
-    # which is why the Tukey tail is computed in-house
+# Run in a fresh interpreter: which scipy modules the library loads, and
+# the anova's F p-values next to a direct fdtrc call.
+_SCIPY_PROBE = """
+import itertools, json, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+loaded = {}
+import xlalign
+loaded["import xlalign"] = scipy_modules()
+import xlalign.cli
+from xlalign import pipeline
+loaded["import xlalign.cli"] = scipy_modules()
+
+root = Path(sys.argv[1])
+config = xlalign.load_config(root / "run.cfg")
+table = xlalign.load_language_table(config.languages)
+corpora = [xlalign.load_corpus(directory) for directory in config.corpus]
+matrices = {path.stem: xlalign.load_embeddings(path)
+            for path in sorted(config.embeddings[0].glob("*.xemb"))}
+loaded["loaders"] = scipy_modules()
+
+metrics = {(a, b): pipeline.compute_pair_metrics(matrices[a], matrices[b], k=config.k,
+                                                 gh_max_points=config.gh_max_points)
+           for a, b in itertools.combinations(sorted(matrices), 2)}
+loaded["compute_pair_metrics"] = scipy_modules()
+
+texts = pipeline.corpus_texts(corpora[0])
+vectors = pipeline.build_pair_feature_table(table, texts, texts, languages=sorted(matrices))
+dataset = pipeline.make_analysis_dataset({k: v.as_dict() for k, v in vectors.items()}, metrics)
+pipeline.analyze_corr(dataset)
+loaded["analyze_corr"] = scipy_modules()
+
+anova = pipeline.analyze_anova(dataset)
+after_anova = scipy_modules()
+from scipy.special import fdtrc
+f_tests = [(entry["p_value"], float(fdtrc(entry["df_effect"], entry["df_error"], entry["f_stat"])))
+           for per_metric in anova["factors"].values() for entry in per_metric.values()
+           if "f_stat" in entry and entry["f_stat"] is not None]
+print(json.dumps({"loaded": loaded, "after_anova": after_anova, "f_tests": f_tests}))
+"""
+
+
+def test_import_does_not_load_scipy_stats(workspace):
+    # scipy.special alone doubles the start-up time of xlalign and scipy.stats
+    # more than doubles it again, so nothing loads scipy until a p-value is
+    # computed, and then only scipy.special
     src = str(Path(stats.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", "import xlalign, sys; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, cwd=src,
+        [sys.executable, "-c", _SCIPY_PROBE, str(workspace["root"])],
+        capture_output=True, text=True, cwd=workspace["root"],
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    probe = json.loads(result.stdout)
+    for step, modules in probe["loaded"].items():
+        assert modules == [], f"{step} loaded {modules}"
+    assert "scipy.special" in probe["after_anova"]
+    assert "scipy.stats" not in probe["after_anova"]
+    assert probe["f_tests"], "the workspace gave the anova no F test"
+    for ours, direct in probe["f_tests"]:
+        assert ours == direct
 
 
 # --------------------------------------------------------------- correlations

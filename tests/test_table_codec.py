@@ -49,14 +49,17 @@ def ref_read_metrics_csv(path):
     if not lines or lines[0] != "lang_a,lang_b," + ",".join(METRIC_NAMES):
         raise ValueError(f"{path}: unexpected metrics header")
     rows = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != 2 + len(METRIC_NAMES):
             raise ValueError(f"{path}: malformed row {line!r}")
         key = (cells[0], cells[1])
-        rows[key] = AlignmentMetrics(**{
-            name: float(cells[2 + i]) for i, name in enumerate(METRIC_NAMES)
-        })
+        try:
+            rows[key] = AlignmentMetrics(**{
+                name: float(cells[2 + i]) for i, name in enumerate(METRIC_NAMES)
+            })
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {cells[0]},{cells[1]}: {exc}") from None
     return rows
 
 
@@ -83,14 +86,17 @@ def ref_read_features_csv(path):
     if not lines or lines[0] != "lang_a,lang_b," + ",".join(FEATURE_NAMES):
         raise ValueError(f"{path}: unexpected features header")
     rows = {}
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != 2 + len(FEATURE_NAMES):
             raise ValueError(f"{path}: malformed row {line!r}")
-        rows[(cells[0], cells[1])] = {
-            name: (float(cells[2 + i]) if cells[2 + i] != "" else None)
-            for i, name in enumerate(FEATURE_NAMES)
-        }
+        try:
+            rows[(cells[0], cells[1])] = {
+                name: (float(cells[2 + i]) if cells[2 + i] != "" else None)
+                for i, name in enumerate(FEATURE_NAMES)
+            }
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {cells[0]},{cells[1]}: {exc}") from None
     return rows
 
 
