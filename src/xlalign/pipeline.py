@@ -16,7 +16,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -127,6 +127,13 @@ class RunConfig:
             )
         if "zero_shot" in self.analyses and self.languages is None:
             raise ValueError("zero_shot analysis requires a language table")
+        # a corpus is named after its directory, as load_corpus names it
+        names = [Path(d).name for d in self.corpus]
+        if len(set(names)) < len(names):
+            raise ValueError(f"corpus directories must have distinct names, got {names}")
+        for key in ("char_doc", "token_doc"):
+            if getattr(self, key) not in (None, *names):
+                raise ValueError(f"{key} must be one of {names}, got {getattr(self, key)!r}")
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -171,45 +178,32 @@ def _read_config_file(path: Path) -> dict[str, str]:
 
 
 def _config_from_raw(path: Path, raw: Mapping[str, str]) -> RunConfig:
-    base = path.parent
-
-    def paths(key: str) -> tuple[Path, ...]:
-        if key not in raw:
-            return ()
-        return tuple(base / p.strip() for p in raw[key].split(",") if p.strip())
-
-    def integer(key: str, default: int) -> int:
-        if key not in raw:
-            return default
-        try:
-            return int(raw[key])
-        except ValueError:
-            raise ValueError(f"{path}: {key} must be an integer") from None
-
-    known = {
-        "embeddings", "corpus", "languages", "k", "gh_max_points", "folds",
-        "seed", "analyses", "out", "workers", "char_doc", "token_doc",
-    }
-    unknown = set(raw) - known
+    """``RunConfig`` from the keys present; each value is parsed by its field's
+    annotation. Lists are comma-separated, paths are relative to the config
+    file, and an empty optional path is unset."""
+    known = {f.name: f for f in fields(RunConfig)}
+    unknown = set(raw) - set(known)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
-    if "out" not in raw:
-        raise ValueError(f"{path}: missing 'out'")
-    analyses = tuple(a.strip() for a in raw.get("analyses", "").split(",") if a.strip())
-    return RunConfig(
-        embeddings=paths("embeddings"),
-        corpus=paths("corpus"),
-        languages=(base / raw["languages"]) if raw.get("languages") else None,
-        k=integer("k", 4),
-        gh_max_points=integer("gh_max_points", 500),
-        folds=integer("folds", 10),
-        seed=integer("seed", 0) if "seed" in raw else None,
-        analyses=analyses,
-        out=base / raw["out"],
-        workers=integer("workers", 1),
-        char_doc=raw.get("char_doc"),
-        token_doc=raw.get("token_doc"),
-    )
+    missing = [name for name, f in known.items() if f.default is MISSING and name not in raw]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(map(repr, missing))}")
+
+    def parse(key: str, value: str):
+        kind = known[key].type
+        if kind.startswith("tuple"):
+            items = tuple(v.strip() for v in value.split(",") if v.strip())
+            return tuple(path.parent / v for v in items) if "Path" in kind else items
+        if "Path" in kind:
+            return path.parent / value if value or kind == "Path" else None
+        if "int" in kind:
+            try:
+                return int(value)
+            except ValueError:
+                raise ValueError(f"{path}: {key} must be an integer") from None
+        return value
+
+    return RunConfig(**{key: parse(key, value) for key, value in raw.items()})
 
 
 def worker_count(requested: int) -> int:
@@ -1079,50 +1073,48 @@ def _check_zero_shot_families(table: Mapping[str, LanguageMeta], langs: Iterable
 
 
 def run_report(config: RunConfig) -> int:
-    """Full pipeline: sweep metrics, derive features, run analyses, write
-    everything under ``config.out``. Returns the process exit code (0 ok,
-    2 when some languages or pairs were skipped). A fatal error is recorded
-    under ``fatal`` in ``run_summary.json`` and re-raised."""
+    """Full pipeline: read every input, sweep metrics, derive features, run
+    analyses, write everything under ``config.out``. Returns the process exit
+    code (0 ok, 2 when some languages or pairs were skipped). A fatal error is
+    recorded under ``fatal`` in ``run_summary.json`` and re-raised."""
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    # a sweep that raises leaves the empty result on record
+    # a run that stops before the sweep ends leaves the empty result on record
     sweep = SweepResult(rows={})
     analyses: list[str] = []
-    stage: dict = {"stage": "sweep", "mode": None}
+    stage: dict = {"stage": "preflight", "mode": None}
     try:
-        loaded, matrices, usable = _load_sweep_languages(config)
-        table = None
-        if "zero_shot" in config.analyses:
-            # before the pair loop, not after it
-            stage = {"stage": "preflight", "mode": None}
+        # every input is read before the first pair
+        table = char_texts = token_texts = None
+        if config.languages is not None:
             table = load_language_table(config.languages)
+            if config.corpus:
+                # only the two chosen directories, each once
+                names = [Path(d).name for d in config.corpus]
+                chosen = (config.char_doc or names[0], config.token_doc or names[-1])
+                texts = {
+                    name: corpus_texts(load_corpus(config.corpus[names.index(name)]))
+                    for name in dict.fromkeys(chosen)
+                }
+                char_texts, token_texts = map(texts.get, chosen)
+        loaded, matrices, usable = _load_sweep_languages(config)
+        if "zero_shot" in config.analyses:
             _check_zero_shot_families(table, usable)
-            stage = {"stage": "sweep", "mode": None}
+
+        stage = {"stage": "sweep", "mode": None}
         sweep = _sweep_pairs(config, loaded, matrices, usable)
         write_metrics_csv(sweep.rows, out / "metrics.csv")
 
         stage = {"stage": "features", "mode": None}
-        if table is None and config.languages:
-            table = load_language_table(config.languages)
-        features_map = None
+        feature_rows: dict = {}
         if table is not None:
-            corpora = [load_corpus(d) for d in config.corpus]
-            texts = {c.name: corpus_texts(c) for c in corpora}
-            char_texts = token_texts = None
-            if corpora:
-                names = [c.name for c in corpora]
-                char_name = config.char_doc or names[0]
-                token_name = config.token_doc or names[-1]
-                if char_name not in texts or token_name not in texts:
-                    raise ValueError(f"char_doc/token_doc must be one of {names}")
-                char_texts = texts[char_name]
-                token_texts = texts[token_name]
             langs = sorted({lang for pair in sweep.rows for lang in pair} & set(table))
             features_map = build_pair_feature_table(table, char_texts, token_texts, langs)
             write_features_csv(features_map, out / "features.csv")
+            feature_rows = {pair: vec.as_dict() for pair, vec in features_map.items()}
 
-        feature_rows = {pair: vec.as_dict() for pair, vec in (features_map or {}).items()}
+        dataset = None  # built at the first mode that needs it, shared by the rest
         for mode in dict.fromkeys(config.analyses):
             stage = {"stage": "analysis", "mode": mode}
             if mode == "zero_shot":
@@ -1132,7 +1124,8 @@ def run_report(config: RunConfig) -> int:
                     out / "plot_zero_shot_groups.csv",
                 )
             else:
-                dataset = make_analysis_dataset(feature_rows, sweep.rows)
+                if dataset is None:
+                    dataset = make_analysis_dataset(feature_rows, sweep.rows)
                 write_json(run_analysis(mode, dataset, config.folds, config.seed),
                            out / f"analysis_{mode}.json")
             analyses.append(mode)

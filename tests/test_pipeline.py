@@ -86,6 +86,58 @@ def test_config_validation(tmp_path):
     cfg.write_text("embeddings = e\n")
     with pytest.raises(ValueError, match="missing 'out'"):
         load_config(cfg)
+    cfg.write_text("out = results\n")
+    with pytest.raises(ValueError, match="missing 'embeddings'"):
+        load_config(cfg)
+    with pytest.raises(ValueError, match="char_doc must be one of"):
+        RunConfig(embeddings=(tmp_path,), out=tmp_path, char_doc="matthew")  # no corpus
+    with pytest.raises(ValueError, match="token_doc must be one of"):
+        RunConfig(embeddings=(tmp_path,), out=tmp_path, corpus=(tmp_path / "matthew",),
+                  token_doc="john")
+    with pytest.raises(ValueError, match="distinct names"):
+        RunConfig(embeddings=(tmp_path,), out=tmp_path,
+                  corpus=(tmp_path / "a" / "matthew", tmp_path / "b" / "matthew"))
+
+
+def test_config_parses_each_key_by_its_field(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("embeddings = e1, e2,\nout = \nlanguages = l.tsv\nseed = 3\nworkers = 2\n"
+                   "corpus = t/matthew\nchar_doc = matthew\nanalyses = corr , anova\n")
+    assert load_config(cfg) == RunConfig(
+        embeddings=(tmp_path / "e1", tmp_path / "e2"), out=tmp_path, languages=tmp_path / "l.tsv",
+        seed=3, workers=2, corpus=(tmp_path / "t" / "matthew",), char_doc="matthew",
+        analyses=("corr", "anova"),
+    )
+    cfg.write_text("embeddings = e\nout = results\nlanguages = \n")  # an empty path is unset
+    assert load_config(cfg) == RunConfig(embeddings=(tmp_path / "e",), out=tmp_path / "results")
+
+
+def test_config_refuses_corpus_directories_with_one_name(workspace):
+    """Corpora are named after their directories, so two directories with
+    one name leave char_doc/token_doc ambiguous: a lookup by name would take
+    the features from the last of them."""
+    root = workspace["root"]
+    shutil.copytree(root / "texts" / "john", root / "other" / "matthew")
+    config = workspace["config"]
+    config.write_text(config.read_text().replace(
+        "corpus = texts/matthew, texts/john", "corpus = texts/matthew, other/matthew"))
+    with pytest.raises(ValueError, match="distinct names"):
+        load_config(config)
+
+
+def test_report_loads_only_the_chosen_corpora(workspace, monkeypatch):
+    root, config = workspace["root"], workspace["config"]
+    assert main(["report", "--config", str(config)]) == 0
+    expected = (root / "results" / "features.csv").read_bytes()
+    # a third, missing directory: with token_doc set it is never read
+    config.write_text(config.read_text().replace(
+        "corpus = texts/matthew, texts/john",
+        "corpus = texts/matthew, texts/john, emb/nothing\nchar_doc = matthew\ntoken_doc = john"))
+    loads = _CallCounter(pipeline.load_corpus)
+    monkeypatch.setattr(pipeline, "load_corpus", loads)
+    assert main(["report", "--config", str(config)]) == 0
+    assert loads.calls == 2
+    assert (root / "results" / "features.csv").read_bytes() == expected
 
 
 def test_worker_count_cap(monkeypatch):
@@ -910,32 +962,52 @@ def test_cli_analyze_every_mode(analysis_csvs, mode):
     assert report["n_used"] == 45
 
 
-@pytest.mark.parametrize("edit, stage, mode, analyses, n_pairs", [
-    (("analyses = corr, anova, ancova, pca, zero_shot", "analyses = corr, search"),
+NO_ZERO_SHOT = ("analyses = corr, anova, ancova, pca, zero_shot", "analyses = corr, anova")
+
+
+@pytest.mark.parametrize("edits, stage, mode, analyses, n_pairs", [
+    ([("analyses = corr, anova, ancova, pca, zero_shot", "analyses = corr, search")],
      "analysis", "search", ["corr"], 6),  # search needs more than 6 pairs
-    (("out = results", "char_doc = luke\nout = results"), "features", None, [], 6),
-    (("embeddings = emb/matthew, emb/john", "embeddings = texts/matthew"),
-     "sweep", None, [], 0),  # no embedding files found
-    (("k = 4", "k = four"), "config", None, [], 0),
-    (("k = 4", "k = 4\nmystery = 1"), "config", None, [], 0),
-    (("folds = 3", "folds = 1"), "config", None, [], 0),  # RunConfig refuses it
-], ids=["analysis", "features", "sweep", "config-integer", "config-key", "config-check"])
+    ([("out = results", "char_doc = luke\nout = results")], "config", None, [], 0),
+    ([("corpus = texts/matthew, texts/john", "corpus = texts/matthew, emb/matthew")],
+     "config", None, [], 0),  # two corpus directories named matthew
+    ([("embeddings = emb/matthew, emb/john", "embeddings = texts/matthew")],
+     "preflight", None, [], 0),  # no embedding files found
+    ([NO_ZERO_SHOT, ("corpus = texts/matthew, texts/john", "corpus = texts/matthew, texts/luke")],
+     "preflight", None, [], 0),  # no such corpus directory
+    ([NO_ZERO_SHOT, ("languages = languages.tsv", "languages = texts/matthew/deu.tsv")],
+     "preflight", None, [], 0),  # not a language table
+    ([("k = 4", "k = four")], "config", None, [], 0),
+    ([("k = 4", "k = 4\nmystery = 1")], "config", None, [], 0),
+    ([("folds = 3", "folds = 1")], "config", None, [], 0),  # RunConfig refuses it
+], ids=["analysis", "config-char-doc", "config-corpus-names", "preflight-embeddings",
+        "preflight-corpus", "preflight-table", "config-integer", "config-key", "config-check"])
 def test_cli_report_fatal_error_keeps_summary(
-    workspace, capsys, edit, stage, mode, analyses, n_pairs
+    workspace, capsys, monkeypatch, edits, stage, mode, analyses, n_pairs
 ):
     config = workspace["config"]
-    config.write_text(config.read_text().replace(*edit))
+    text = config.read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    config.write_text(text)
+    align = _CallCounter(pipeline.align_pair)
+    monkeypatch.setattr(pipeline, "align_pair", align)
     assert main(["report", "--config", str(config)]) == 1
     err = capsys.readouterr().err
-    summary = json.loads((workspace["root"] / "results" / "run_summary.json").read_text())
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
     _validate(summary, "summary")
     assert summary["n_pairs"] == n_pairs
     assert summary["analyses"] == analyses
     assert summary["fatal"]["stage"] == stage and summary["fatal"]["mode"] == mode
     assert err == f"xlalign: error: {summary['fatal']['error']}\n"
+    if stage in ("config", "preflight"):
+        # nothing of the sweep ran
+        assert align.calls == 0 and not (results / "metrics.csv").exists()
+        assert summary["languages"] == [] and summary["failed_pairs"] == {}
     if stage == "config":
-        assert summary["languages"] == [] and summary["failed_languages"] == {}
-        assert summary["failed_pairs"] == {}
+        assert summary["failed_languages"] == {}
         assert [summary[key] for key in ("k", "gh_max_points", "folds", "seed")] == [None] * 4
 
 
