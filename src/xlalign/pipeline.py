@@ -11,11 +11,13 @@ worker count.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
@@ -218,17 +220,6 @@ def worker_count(requested: int) -> int:
     return max(1, min(requested, cap_value))
 
 
-def _covers(m: EmbeddingMatrix, partner: EmbeddingMatrix) -> bool:
-    """Whether ``align_pair`` puts all of ``m``'s rows, in file order, into
-    its gold alignment with ``partner``: the dims match, ``m``'s verse ids
-    ascend in file order, and ``partner`` has every one of them."""
-    return (
-        m.dim == partner.dim
-        and all(a < b for a, b in zip(m.ids, m.ids[1:]))
-        and set(partner.ids).issuperset(m.ids)
-    )
-
-
 _Side = tuple[iso.SingularSpectrum, iso.PersistenceDiagram]
 
 
@@ -241,20 +232,15 @@ def _pair_metrics(
     mat_a: EmbeddingMatrix,
     mat_b: EmbeddingMatrix,
     k: int,
-    gh_max_points: int,
-    sides: tuple[_Side | None, _Side | None],
+    side: Callable[[EmbeddingMatrix, tuple[int, ...]], _Side],
 ) -> AlignmentMetrics:
-    """``compute_pair_metrics``, taking a side's spectrum and diagram from
-    ``sides`` unless it is None. The caller passes one only for a side whose
-    matrix ``_covers`` the partner, i.e. whose gold rows are all its rows."""
+    """``compute_pair_metrics``, taking each side's spectrum and diagram from
+    ``side(matrix, gold_rows)``."""
     pair = align_pair(mat_a, mat_b)
     tables = _PairTables(mat_a, mat_b, k)
     f1 = retrieval_f1(tables.intersection(), pair.gold).f1
     avg = tables.average_margin(pair.gold)
-    spectra, diagrams = zip(*(
-        side if side is not None else _side(mat._take_rows(rows), gh_max_points)
-        for mat, rows, side in zip((mat_a, mat_b), zip(*pair.gold), sides)
-    ))
+    spectra, diagrams = zip(*map(side, (mat_a, mat_b), zip(*pair.gold)))
     return AlignmentMetrics(
         f1=f1,
         avg_margin=avg,
@@ -273,7 +259,9 @@ def compute_pair_metrics(
     act as distractors); the isomorphism measures are computed on the
     row-aligned submatrices.
     """
-    return _pair_metrics(mat_a, mat_b, k, gh_max_points, (None, None))
+    return _pair_metrics(
+        mat_a, mat_b, k, lambda mat, rows: _side(mat._take_rows(rows), gh_max_points)
+    )
 
 
 def _metric_means(members: Iterable[AlignmentMetrics]) -> dict[str, float]:
@@ -312,13 +300,14 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
     unreadable file or a code the CSV outputs cannot hold, or a pair whose
     computation fails, is recorded and skipped without aborting the sweep.
 
-    Before the pair loop, each (document, language) gets at most one
-    spectrum and one persistence diagram, computed from its whole matrix.
-    A pair side reads them only when its gold rows are all of that matrix's
-    rows, in order: the partner has every verse id of the language, and the
-    ids ascend in file order. Any other side computes its spectrum and
-    diagram from its own gold rows, as ``compute_pair_metrics`` does, so the
-    metrics are identical either way.
+    There is no stage before the pair loop. A pair side whose gold rows are
+    all of its matrix's rows, in file order, reads its spectrum and
+    persistence diagram from one entry per (document, language), which the
+    first pair that needs it computes from the whole matrix; later pairs wait
+    for it. Any other side computes them from its own gold rows, as
+    ``compute_pair_metrics`` does, so the metrics are identical either way.
+    A failing entry is computed once, and every pair that needs it fails with
+    its error.
     """
     return _sweep_pairs(config, *_load_sweep_languages(config))
 
@@ -358,40 +347,38 @@ def _sweep_pairs(
     loaded: Mapping[tuple[int, str], EmbeddingMatrix],
     usable: Sequence[str],
 ) -> SweepResult:
-    """The sweep's pair stages, over what ``_load_sweep_languages`` returned."""
+    """The sweep's pair loop, over what ``_load_sweep_languages`` returned."""
     pairs = list(itertools.combinations(usable, 2))
     docs = range(len(config.embeddings))
     gh = config.gh_max_points
+    # one entry per (document, language); the lock guards only the dict, so
+    # different entries still compute in parallel
+    entries: dict[tuple[int, str], Future] = {}
+    lock = threading.Lock()
 
-    # Stage 1, per (document, language): one spectrum and one diagram of
-    # each matrix that covers some partner. It ends before stage 2 starts,
-    # so stage 2 only reads them.
-    covered = {
-        (d, lang, partner)
-        for (lang_a, lang_b), d in itertools.product(pairs, docs)
-        for lang, partner in ((lang_a, lang_b), (lang_b, lang_a))
-        if _covers(loaded[(d, lang)], loaded[(d, partner)])
-    }
-    keys = sorted({(d, lang) for d, lang, _ in covered})
+    def side(d: int, mat: EmbeddingMatrix, rows: tuple[int, ...]) -> _Side:
+        if rows != tuple(range(mat.n_rows)):
+            return _side(mat._take_rows(rows), gh)
+        new = Future()
+        with lock:
+            entry = entries.setdefault((d, mat.lang), new)
+        if entry is new:
+            try:
+                new.set_result(_side(mat, gh))
+            except BaseException as exc:  # every later side re-raises it too
+                new.set_exception(exc)
+                raise
+        return entry.result()
 
-    def precompute(key: tuple[int, str]) -> _Side | None:
-        try:
-            return _side(loaded[key], gh)
-        except (ValueError, np.linalg.LinAlgError):
-            return None  # each pair that needs it recomputes it and records the failure
-
-    # Stage 2, the pair loop
     def guarded(pair: tuple[str, str]):
         lang_a, lang_b = pair
         try:
-            per_doc = []
-            for d in docs:
-                sides = tuple(
-                    entries[(d, x)] if (d, x, y) in covered else None for x, y in (pair, pair[::-1])
+            per_doc = [
+                _pair_metrics(
+                    loaded[(d, lang_a)], loaded[(d, lang_b)], config.k, functools.partial(side, d)
                 )
-                per_doc.append(_pair_metrics(
-                    loaded[(d, lang_a)], loaded[(d, lang_b)], config.k, gh, sides
-                ))
+                for d in docs
+            ]
             return pair, AlignmentMetrics(**_metric_means(per_doc))
         except (ValueError, np.linalg.LinAlgError) as exc:
             return pair, exc
@@ -399,9 +386,7 @@ def _sweep_pairs(
     # pairs are in canonical order and map() keeps it, whatever the schedule
     n_workers = worker_count(config.workers)
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        run = pool.map if n_workers > 1 else map
-        entries = dict(zip(keys, run(precompute, keys)))
-        outcomes = list(run(guarded, pairs))
+        outcomes = list((pool.map if n_workers > 1 else map)(guarded, pairs))
 
     for pair, outcome in outcomes:
         if isinstance(outcome, Exception):
@@ -723,7 +708,11 @@ def analyze_anova(dataset: AnalysisDataset) -> dict:
             if len(groups) < 2:
                 per_metric[metric] = {"skipped": f"factor {factor} has a single level"}
                 continue
-            entry = _anova_json(stats.anova_oneway(groups))
+            try:
+                entry = _anova_json(stats.anova_oneway(groups))
+            except ValueError as exc:
+                per_metric[metric] = {"skipped": str(exc)}
+                continue
             entry["group_means"] = {
                 label: float(np.mean(group)) for label, group in zip(labels, groups)
             }

@@ -13,10 +13,13 @@ studentized range is sqrt(2) |T_df|, so its tail is the exact two-sided
 Student-t tail ``2 stdtr(df, -q / sqrt(2))``; a two-group Tukey p-value
 equals the F-test p-value of the same groups. Three or more groups use
 nested 64-point Gauss-Legendre panels over ``ndtr`` (absolute error target
-1e-6). Their upper tail is computed as 1 - cdf, which cannot resolve small p
-at large df: at df = 5048 the tail is off by about 7e-12 in absolute terms
-(k = 3 and 7, against ``scipy.stats.studentized_range``), so p below about
-1e-10 is off by more than 10% and never reads below 6.0e-12.
+1e-6). Their nodes are built at the first such test, so ``import xlalign``
+does not load ``numpy.polynomial`` either (about 6 ms per process on the
+same machine, with the nodes). Their upper tail is computed as 1 - cdf,
+which cannot resolve small p at large df: at df = 5048 the tail is off by
+about 7e-12 in absolute terms (k = 3 and 7, against
+``scipy.stats.studentized_range``), so p below about 1e-10 is off by more
+than 10% and never reads below 6.0e-12.
 ``scipy.stats.studentized_range`` is about twice as fast per call as the
 quadrature, but would bring that import with it, so the Tukey tail stays
 here.
@@ -29,20 +32,20 @@ import math
 
 import numpy as np
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(64)
 
 
 def _panel_nodes(lo: float, hi: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    gl_nodes, gl_weights = _gauss_legendre()
     edges = np.linspace(lo, hi, n_panels + 1)
     half = (edges[1] - edges[0]) / 2.0
     mids = (edges[:-1] + edges[1:]) / 2.0
-    nodes = (mids[:, None] + half * _GL_NODES[None, :]).ravel()
-    weights = np.tile(half * _GL_WEIGHTS, n_panels)
+    nodes = (mids[:, None] + half * gl_nodes[None, :]).ravel()
+    weights = np.tile(half * gl_weights, n_panels)
     return nodes, weights
-
-
-_Z, _WZ = _panel_nodes(-8.5, 8.5, 12)
-_PHI = np.exp(-0.5 * _Z * _Z) / math.sqrt(2.0 * math.pi)
 
 
 def f_sf(f_stat: float, df_effect: float, df_error: float) -> float:
@@ -53,10 +56,12 @@ def f_sf(f_stat: float, df_effect: float, df_error: float) -> float:
 
 
 @functools.cache
-def _ndtr_z() -> np.ndarray:
+def _z_panels() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes z and weights of the inner integral, with phi(z) and Phi(z)."""
     from scipy.special import ndtr
 
-    return ndtr(_Z)
+    z, wz = _panel_nodes(-8.5, 8.5, 12)
+    return z, wz, np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi), ndtr(z)
 
 
 def _normal_range_cdf(r: np.ndarray, k: int) -> np.ndarray:
@@ -65,13 +70,14 @@ def _normal_range_cdf(r: np.ndarray, k: int) -> np.ndarray:
     # one (len(r), len(z)) buffer
     from scipy.special import ndtr
 
-    inner = np.add.outer(r, _Z)
+    z, wz, phi, ndtr_z = _z_panels()
+    inner = np.add.outer(r, z)
     ndtr(inner, out=inner)
-    inner -= _ndtr_z()
+    inner -= ndtr_z
     np.clip(inner, 0.0, 1.0, out=inner)
     inner = inner ** (k - 1)
-    inner *= _PHI
-    return np.clip(k * (inner @ _WZ), 0.0, 1.0)
+    inner *= phi
+    return np.clip(k * (inner @ wz), 0.0, 1.0)
 
 
 def studentized_range_cdf(q: float, k: int, df: float) -> float:

@@ -281,18 +281,26 @@ def _count_isometry_calls(monkeypatch) -> tuple[_CallCounter, _CallCounter]:
 
 def test_run_pair_metrics_isolates_a_failing_language_spectrum(workspace, monkeypatch):
     singular_values = pipeline.iso.singular_values
+    attempts = []
 
     def failing(m):
         if m.lang == "quc":
+            attempts.append(m.lang)
             raise np.linalg.LinAlgError("SVD did not converge")
         return singular_values(m)
 
     monkeypatch.setattr(pipeline.iso, "singular_values", failing)
-    sweep = run_pair_metrics(load_config(workspace["config"]))
-    assert sweep.failed_pairs == {
-        pair: "SVD did not converge" for pair in [("deu", "quc"), ("eng", "quc"), ("fra", "quc")]
-    }
-    assert len(sweep.rows) == 3
+    config = load_config(workspace["config"])
+    for workers in (1, 2):
+        attempts.clear()
+        sweep = run_pair_metrics(dataclasses.replace(config, workers=workers))
+        # quc's whole matrix is every pair's quc side: its first document is
+        # attempted once, and its three pairs all fail with that error
+        assert len(attempts) == 1
+        assert sweep.failed_pairs == {
+            pair: "SVD did not converge" for pair in [("deu", "quc"), ("eng", "quc"), ("fra", "quc")]
+        }
+        assert len(sweep.rows) == 3
 
 
 def _mixed_coverage_workspace(root: Path) -> RunConfig:
@@ -336,7 +344,7 @@ def _public_path_rows(config: RunConfig) -> dict[tuple[str, str], AlignmentMetri
     }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 4])
 def test_run_pair_metrics_matches_public_pair_metrics(tmp_path, monkeypatch, workers):
     config = dataclasses.replace(_mixed_coverage_workspace(tmp_path), workers=workers)
     expected = _public_path_rows(config)
@@ -344,8 +352,8 @@ def test_run_pair_metrics_matches_public_pair_metrics(tmp_path, monkeypatch, wor
     sweep = run_pair_metrics(config)
     assert not sweep.partial
     assert sweep.rows == expected
-    # per document, stage 1 covers full1, full2 and part; the pairs then
-    # recompute 8 sides (the public path takes 12)
+    # per document, one whole-matrix entry each for full1, full2 and part,
+    # and 8 sides from their own gold rows (the public path takes 12)
     assert (svd.calls, diagram.calls) == (2 * 11, 2 * 11)
 
 
@@ -365,8 +373,9 @@ def test_run_pair_metrics_bypasses_a_permuted_language(tmp_path, monkeypatch):
     sweep = run_pair_metrics(config)
     assert not sweep.partial
     assert sweep.rows == expected
-    # per document, stage 1 covers full1, full2 and part, and the ten pairs
-    # recompute 13 sides: every perm side among them
+    # per document, one whole-matrix entry each for full1, full2 and part,
+    # and 13 sides of the ten pairs from their own gold rows: every perm side
+    # among them
     assert (svd.calls, diagram.calls) == (2 * 16, 2 * 16)
 
 
@@ -383,49 +392,6 @@ def test_run_pair_metrics_aligns_each_pair_document_once(workspace, monkeypatch)
     sweep = run_pair_metrics(dataclasses.replace(load_config(workspace["config"]), workers=2))
     assert len(sweep.rows) == 6
     assert align.calls == 6 * 2  # pairs x documents
-
-
-def _gold_is_all_rows(m: xa.EmbeddingMatrix, partner: xa.EmbeddingMatrix) -> bool:
-    try:
-        gold = xa.align_pair(m, partner).gold
-    except ValueError:
-        return False
-    return tuple(i for i, _ in gold) == tuple(range(m.n_rows))
-
-
-@pytest.mark.parametrize("ids, partner_ids, partner_dim", [
-    (("a", "b", "c"), ("a", "b", "c"), 3),  # equal ids
-    (("a", "c"), ("a", "b", "c"), 3),  # subset
-    (("a", "b", "c", "d"), ("b", "c"), 3),  # superset
-    (("b", "a", "c"), ("a", "b", "c"), 3),  # a set match, not in ascending file order
-    (("a", "b"), ("a", "b"), 4),  # dims mismatch
-    (("a", "b"), ("c", "d"), 3),  # disjoint
-    (("10", "9"), ("9", "10"), 3),  # verse ids order as strings
-])
-def test_covers_matches_align_pair(ids, partner_ids, partner_dim):
-    m = xa.EmbeddingMatrix("m", np.ones((len(ids), 3)), ids)
-    partner = xa.EmbeddingMatrix("p", np.ones((len(partner_ids), partner_dim)), partner_ids)
-    assert pipeline._covers(m, partner) == _gold_is_all_rows(m, partner)
-    assert pipeline._covers(partner, m) == _gold_is_all_rows(partner, m)
-
-
-def test_covers_matches_align_pair_on_random_ids():
-    rng = np.random.default_rng(13)
-    pool = [f"V{i}" for i in range(12)]
-    seen = set()
-    for _ in range(300):
-        ids_a, ids_b = (
-            tuple(rng.choice(pool, size=rng.integers(1, 13), replace=False).tolist())
-            for _ in range(2)
-        )
-        if rng.random() < 0.5:
-            ids_a = tuple(sorted(ids_a))
-        a = xa.EmbeddingMatrix("a", np.ones((len(ids_a), 2)), ids_a)
-        b = xa.EmbeddingMatrix("b", np.ones((len(ids_b), 2)), ids_b)
-        covers = pipeline._covers(a, b)
-        assert covers == _gold_is_all_rows(a, b)
-        seen.add(covers)
-    assert seen == {True, False}
 
 
 def test_metrics_csv_round_trip(tmp_path):
@@ -960,6 +926,25 @@ def test_cli_analyze_every_mode(analysis_csvs, mode):
     report = json.loads(out.read_text())
     _validate(report, mode)
     assert report["n_used"] == 45
+
+
+def test_cli_analyze_anova_skips_a_factor_of_singleton_groups(analysis_dataset, tmp_path):
+    _, _, metrics_map, features_map, vectors = analysis_dataset
+    # two complete pairs, one in a shared family and one not: both groups of
+    # same_family hold one value, so its F test is undefined
+    pairs = [next(p for p, row in features_map.items() if row["same_family"] == level)
+             for level in (1.0, 0.0)]
+    write_features_csv({p: vectors[p] for p in pairs}, tmp_path / "features.csv")
+    write_metrics_csv({p: metrics_map[p] for p in pairs}, tmp_path / "metrics.csv")
+    out = tmp_path / "anova.json"
+    assert main(["analyze", "--features", str(tmp_path / "features.csv"),
+                 "--metrics", str(tmp_path / "metrics.csv"), "--mode", "anova",
+                 "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    _validate(report, "anova")
+    assert report["factors"]["same_family"] == {
+        metric: {"skipped": "at least one group needs two or more values"} for metric in METRIC_NAMES
+    }
 
 
 NO_ZERO_SHOT = ("analyses = corr, anova, ancova, pca, zero_shot", "analyses = corr, anova")
