@@ -7,6 +7,13 @@ worker schedule, floats are formatted identically on every run, and JSON is
 written with sorted keys, so identical configs and inputs produce
 byte-identical files. The ``XLG_THREADS`` environment variable caps the
 worker count.
+
+Every analysis sees the values the CSVs hold: ``make_analysis_dataset`` and
+``run_zero_shot_analysis`` take each metric and feature as ``_as_written``
+rounds it. So ``report``'s analysis files equal those of ``analyze`` and
+``zero-shot`` run on its own ``metrics.csv`` and ``features.csv``, and they
+change with the BLAS thread count only where a metric's 12th significant
+digit does.
 """
 
 from __future__ import annotations
@@ -419,19 +426,41 @@ def _check_language_codes(*langs: str) -> None:
             raise ValueError(f"language code {lang!r} cannot be encoded as UTF-8") from None
 
 
+def _cell(value) -> str:
+    """The table cell of ``value``: a float goes through ``_fmt``, ``None``
+    becomes an empty cell and anything else goes through ``str``."""
+    return "" if value is None else _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _as_written(value) -> float | None:
+    """The number an analysis sees for a table value: what the cell of
+    ``float(value)`` reads back as. ``None`` stays ``None``.
+
+    Applied to what a cell reads back as, it gives what it gave for the value
+    the cell was written from, so ``report``'s rows and the rows ``analyze``
+    reads from its CSVs give the same numbers. That is why an int goes in as
+    a float: its own cell reads back exact, so an int of 13 or more digits
+    would change when taken again. A whole number below 10**12 in size is
+    exact at 12 digits and skips the formatting."""
+    if value is None:
+        return None
+    if abs(value) < 10**12 and value % 1 == 0:
+        return float(value)
+    return float(_cell(float(value)))
+
+
 def _write_table(
     rows: Iterable[Sequence], header: Sequence[str], path: str | Path, sep: str = ","
 ) -> None:
-    """Write ``header`` and one ``sep``-joined line per row. A float cell goes
-    through ``_fmt``, ``None`` becomes an empty cell and anything else goes
-    through ``str``. A cell that holds ``sep`` or a line break is rejected,
-    and the text is encoded before the file is opened, so a rejected table,
-    or one with a cell UTF-8 cannot encode, leaves no file."""
+    """Write ``header`` and one ``sep``-joined line per row of ``_cell``
+    texts. A cell that holds ``sep`` or a line break is rejected, and the
+    text is encoded before the file is opened, so a rejected table, or one
+    with a cell UTF-8 cannot encode, leaves no file."""
     lines = [sep.join(header)]
     for row in rows:
         cells = []
         for value in row:
-            cell = "" if value is None else _fmt(value) if isinstance(value, float) else str(value)
+            cell = _cell(value)
             if _breaks_cell(cell, sep):
                 raise ValueError(f"cell {cell!r} contains {sep!r} or a line break")
             cells.append(cell)
@@ -455,20 +484,28 @@ def _read_pair_csv(
 ) -> dict:
     """Read a ``lang_a,lang_b,<names>`` table into ``(lang_a, lang_b) ->
     convert(cells)``, where ``cells`` maps each name to its cell string. A
-    cell that ``convert`` rejects is reported as ``path:line: lang_a,lang_b:``
-    followed by its message."""
+    row with the wrong cell count, a language paired with itself, a pair
+    already read in either order, or a cell that ``convert`` rejects is
+    refused with a message that starts ``path:line:``."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != ",".join(("lang_a", "lang_b", *names)):
         raise ValueError(f"{path}: unexpected {kind} header")
     rows = {}
+    first_line: dict[frozenset, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != 2 + len(names):
-            raise ValueError(f"{path}: malformed row {line!r}")
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
+        where = f"{path}:{lineno}: {cells[0]},{cells[1]}"
+        if cells[0] == cells[1]:
+            raise ValueError(f"{where}: a language paired with itself")
+        seen = first_line.setdefault(frozenset(cells[:2]), lineno)
+        if seen != lineno:
+            raise ValueError(f"{where}: pair already on line {seen}")
         try:
             rows[(cells[0], cells[1])] = convert(dict(zip(names, cells[2:])))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {cells[0]},{cells[1]}: {exc}") from None
+            raise ValueError(f"{where}: {exc}") from None
     return rows
 
 
@@ -546,7 +583,12 @@ def make_analysis_dataset(
     metrics_map: Mapping[tuple[str, str], AlignmentMetrics],
 ) -> AnalysisDataset:
     """Join features and metrics on the pair key and drop incomplete rows
-    listwise (the dropped count is reported, never silently imputed)."""
+    listwise (the dropped count is reported, never silently imputed).
+
+    Every value enters the design matrix and the DVs as ``_as_written`` gives
+    it, the value its ``features.csv`` or ``metrics.csv`` cell reads back as.
+    So the rows ``report`` holds in memory and the rows ``analyze`` reads from
+    those CSVs give the same dataset, bit for bit."""
     common = sorted(set(features_map) & set(metrics_map))
     if not common:
         raise ValueError("no pairs shared between features and metrics")
@@ -558,12 +600,13 @@ def make_analysis_dataset(
         if any(v is None for v in values):
             continue
         kept.append(pair)
-        rows.append([float(v) for v in values])
+        rows.append([_as_written(v) for v in values])
     if not kept:
         raise ValueError("every pair has at least one missing feature")
     X = np.array(rows, dtype=np.float64)
     dvs = {
-        name: np.array([getattr(metrics_map[p], name) for p in kept], dtype=np.float64)
+        name: np.array([_as_written(getattr(metrics_map[p], name)) for p in kept],
+                       dtype=np.float64)
         for name in METRIC_NAMES
     }
     return AnalysisDataset(pairs=kept, X=X, dvs=dvs, n_common=len(common), n_used=len(kept))
@@ -880,7 +923,20 @@ def run_zero_shot_analysis(
     (plus Tukey for word order). Double case: pairs whose members both lack
     training data; features are correlated with metrics over those pairs.
     An empty partition is reported as skipped rather than an error.
+
+    Metrics and features are first taken as ``_as_written`` gives them, as
+    ``make_analysis_dataset`` takes them, so rows held in memory and rows
+    read from the CSVs written from them give the same report.
     """
+    metrics_map = {
+        pair: AlignmentMetrics(**{name: _as_written(v) for name, v in m.as_dict().items()})
+        for pair, m in metrics_map.items()
+    }
+    if features_map is not None:
+        features_map = {
+            pair: {name: _as_written(v) for name, v in row.items()}
+            for pair, row in features_map.items()
+        }
     report: dict = {"mode": "zero_shot"}
     known_pairs = {
         pair: m for pair, m in metrics_map.items() if pair[0] in table and pair[1] in table

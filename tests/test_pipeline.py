@@ -478,9 +478,11 @@ def _encodes(text):
 def _round_trip(write, read, rows):
     """The rows read back, or None after checking that the writer refused a
     language code with a comma, a line break or a lone surrogate, and wrote
-    no file."""
+    no file, or that the reader refused a language paired with itself or a
+    pair written in both orders."""
     codes = [code for pair in rows for code in pair]
     breaks = any(set(code) & set("," + _LINE_BREAKS) or not _encodes(code) for code in codes)
+    repeats = len({frozenset(pair) for pair in rows if len(set(pair)) == 2}) < len(rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
         if breaks:
@@ -490,6 +492,10 @@ def _round_trip(write, read, rows):
             assert not path.exists()
             return None
         write(rows, path)
+        if repeats:
+            with pytest.raises(ValueError, match="paired with itself|pair already on line"):
+                read(path)
+            return None
         return read(path)
 
 
@@ -766,21 +772,25 @@ def test_cli_report_and_determinism(workspace, tmp_path):
         assert (out / name).read_bytes() == (second["root"] / "results" / name).read_bytes()
 
 
-_EVERY_ANALYSIS = ", ".join([*ANALYSES, "zero_shot"])
+def _every_analysis_workspace(root: Path) -> dict:
+    """The 7-language workspace, large enough for search, ablate and pcr,
+    with every analysis selected, zero_shot included."""
+    ws = build_workspace(root, langs=(*conftest.WORKSPACE_LANGS, *conftest.EXTRA_LANGS))
+    config = ws["config"]
+    config.write_text(config.read_text().replace(
+        "analyses = corr, anova, ancova, pca, zero_shot",
+        "analyses = " + ", ".join([*ANALYSES, "zero_shot"]),
+    ))
+    return ws
 
 
 def test_cli_report_is_byte_identical_across_hash_seeds(tmp_path):
     """Separate interpreters with different string hashing write the same
-    bytes: every analysis, zero_shot included, on a workspace large enough
-    for search, ablate and pcr."""
-    langs = (*conftest.WORKSPACE_LANGS, *conftest.EXTRA_LANGS)
+    bytes in every analysis."""
     outputs = []
     for hash_seed in ("1", "2"):
-        ws = build_workspace(tmp_path / hash_seed, langs=langs)
+        ws = _every_analysis_workspace(tmp_path / hash_seed)
         config = ws["config"]
-        config.write_text(config.read_text().replace(
-            "analyses = corr, anova, ancova, pca, zero_shot", f"analyses = {_EVERY_ANALYSIS}"
-        ))
         src = str(Path(pipeline.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONHASHSEED": hash_seed,
                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -792,6 +802,28 @@ def test_cli_report_is_byte_identical_across_hash_seeds(tmp_path):
     # metrics, features and summary; one JSON per mode; the zero-shot JSON and plot
     assert len(outputs[0]) == 3 + len(ANALYSES) + 2
     assert outputs[0] == outputs[1]
+
+
+def test_cli_report_writes_what_analyze_and_zero_shot_write_from_its_csvs(tmp_path):
+    """Every analysis file of ``report`` is byte-identical to ``analyze`` (same
+    folds and seed) and ``zero-shot`` run on ``report``'s own CSVs."""
+    config = _every_analysis_workspace(tmp_path / "ws")["config"]
+    assert main(["report", "--config", str(config)]) == 0
+    cfg = load_config(config)
+    out = cfg.out
+    csvs = ["--metrics", str(out / "metrics.csv"), "--features", str(out / "features.csv")]
+    again = tmp_path / "again"
+    again.mkdir()
+    for mode in ANALYSES:
+        assert main(["analyze", *csvs, "--mode", mode, "--folds", str(cfg.folds),
+                     "--seed", str(cfg.seed), "--out", str(again / f"analysis_{mode}.json")]) == 0
+    assert main(["zero-shot", *csvs, "--languages", str(cfg.languages),
+                 "--out", str(again / "analysis_zero_shot.json"),
+                 "--plot-out", str(again / "plot_zero_shot_groups.csv")]) == 0
+    written = sorted(p.name for p in again.iterdir())
+    assert len(written) == len(ANALYSES) + 2
+    for name in written:
+        assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
 
 def test_two_group_tukey_skips_the_quadrature(analysis_dataset, workspace, monkeypatch):

@@ -23,6 +23,8 @@ FEATURE_NAMES = xa.FEATURE_NAMES
 
 # ------------------------------------------------- reference implementation
 # A frozen copy of the per-table writers and readers, kept as the oracle.
+# Since the readers refuse a repeated pair and a language paired with itself
+# and give a malformed row its line number, the copy does the same.
 
 def _ref_fmt(x):
     return f"{x:.12g}"
@@ -44,15 +46,27 @@ def ref_write_metrics_csv(rows, path):
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _ref_check_pair(path, lineno, cells, first_line):
+    a, b = cells[0], cells[1]
+    if a == b:
+        raise ValueError(f"{path}:{lineno}: {a},{b}: a language paired with itself")
+    key = tuple(sorted((a, b)))
+    if key in first_line:
+        raise ValueError(f"{path}:{lineno}: {a},{b}: pair already on line {first_line[key]}")
+    first_line[key] = lineno
+
+
 def ref_read_metrics_csv(path):
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != "lang_a,lang_b," + ",".join(METRIC_NAMES):
         raise ValueError(f"{path}: unexpected metrics header")
     rows = {}
+    first_line = {}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != 2 + len(METRIC_NAMES):
-            raise ValueError(f"{path}: malformed row {line!r}")
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
+        _ref_check_pair(path, lineno, cells, first_line)
         key = (cells[0], cells[1])
         try:
             rows[key] = AlignmentMetrics(**{
@@ -86,10 +100,12 @@ def ref_read_features_csv(path):
     if not lines or lines[0] != "lang_a,lang_b," + ",".join(FEATURE_NAMES):
         raise ValueError(f"{path}: unexpected features header")
     rows = {}
+    first_line = {}
     for lineno, line in enumerate(lines[1:], start=2):
         cells = line.split(",")
         if len(cells) != 2 + len(FEATURE_NAMES):
-            raise ValueError(f"{path}: malformed row {line!r}")
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
+        _ref_check_pair(path, lineno, cells, first_line)
         try:
             rows[(cells[0], cells[1])] = {
                 name: (float(cells[2 + i]) if cells[2 + i] != "" else None)
@@ -263,7 +279,8 @@ _JUNK_LINES = st.text(st.sampled_from("ab,,,0.5-1e9x "), max_size=40)
 @st.composite
 def _damaged(draw, table, write):
     """A table written by the reference writer, then maybe given a junk
-    line, a dropped line or a replaced header."""
+    line, a dropped line, a replaced header or a repeated row, its pair
+    maybe swapped."""
     # the readers read UTF-8 files, which cannot hold a lone surrogate
     text = _PLAIN_TEXT.filter(_encodes)
     rows = draw(st.dictionaries(st.tuples(text, text), table, max_size=4))
@@ -272,9 +289,14 @@ def _damaged(draw, table, write):
         write(rows, path)
         lines = path.read_text(encoding="utf-8").splitlines()
     for _ in range(draw(st.integers(0, 2))):
-        action = draw(st.sampled_from(["insert", "drop", "header"]))
+        action = draw(st.sampled_from(["insert", "drop", "header", "repeat"]))
         at = draw(st.integers(0, len(lines)))
-        if action == "insert":
+        if action == "repeat" and len(lines) > 1:
+            cells = lines[draw(st.integers(1, len(lines) - 1))].split(",")
+            if draw(st.booleans()):
+                cells[:2] = cells[1::-1]
+            lines.insert(max(at, 1), ",".join(cells))
+        elif action == "insert":
             lines.insert(at, draw(_JUNK_LINES))
         elif action == "drop" and lines:
             del lines[min(at, len(lines) - 1)]
@@ -316,9 +338,9 @@ _FEATURES_HEADER = "lang_a,lang_b," + ",".join(FEATURE_NAMES)
     (pipeline.read_features_csv, ref_read_features_csv, _METRICS_HEADER + "\n",
      "unexpected features header"),
     (pipeline.read_metrics_csv, ref_read_metrics_csv,
-     _METRICS_HEADER + "\na,b,0.5,1,1,2\n", "malformed row 'a,b,0.5,1,1,2'"),
+     _METRICS_HEADER + "\na,b,0.5,1,1,2\n", ":2: malformed row 'a,b,0.5,1,1,2'"),
     (pipeline.read_features_csv, ref_read_features_csv,
-     _FEATURES_HEADER + "\na,b" + ",1" * 12 + "\n", "malformed row"),
+     _FEATURES_HEADER + "\na,b" + ",1" * 12 + "\n", ":2: malformed row"),
     # the first bad row in file order decides the error
     (pipeline.read_metrics_csv, ref_read_metrics_csv,
      _METRICS_HEADER + "\na,b,0.5,x,1,2,0.1\na,c,0.5\n", "could not convert string to float: 'x'"),
@@ -326,12 +348,74 @@ _FEATURES_HEADER = "lang_a,lang_b," + ",".join(FEATURE_NAMES)
      _FEATURES_HEADER + "\na,b" + ",1" * 12 + ",x\na,c,1\n",
      "could not convert string to float: 'x'"),
     (pipeline.read_metrics_csv, ref_read_metrics_csv,
-     _METRICS_HEADER + "\na,c,0.5\na,b,0.5,x,1,2,0.1\n", "malformed row 'a,c,0.5'"),
+     _METRICS_HEADER + "\na,c,0.5\na,b,0.5,x,1,2,0.1\n", ":2: malformed row 'a,c,0.5'"),
 ])
 def test_readers_raise_like_reference(read, ref_read, text, message):
     new, ref = _read_both(text, read, ref_read)
     assert new == ref
     assert new[:2] == ("raised", ValueError) and message in new[2]
+
+
+@pytest.mark.parametrize("read, header, tail", [
+    (pipeline.read_metrics_csv, _METRICS_HEADER, ",0.5,1,1,2,0.1"),
+    (pipeline.read_features_csv, _FEATURES_HEADER, ",1" * 13),
+])
+@pytest.mark.parametrize("rows, message", [
+    (["a,b{}", "a,c{}", "a,b{}"], "4: a,b: pair already on line 2"),
+    (["a,b{}", "b,a{}"], "3: b,a: pair already on line 2"),
+    (["a,c{}", "b,b{}"], "3: b,b: a language paired with itself"),
+    (["a,b{}", "a,c,0.5"], "3: malformed row 'a,c,0.5'"),
+])
+def test_readers_refuse_a_row_naming_its_line(tmp_path, read, header, tail, rows, message):
+    """Two rows for one pair, in either order, used to read back as the last
+    row or as two pairs; a malformed row used to give no line."""
+    text = "\n".join([header, *(row.format(tail) for row in rows)]) + "\n"
+    ref_read = {pipeline.read_metrics_csv: ref_read_metrics_csv,
+                pipeline.read_features_csv: ref_read_features_csv}[read]
+    new, ref = _read_both(text, read, ref_read)
+    assert new == ref
+    path = tmp_path / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == f"{path}:{message}"
+
+
+# --------------------------------------------------------------- as written
+
+_SUBNORMALS = st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308)
+_TWELVE_DIGIT_INTS = st.integers(-(10**12) + 1, 10**12 - 1)
+_BEYOND_2_53 = st.integers(2**53 + 1, 2**80) | st.integers(-(2**80), -(2**53) - 1)
+_WRITTEN = (st.none() | st.floats() | _SUBNORMALS | _SPECIALS | _TWELVE_DIGITS
+            | _TWELVE_DIGIT_INTS)
+
+
+def _read_back(value):
+    """The 13 values ``read_features_csv`` returns for a row of ``value``
+    cells written by ``_write_table``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "features.csv"
+        pipeline._write_table([("a", "b", *[value] * len(FEATURE_NAMES))],
+                              ("lang_a", "lang_b", *FEATURE_NAMES), path)
+        return list(pipeline.read_features_csv(path)[("a", "b")].values())
+
+
+# repr tells -0.0 from 0.0 and equates two NaNs
+@settings(max_examples=300, deadline=None)
+@given(_WRITTEN)
+def test_as_written_is_the_value_its_cell_reads_back_as(value):
+    assert {repr(v) for v in _read_back(value)} == {repr(pipeline._as_written(value))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WRITTEN | _BEYOND_2_53 | st.integers())
+def test_as_written_gives_the_same_value_through_its_cell(value):
+    """Idempotent, and the same on a value and on what its cell reads back
+    as. An int of 13 or more digits reads back exact, so it is the one value
+    ``_as_written`` takes at 12 digits rather than as its cell holds it."""
+    written = pipeline._as_written(value)
+    assert repr(pipeline._as_written(written)) == repr(written)
+    assert {repr(pipeline._as_written(v)) for v in _read_back(value)} == {repr(written)}
 
 
 # --------------------------------------------------------------- zero-shot
