@@ -39,7 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_feat = sub.add_parser("features", help="13-feature vectors for every language pair")
     p_feat.add_argument("--languages", required=True, help="language metadata TSV")
-    p_feat.add_argument("--corpus", help="corpus directory for both overlap features")
     p_feat.add_argument("--char-corpus", help="corpus directory for character overlap")
     p_feat.add_argument("--token-corpus", help="corpus directory for token overlap")
     p_feat.add_argument("--out", required=True, help="output CSV")
@@ -97,15 +96,10 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_features(args) -> int:
     table = load_language_table(args.languages)
-    char_texts = token_texts = None
-    if args.corpus:
-        shared = pipeline.corpus_texts(load_corpus(args.corpus))
-        char_texts = token_texts = shared
-    if args.char_corpus:
-        char_texts = pipeline.corpus_texts(load_corpus(args.char_corpus))
-    if args.token_corpus:
-        token_texts = pipeline.corpus_texts(load_corpus(args.token_corpus))
-    rows = pipeline.build_pair_feature_table(table, char_texts, token_texts)
+    # a directory given for both overlaps is read once
+    chosen = (args.char_corpus, args.token_corpus)
+    texts = {d: pipeline.corpus_texts(load_corpus(d)) for d in dict.fromkeys(chosen) if d}
+    rows = pipeline.build_pair_feature_table(table, *map(texts.get, chosen))
     pipeline.write_features_csv(rows, args.out)
     return 0
 

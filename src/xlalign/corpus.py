@@ -405,7 +405,8 @@ def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:
 
     A missing word-order cell maps to ``UNKNOWN``; missing vector cells are
     recorded as absent rather than zero-filled. Typological vectors of the
-    same kind must share a dimensionality across all languages.
+    same kind must share a dimensionality across all languages. A column
+    named twice in the header is refused.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -420,6 +421,8 @@ def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:
     for col in header:
         if col not in _TABLE_COLUMNS and col not in VECTOR_COLUMNS:
             raise ValueError(f"{path}: unknown column {col!r}")
+        if header.count(col) > 1:
+            raise ValueError(f"{path}: column {col!r} appears more than once")
     col_of = {name: header.index(name) for name in header}
 
     table: dict[str, LanguageMeta] = {}

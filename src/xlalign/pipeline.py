@@ -5,8 +5,8 @@ A run is driven by a plain ``key = value`` config file (see README). Outputs
 are deterministic: pairs are processed in canonical order regardless of the
 worker schedule, floats are formatted identically on every run, and JSON is
 written with sorted keys, so identical configs and inputs produce
-byte-identical files. The ``XLG_THREADS`` environment variable caps the
-worker count.
+byte-identical files. Every run setting comes from the config alone, and a
+language reads one embedding file per document directory.
 
 Every analysis sees the values the CSVs hold: ``make_analysis_dataset`` and
 ``run_zero_shot_analysis`` take each metric and feature as ``_as_written``
@@ -22,7 +22,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
@@ -216,15 +215,8 @@ def _config_from_raw(path: Path, raw: Mapping[str, str]) -> RunConfig:
 
 
 def worker_count(requested: int) -> int:
-    """Apply the ``XLG_THREADS`` cap to the requested worker count."""
-    cap = os.environ.get("XLG_THREADS")
-    if cap is None:
-        return max(1, requested)
-    try:
-        cap_value = int(cap)
-    except ValueError:
-        raise ValueError(f"XLG_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(requested, cap_value))
+    """The pair sweep's thread count: ``workers`` as the config gives it."""
+    return requested
 
 
 _Side = tuple[iso.SingularSpectrum, iso.PersistenceDiagram]
@@ -290,12 +282,10 @@ class SweepResult:
         return bool(self.failed_languages or self.failed_pairs)
 
 
-def _embedding_files(directory: Path) -> dict[str, Path]:
-    files: dict[str, Path] = {}
-    for path in sorted(directory.glob("*.txt")):
-        files[path.stem] = path
-    for path in sorted(directory.glob("*.xemb")):
-        files[path.stem] = path
+def _embedding_files(directory: Path) -> dict[str, list[Path]]:
+    files: dict[str, list[Path]] = {}
+    for path in sorted([*directory.glob("*.txt"), *directory.glob("*.xemb")]):
+        files.setdefault(path.stem, []).append(path)
     return files
 
 
@@ -304,8 +294,9 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
 
     With several embedding directories (one per document), metrics are
     averaged per-metric across documents. A language with a missing or
-    unreadable file or a code the CSV outputs cannot hold, or a pair whose
-    computation fails, is recorded and skipped without aborting the sweep.
+    unreadable file, two files in one directory (``.txt`` and ``.xemb``) or a
+    code the CSV outputs cannot hold, or a pair whose computation fails, is
+    recorded and skipped without aborting the sweep.
 
     There is no stage before the pair loop. A pair side whose gold rows are
     all of its matrix's rows, in file order, reads its spectrum and
@@ -324,8 +315,9 @@ def _load_sweep_languages(
 ) -> tuple[SweepResult, dict[tuple[int, str], EmbeddingMatrix], list[str]]:
     """The sweep's load stage: the result so far, each usable language's
     matrix per document index, and the usable languages in sorted order. A
-    language with a missing or unreadable file or a code the CSV outputs
-    cannot hold goes to the result's ``failed_languages`` instead."""
+    language with a missing or unreadable file, two files in one directory or
+    a code the CSV outputs cannot hold goes to the result's
+    ``failed_languages`` instead."""
     per_dir_files = [_embedding_files(d) for d in config.embeddings]
     all_langs = sorted(set().union(*per_dir_files))
     if not all_langs:
@@ -338,9 +330,12 @@ def _load_sweep_languages(
         try:
             _check_language_codes(lang)
             for doc_index, files in enumerate(per_dir_files):
-                if lang not in files:
+                paths = files.get(lang, [])
+                if not paths:
                     raise ValueError(f"missing embedding file in {config.embeddings[doc_index]}")
-                loaded[(doc_index, lang)] = load_embeddings(files[lang], lang=lang)
+                if len(paths) > 1:
+                    raise ValueError(f"two embedding files: {' and '.join(map(str, paths))}")
+                loaded[(doc_index, lang)] = load_embeddings(paths[0], lang=lang)
         except (ValueError, OSError) as exc:
             result.failed_languages[lang] = str(exc)
             continue
@@ -391,9 +386,8 @@ def _sweep_pairs(
             return pair, exc
 
     # pairs are in canonical order and map() keeps it, whatever the schedule
-    n_workers = worker_count(config.workers)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        outcomes = list((pool.map if n_workers > 1 else map)(guarded, pairs))
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        outcomes = list((pool.map if config.workers > 1 else map)(guarded, pairs))
 
     for pair, outcome in outcomes:
         if isinstance(outcome, Exception):
@@ -472,9 +466,15 @@ def _write_pair_csv(
     rows: Mapping[tuple[str, str], object], names: Sequence[str], path: str | Path
 ) -> None:
     """Write a ``lang_a,lang_b,<names>`` table: pairs in sorted order, then
-    each record's ``as_dict()`` values."""
+    each record's ``as_dict()`` values. A pair the readers refuse, a language
+    paired with itself or a pair given in both orders, raises first."""
     pairs = sorted(rows)
-    _check_language_codes(*itertools.chain.from_iterable(pairs))
+    for a, b in pairs:
+        _check_language_codes(a, b)
+        if a == b:
+            raise ValueError(f"{a},{b}: a language paired with itself")
+        if (b, a) in rows:
+            raise ValueError(f"{a},{b}: pair given in both orders")
     table = [(*pair, *map(rows[pair].as_dict().get, names)) for pair in pairs]
     _write_table(table, ("lang_a", "lang_b", *names), path)
 

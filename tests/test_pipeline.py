@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xlalign as xa
-from xlalign import pipeline, special
+from xlalign import cli, pipeline, special
 from xlalign.cli import _build_parser, main
 from xlalign.corpus import LanguageMeta, WordOrder
 from xlalign.pipeline import (
@@ -44,7 +44,6 @@ from xlalign.pipeline import (
     run_pair_metrics,
     run_zero_shot_analysis,
     word_order_class,
-    worker_count,
     write_features_csv,
     write_metrics_csv,
 )
@@ -138,17 +137,6 @@ def test_report_loads_only_the_chosen_corpora(workspace, monkeypatch):
     assert main(["report", "--config", str(config)]) == 0
     assert loads.calls == 2
     assert (root / "results" / "features.csv").read_bytes() == expected
-
-
-def test_worker_count_cap(monkeypatch):
-    monkeypatch.delenv("XLG_THREADS", raising=False)
-    assert worker_count(4) == 4
-    monkeypatch.setenv("XLG_THREADS", "2")
-    assert worker_count(8) == 2
-    assert worker_count(1) == 1
-    monkeypatch.setenv("XLG_THREADS", "zebra")
-    with pytest.raises(ValueError, match="XLG_THREADS"):
-        worker_count(4)
 
 
 # ------------------------------------------------------------------- metrics
@@ -422,6 +410,26 @@ def test_csv_writers_reject_csv_breaking_language_codes(tmp_path, code):
     assert not (tmp_path / "m.csv").exists() and not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize("pairs, message", [
+    ([("deu", "eng"), ("fra", "fra")], "fra,fra: a language paired with itself"),
+    ([("eng", "deu"), ("deu", "fra"), ("deu", "eng")], "deu,eng: pair given in both orders"),
+], ids=["self-pair", "both-orders"])
+def test_csv_writers_refuse_a_pair_the_readers_refuse(tmp_path, pairs, message):
+    """The writers used to write these tables, which their readers refuse."""
+    table = {
+        lang: LanguageMeta(lang=lang, family="F", subfamily="S", train_sentences=1)
+        for lang in ("deu", "eng")
+    }
+    vector = build_pair_feature_table(table)[("deu", "eng")]
+    for write, record in ((write_metrics_csv, synthetic_metrics()),
+                          (write_features_csv, vector)):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError) as info:
+            write(dict.fromkeys(pairs, record), path)
+        assert str(info.value) == message
+        assert not path.exists()
+
+
 def test_features_csv_round_trip(tmp_path):
     table = {
         "a": LanguageMeta(lang="a", family="F", subfamily="S", word_order=WordOrder.SVO,
@@ -477,25 +485,21 @@ def _encodes(text):
 
 def _round_trip(write, read, rows):
     """The rows read back, or None after checking that the writer refused a
-    language code with a comma, a line break or a lone surrogate, and wrote
-    no file, or that the reader refused a language paired with itself or a
-    pair written in both orders."""
+    language code with a comma, a line break or a lone surrogate, a language
+    paired with itself or a pair given in both orders, and wrote no file.
+    Every table the writer accepts reads back."""
     codes = [code for pair in rows for code in pair]
     breaks = any(set(code) & set("," + _LINE_BREAKS) or not _encodes(code) for code in codes)
     repeats = len({frozenset(pair) for pair in rows if len(set(pair)) == 2}) < len(rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "table.csv"
-        if breaks:
-            with pytest.raises(ValueError,
-                               match="contains a comma or line break|cannot be encoded as UTF-8"):
+        if breaks or repeats:
+            with pytest.raises(ValueError, match="contains a comma or line break|cannot be "
+                               "encoded as UTF-8|paired with itself|given in both orders"):
                 write(rows, path)
             assert not path.exists()
             return None
         write(rows, path)
-        if repeats:
-            with pytest.raises(ValueError, match="paired with itself|pair already on line"):
-                read(path)
-            return None
         return read(path)
 
 
@@ -864,6 +868,49 @@ def test_cli_report_partial_failure_exit_code(workspace):
     assert "fra" in summary["failed_languages"]
 
 
+def test_cli_report_skips_a_language_with_two_embedding_files(workspace, monkeypatch):
+    """With ``fra.txt`` beside ``fra.xemb``, the sweep used to read the
+    ``.xemb`` file alone and record nothing."""
+    john = workspace["root"] / "emb" / "john"
+    xa.save_embeddings(xa.load_embeddings(john / "fra.xemb"), john / "fra.txt")
+    seen = []
+
+    def align(ea, eb):
+        seen.append((ea.lang, eb.lang))
+        return xa.align_pair(ea, eb)
+
+    monkeypatch.setattr(pipeline, "align_pair", align)
+    assert main(["report", "--config", str(workspace["config"])]) == 2
+    summary = json.loads((workspace["root"] / "results" / "run_summary.json").read_text())
+    assert list(summary["failed_languages"]) == ["fra"]
+    assert summary["failed_languages"]["fra"] == (
+        f"two embedding files: {john / 'fra.txt'} and {john / 'fra.xemb'}"
+    )
+    assert summary["n_pairs"] == 3 and seen and not any("fra" in pair for pair in seen)
+
+
+def test_cli_report_refuses_a_repeated_table_column_before_the_sweep(
+    workspace, capsys, monkeypatch
+):
+    """A second ``train_sentences`` column used to be ignored: its 99999
+    read back as the first column's count."""
+    table = workspace["root"] / "languages.tsv"
+    lines = table.read_text().splitlines()
+    lines = [lines[0] + "\ttrain_sentences"] + [line + "\t99999" for line in lines[1:]]
+    table.write_text("\n".join(lines) + "\n")
+    align = _CallCounter(pipeline.align_pair)
+    monkeypatch.setattr(pipeline, "align_pair", align)
+    assert main(["report", "--config", str(workspace["config"])]) == 1
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    assert summary["fatal"] == {
+        "stage": "preflight", "mode": None,
+        "error": f"{table}: column 'train_sentences' appears more than once",
+    }
+    assert capsys.readouterr().err == f"xlalign: error: {summary['fatal']['error']}\n"
+    assert align.calls == 0 and not (results / "metrics.csv").exists()
+
+
 def test_cli_single_pair_commands(workspace, tmp_path):
     emb = workspace["root"] / "emb" / "matthew"
     out_json = tmp_path / "m.json"
@@ -888,7 +935,7 @@ def test_cli_single_pair_commands(workspace, tmp_path):
     assert len(set(rows_b)) == len(rows_b)  # backward mining is unique per target
 
 
-def test_cli_features_analyze_zero_shot_compare(workspace, tmp_path):
+def test_cli_features_analyze_zero_shot_compare(workspace, tmp_path, monkeypatch):
     root = workspace["root"]
     features_csv = tmp_path / "features.csv"
     code = main([
@@ -899,6 +946,17 @@ def test_cli_features_analyze_zero_shot_compare(workspace, tmp_path):
     ])
     assert code == 0
     assert len(read_features_csv(features_csv)) == 6
+    # one flag per corpus: there is no --corpus for both, and a directory
+    # given for both is read once
+    matthew = str(root / "texts" / "matthew")
+    with pytest.raises(SystemExit):
+        main(["features", "--languages", str(root / "languages.tsv"),
+              "--corpus", matthew, "--out", str(tmp_path / "shared.csv")])
+    loads = _CallCounter(cli.load_corpus)
+    monkeypatch.setattr(cli, "load_corpus", loads)
+    assert main(["features", "--languages", str(root / "languages.tsv"), "--char-corpus",
+                 matthew, "--token-corpus", matthew, "--out", str(tmp_path / "shared.csv")]) == 0
+    assert loads.calls == 1
 
     assert main(["report", "--config", str(workspace["config"])]) == 0
     metrics_csv = root / "results" / "metrics.csv"

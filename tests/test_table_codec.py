@@ -24,7 +24,8 @@ FEATURE_NAMES = xa.FEATURE_NAMES
 # ------------------------------------------------- reference implementation
 # A frozen copy of the per-table writers and readers, kept as the oracle.
 # Since the readers refuse a repeated pair and a language paired with itself
-# and give a malformed row its line number, the copy does the same.
+# and give a malformed row its line number, the copy does the same; since the
+# writers refuse to write either kind of pair, so does the copy.
 
 def _ref_fmt(x):
     return f"{x:.12g}"
@@ -36,10 +37,18 @@ def _ref_check_language_codes(*langs):
             raise ValueError(f"language code {lang!r} contains a comma or line break")
 
 
+def _ref_check_written_pair(rows, a, b):
+    if a == b:
+        raise ValueError(f"{a},{b}: a language paired with itself")
+    if sum(set(pair) == {a, b} for pair in rows) > 1:
+        raise ValueError(f"{a},{b}: pair given in both orders")
+
+
 def ref_write_metrics_csv(rows, path):
     lines = ["lang_a,lang_b," + ",".join(METRIC_NAMES)]
     for (lang_a, lang_b) in sorted(rows):
         _ref_check_language_codes(lang_a, lang_b)
+        _ref_check_written_pair(rows, lang_a, lang_b)
         metrics = rows[(lang_a, lang_b)]
         values = ",".join(_ref_fmt(getattr(metrics, name)) for name in METRIC_NAMES)
         lines.append(f"{lang_a},{lang_b},{values}")
@@ -81,6 +90,7 @@ def ref_write_features_csv(rows, path):
     lines = ["lang_a,lang_b," + ",".join(FEATURE_NAMES)]
     for (lang_a, lang_b) in sorted(rows):
         _ref_check_language_codes(lang_a, lang_b)
+        _ref_check_written_pair(rows, lang_a, lang_b)
         vector = rows[(lang_a, lang_b)].as_dict()
         cells = []
         for name in FEATURE_NAMES:
@@ -279,23 +289,29 @@ _JUNK_LINES = st.text(st.sampled_from("ab,,,0.5-1e9x "), max_size=40)
 @st.composite
 def _damaged(draw, table, write):
     """A table written by the reference writer, then maybe given a junk
-    line, a dropped line, a replaced header or a repeated row, its pair
-    maybe swapped."""
+    line, a dropped line, a replaced header, a repeated row, its pair maybe
+    swapped, or a row whose second language is its first."""
     # the readers read UTF-8 files, which cannot hold a lone surrogate
     text = _PLAIN_TEXT.filter(_encodes)
     rows = draw(st.dictionaries(st.tuples(text, text), table, max_size=4))
+    # the writers refuse the pairs the readers refuse; the actions below make them
+    rows = {(a, b): v for (a, b), v in rows.items() if a != b and (b, a) not in rows}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
         write(rows, path)
         lines = path.read_text(encoding="utf-8").splitlines()
     for _ in range(draw(st.integers(0, 2))):
-        action = draw(st.sampled_from(["insert", "drop", "header", "repeat"]))
+        action = draw(st.sampled_from(["insert", "drop", "header", "repeat", "self"]))
         at = draw(st.integers(0, len(lines)))
         if action == "repeat" and len(lines) > 1:
             cells = lines[draw(st.integers(1, len(lines) - 1))].split(",")
             if draw(st.booleans()):
                 cells[:2] = cells[1::-1]
             lines.insert(max(at, 1), ",".join(cells))
+        elif action == "self" and len(lines) > 1:
+            row = draw(st.integers(1, len(lines) - 1))
+            cells = lines[row].split(",")
+            lines[row] = ",".join([cells[0], cells[0], *cells[2:]])
         elif action == "insert":
             lines.insert(at, draw(_JUNK_LINES))
         elif action == "drop" and lines:
