@@ -273,8 +273,9 @@ def _parse_binary_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...] | None
     payload = n_rows * dim * 4
     if len(blob) < offset + payload:
         raise ValueError(f"{path}: payload shorter than {n_rows}x{dim} header promises")
+    # float32 as stored: EmbeddingMatrix takes it to float64, exactly, in its one copy
     data = np.frombuffer(blob, dtype="<f4", count=n_rows * dim, offset=offset)
-    data = data.reshape(n_rows, dim).astype(np.float64)
+    data = data.reshape(n_rows, dim)
     offset += payload
     ids: tuple[str, ...] | None = None
     if offset < len(blob):
@@ -410,11 +411,12 @@ def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    lines = [line for line in lines if line]
+        # (line number in the file, text) of each nonblank line
+        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1)]
+    lines = [(n, line) for n, line in lines if line]
     if not lines:
         raise ValueError(f"{path}: empty table")
-    header = lines[0].split("\t")
+    header = lines[0][1].split("\t")
     for col in _TABLE_COLUMNS:
         if col not in header:
             raise ValueError(f"{path}: missing column {col!r}")
@@ -427,7 +429,7 @@ def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:
 
     table: dict[str, LanguageMeta] = {}
     vector_dims: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = line.split("\t")
         if len(cells) < len(header):
             cells += [""] * (len(header) - len(cells))

@@ -26,7 +26,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,6 +68,14 @@ _WORD_ORDER_CLASS = {
 }
 
 
+def _check_finite(row: Mapping[str, float | None]) -> dict[str, float | None]:
+    """``row`` as a dict; a NaN or infinite value (``None`` is neither) is refused."""
+    for name, value in row.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value}")
+    return dict(row)
+
+
 @dataclass(frozen=True)
 class AlignmentMetrics:
     """The five dependent variables for one language pair."""
@@ -79,9 +87,7 @@ class AlignmentMetrics:
     gh: float
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not math.isfinite(value):
-                raise ValueError(f"{name} is not finite: {value}")
+        _check_finite(self.as_dict())
         if not 0.0 <= self.f1 <= 1.0:
             raise ValueError(f"f1 outside [0, 1]: {self.f1}")
         if self.svg < 0.0 or self.gh < 0.0:
@@ -283,6 +289,8 @@ class SweepResult:
 
 
 def _embedding_files(directory: Path) -> dict[str, list[Path]]:
+    if not directory.is_dir():
+        raise ValueError(f"embeddings entry {directory} is not a directory")
     files: dict[str, list[Path]] = {}
     for path in sorted([*directory.glob("*.txt"), *directory.glob("*.xemb")]):
         files.setdefault(path.stem, []).append(path)
@@ -307,18 +315,18 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
     A failing entry is computed once, and every pair that needs it fails with
     its error.
     """
-    return _sweep_pairs(config, *_load_sweep_languages(config))
+    per_dir_files = [_embedding_files(d) for d in config.embeddings]
+    return _sweep_pairs(config, *_load_sweep_languages(config, per_dir_files))
 
 
 def _load_sweep_languages(
-    config: RunConfig,
+    config: RunConfig, per_dir_files: Sequence[Mapping[str, list[Path]]]
 ) -> tuple[SweepResult, dict[tuple[int, str], EmbeddingMatrix], list[str]]:
-    """The sweep's load stage: the result so far, each usable language's
-    matrix per document index, and the usable languages in sorted order. A
-    language with a missing or unreadable file, two files in one directory or
-    a code the CSV outputs cannot hold goes to the result's
-    ``failed_languages`` instead."""
-    per_dir_files = [_embedding_files(d) for d in config.embeddings]
+    """The sweep's load stage, over each directory's ``_embedding_files``: the
+    result so far, each usable language's matrix per document index, and the
+    usable languages in sorted order. A language with a missing or unreadable
+    file, two files in one directory or a code the CSV outputs cannot hold
+    goes to the result's ``failed_languages`` instead, with no matrix kept."""
     all_langs = sorted(set().union(*per_dir_files))
     if not all_langs:
         raise ValueError("no embedding files found")
@@ -327,6 +335,7 @@ def _load_sweep_languages(
     loaded: dict[tuple[int, str], EmbeddingMatrix] = {}
     usable: list[str] = []
     for lang in all_langs:
+        matrices: dict[tuple[int, str], EmbeddingMatrix] = {}
         try:
             _check_language_codes(lang)
             for doc_index, files in enumerate(per_dir_files):
@@ -335,10 +344,11 @@ def _load_sweep_languages(
                     raise ValueError(f"missing embedding file in {config.embeddings[doc_index]}")
                 if len(paths) > 1:
                     raise ValueError(f"two embedding files: {' and '.join(map(str, paths))}")
-                loaded[(doc_index, lang)] = load_embeddings(paths[0], lang=lang)
+                matrices[(doc_index, lang)] = load_embeddings(paths[0], lang=lang)
         except (ValueError, OSError) as exc:
             result.failed_languages[lang] = str(exc)
             continue
+        loaded.update(matrices)
         usable.append(lang)
     return result, loaded, usable
 
@@ -529,7 +539,8 @@ def write_features_csv(
 def read_features_csv(path: str | Path) -> dict[tuple[str, str], dict[str, float | None]]:
     return _read_pair_csv(
         path, feats.FEATURE_NAMES, "features",
-        lambda cells: {name: float(c) if c != "" else None for name, c in cells.items()},
+        lambda cells: _check_finite({name: float(c) if c != "" else None
+                                     for name, c in cells.items()}),
     )
 
 
@@ -612,36 +623,49 @@ def make_analysis_dataset(
     return AnalysisDataset(pairs=kept, X=X, dvs=dvs, n_common=len(common), n_used=len(kept))
 
 
-def _safe_pearson(x: np.ndarray, y: np.ndarray) -> float | None:
-    try:
-        return stats.pearson(x, y)
-    except ValueError:
-        return None
+def _pearson_table(
+    columns: Mapping[str, Sequence[float | None]], dvs: Mapping[str, np.ndarray]
+) -> dict[str, dict[str, float | None]]:
+    """``{metric: {feature: r}}`` over the rows where the feature is not ``None``
+    (pairwise deletion); ``r`` is ``None`` where Pearson is undefined: fewer
+    than 3 such rows, or a constant side."""
+    kept = {
+        name: (
+            np.array([v is not None for v in col], dtype=bool),
+            np.array([v for v in col if v is not None], dtype=np.float64),
+        )
+        for name, col in columns.items()
+    }
+    table: dict[str, dict[str, float | None]] = {}
+    for metric, y in dvs.items():
+        row = table[metric] = {}
+        for name, (rows, x) in kept.items():
+            try:
+                row[name] = stats.pearson(x, y[rows])
+            except ValueError:
+                row[name] = None
+    return table
 
 
 def analyze_corr(dataset: AnalysisDataset) -> dict:
     """Pearson correlations of every feature with every metric, plus
     semi-partial correlations holding combined training data constant for
     the dependent variable."""
-    names = feats.FEATURE_NAMES
-    pearson_block: dict[str, dict[str, float | None]] = {}
+    columns = dict(zip(feats.FEATURE_NAMES, dataset.X.T.tolist()))
+    pearson_block = _pearson_table(columns, dataset.dvs)
+    r_fc = _pearson_table(
+        {name: columns[name] for name in SEMIPARTIAL_FEATURES},
+        {"combined_sentences": np.array(columns["combined_sentences"])},
+    )["combined_sentences"]
     semi_block: dict[str, dict[str, float | None]] = {}
-    comb = dataset.X[:, names.index("combined_sentences")]
-    for metric, y in dataset.dvs.items():
-        pearson_block[metric] = {
-            name: _safe_pearson(dataset.X[:, i], y) for i, name in enumerate(names)
+    for metric, r in pearson_block.items():
+        r_cy = r["combined_sentences"]
+        semi_block[metric] = {
+            name: None
+            if None in (r[name], r_fc[name], r_cy) or abs(r_cy) >= 1.0
+            else stats.semipartial(r[name], r_fc[name], r_cy)
+            for name in SEMIPARTIAL_FEATURES
         }
-        r_comb_y = _safe_pearson(comb, y)
-        semi: dict[str, float | None] = {}
-        for name in SEMIPARTIAL_FEATURES:
-            col = dataset.X[:, names.index(name)]
-            r_fy = _safe_pearson(col, y)
-            r_fc = _safe_pearson(col, comb)
-            if None in (r_fy, r_fc, r_comb_y) or abs(r_comb_y) >= 1.0:
-                semi[name] = None
-            else:
-                semi[name] = stats.semipartial(r_fy, r_fc, r_comb_y)
-        semi_block[metric] = semi
     return {
         "mode": "corr",
         "n_pairs": dataset.n_common,
@@ -732,42 +756,43 @@ def _tukey_json(groups: Sequence[Sequence[float]], labels: Sequence[str]) -> lis
     ]
 
 
-def _binary_groups(dataset: AnalysisDataset, factor: str, y: np.ndarray):
-    col = dataset.X[:, feats.FEATURE_NAMES.index(factor)]
-    levels = sorted(set(col.tolist()))
-    groups = [y[col == level] for level in levels]
-    labels = [_fmt(level) if level % 1 else str(int(level)) for level in levels]
-    return labels, groups
+def _f_test_table(
+    factors: Iterable[str], metrics: Collection[str], test: Callable[[str, str], dict]
+) -> dict[str, dict[str, dict]]:
+    """``{factor: {metric: test(factor, metric)}}``, where a cell whose test
+    raises ``ValueError`` reads ``{"skipped": reason}``."""
+
+    def cell(factor: str, metric: str) -> dict:
+        try:
+            return test(factor, metric)
+        except ValueError as exc:
+            return {"skipped": str(exc)}
+
+    return {factor: {metric: cell(factor, metric) for metric in metrics} for factor in factors}
 
 
 def analyze_anova(dataset: AnalysisDataset) -> dict:
     """One-way ANOVA of each metric grouped by each binary pair feature,
     with Tukey HSD comparisons where the test is defined."""
-    factors: dict[str, dict] = {}
-    for factor in ANOVA_FACTORS:
-        per_metric: dict[str, dict] = {}
-        for metric, y in dataset.dvs.items():
-            labels, groups = _binary_groups(dataset, factor, y)
-            if len(groups) < 2:
-                per_metric[metric] = {"skipped": f"factor {factor} has a single level"}
-                continue
-            try:
-                entry = _anova_json(stats.anova_oneway(groups))
-            except ValueError as exc:
-                per_metric[metric] = {"skipped": str(exc)}
-                continue
-            entry["group_means"] = {
-                label: float(np.mean(group)) for label, group in zip(labels, groups)
-            }
-            entry["group_sizes"] = {label: int(group.size) for label, group in zip(labels, groups)}
-            entry["tukey"] = _tukey_json(groups, labels)
-            per_metric[metric] = entry
-        factors[factor] = per_metric
+
+    def test(factor: str, metric: str) -> dict:
+        col = dataset.X[:, feats.FEATURE_NAMES.index(factor)]
+        levels = sorted(set(col.tolist()))
+        if len(levels) < 2:
+            raise ValueError(f"factor {factor} has a single level")
+        groups = [dataset.dvs[metric][col == level] for level in levels]
+        labels = [_fmt(level) if level % 1 else str(int(level)) for level in levels]
+        entry = _anova_json(stats.anova_oneway(groups))
+        entry["group_means"] = {label: float(np.mean(group)) for label, group in zip(labels, groups)}
+        entry["group_sizes"] = {label: int(group.size) for label, group in zip(labels, groups)}
+        entry["tukey"] = _tukey_json(groups, labels)
+        return entry
+
     return {
         "mode": "anova",
         "n_used": dataset.n_used,
         "n_dropped": dataset.n_dropped,
-        "factors": factors,
+        "factors": _f_test_table(ANOVA_FACTORS, dataset.dvs, test),
     }
 
 
@@ -776,26 +801,22 @@ def analyze_ancova(dataset: AnalysisDataset) -> dict:
     training-data features as covariates."""
     cov_idx = [feats.FEATURE_NAMES.index(name) for name in ANCOVA_COVARIATES]
     covariates = dataset.X[:, cov_idx]
-    factors: dict[str, dict] = {}
-    for factor in ANCOVA_FACTORS:
-        col = dataset.X[:, feats.FEATURE_NAMES.index(factor)]
-        labels = [str(int(v)) for v in col]
-        per_metric: dict[str, dict] = {}
-        for metric, y in dataset.dvs.items():
-            if len(set(labels)) < 2:
-                per_metric[metric] = {"skipped": f"factor {factor} has a single level"}
-                continue
-            try:
-                per_metric[metric] = _anova_json(stats.ancova(y, labels, covariates))
-            except ValueError as exc:
-                per_metric[metric] = {"skipped": str(exc)}
-        factors[factor] = per_metric
+    labels = {
+        factor: [str(int(v)) for v in dataset.X[:, feats.FEATURE_NAMES.index(factor)]]
+        for factor in ANCOVA_FACTORS
+    }
+
+    def test(factor: str, metric: str) -> dict:
+        if len(set(labels[factor])) < 2:
+            raise ValueError(f"factor {factor} has a single level")
+        return _anova_json(stats.ancova(dataset.dvs[metric], labels[factor], covariates))
+
     return {
         "mode": "ancova",
         "covariates": list(ANCOVA_COVARIATES),
         "n_used": dataset.n_used,
         "n_dropped": dataset.n_dropped,
-        "factors": factors,
+        "factors": _f_test_table(ANCOVA_FACTORS, dataset.dvs, test),
     }
 
 
@@ -938,19 +959,10 @@ def run_zero_shot_analysis(
             for pair, row in features_map.items()
         }
     report: dict = {"mode": "zero_shot"}
-    known_pairs = {
-        pair: m for pair, m in metrics_map.items() if pair[0] in table and pair[1] in table
-    }
+    known_pairs = {pair: m for pair, m in metrics_map.items() if set(pair) <= table.keys()}
     report["n_pairs_unknown_language"] = len(metrics_map) - len(known_pairs)
 
-    zs_langs = sorted(
-        {
-            lang
-            for pair in known_pairs
-            for lang in pair
-            if _is_zero_shot(table[lang])
-        }
-    )
+    zs_langs = sorted({lang for pair in known_pairs for lang in pair if _is_zero_shot(table[lang])})
     simple: dict = {"n_languages": len(zs_langs), "languages": zs_langs}
     if not zs_langs:
         simple["skipped"] = "no zero-shot languages"
@@ -966,40 +978,33 @@ def run_zero_shot_analysis(
             "polysynthetic": {lang: str(int(table[lang].polysynthetic)) for lang in rows},
             "family": {lang: table[lang].family for lang in rows},
         }
-        anova_block: dict = {}
-        means_block: dict = {}
-        for factor, value_of in factor_values.items():
-            levels = sorted(set(value_of.values()))
-            grouped = {
+        # factor -> level -> languages, levels in sorted order
+        grouped = {
+            factor: {
                 level: [lang for lang in value_of if value_of[lang] == level]
-                for level in levels
+                for level in sorted(set(value_of.values()))
             }
-            means_block[factor] = {
-                level: _metric_means(rows[lang] for lang in langs)
-                for level, langs in grouped.items()
-            }
-            per_metric: dict = {}
-            for name in METRIC_NAMES:
-                groups = [
-                    [getattr(rows[lang], name) for lang in grouped[level]] for level in levels
-                ]
-                try:
-                    entry = _anova_json(stats.anova_oneway(groups))
-                except ValueError as exc:
-                    per_metric[name] = {"skipped": str(exc)}
-                    continue
-                if factor == "word_order":
-                    entry["tukey"] = _tukey_json(groups, levels)
-                per_metric[name] = entry
-            anova_block[factor] = per_metric
-        simple["anova"] = anova_block
-        simple["group_means"] = means_block
+            for factor, value_of in factor_values.items()
+        }
+
+        def test(factor: str, metric: str) -> dict:
+            groups = [[getattr(rows[lang], metric) for lang in langs]
+                      for langs in grouped[factor].values()]
+            entry = _anova_json(stats.anova_oneway(groups))
+            if factor == "word_order":
+                entry["tukey"] = _tukey_json(groups, list(grouped[factor]))
+            return entry
+
+        simple["anova"] = _f_test_table(grouped, METRIC_NAMES, test)
+        simple["group_means"] = {
+            factor: {level: _metric_means(rows[lang] for lang in langs)
+                     for level, langs in by_level.items()}
+            for factor, by_level in grouped.items()
+        }
     report["simple"] = simple
 
     double_pairs = sorted(
-        pair
-        for pair in known_pairs
-        if _is_zero_shot(table[pair[0]]) and _is_zero_shot(table[pair[1]])
+        pair for pair in known_pairs if all(_is_zero_shot(table[lang]) for lang in pair)
     )
     double: dict = {"n_pairs": len(double_pairs)}
     if not double_pairs:
@@ -1007,22 +1012,12 @@ def run_zero_shot_analysis(
     elif features_map is None:
         double["skipped"] = "no feature table supplied"
     else:
-        correlations: dict = {}
-        for name in METRIC_NAMES:
-            y = np.array([getattr(known_pairs[p], name) for p in double_pairs])
-            per_feature: dict[str, float | None] = {}
-            for feature in feats.FEATURE_NAMES:
-                xs, ys = [], []
-                for pair, value in zip(double_pairs, y):
-                    fv = features_map.get(pair, {}).get(feature)
-                    if fv is not None:
-                        xs.append(float(fv))
-                        ys.append(float(value))
-                per_feature[feature] = (
-                    _safe_pearson(np.array(xs), np.array(ys)) if len(xs) >= 3 else None
-                )
-            correlations[name] = per_feature
-        double["pearson"] = correlations
+        rows_of = [features_map.get(pair, {}) for pair in double_pairs]
+        double["pearson"] = _pearson_table(
+            {feature: [row.get(feature) for row in rows_of] for feature in feats.FEATURE_NAMES},
+            {name: np.array([getattr(known_pairs[p], name) for p in double_pairs])
+             for name in METRIC_NAMES},
+        )
     report["double"] = double
     return report
 
@@ -1130,7 +1125,8 @@ def run_report(config: RunConfig) -> int:
     analyses: list[str] = []
     stage: dict = {"stage": "preflight", "mode": None}
     try:
-        # every input is read before the first pair
+        # the embeddings directories are listed first, then every input is read before the first pair
+        per_dir_files = [_embedding_files(d) for d in config.embeddings]
         table = char_texts = token_texts = None
         if config.languages is not None:
             table = load_language_table(config.languages)
@@ -1143,12 +1139,15 @@ def run_report(config: RunConfig) -> int:
                     for name in dict.fromkeys(chosen)
                 }
                 char_texts, token_texts = map(texts.get, chosen)
-        loaded, matrices, usable = _load_sweep_languages(config)
+        sweep, matrices, usable = _load_sweep_languages(config, per_dir_files)
+        if len(usable) < 2:
+            n_langs = len(usable) + len(sweep.failed_languages)
+            raise ValueError(f"{len(usable)} of {n_langs} languages loaded; a pair needs two")
         if "zero_shot" in config.analyses:
             _check_zero_shot_families(table, usable)
 
         stage = {"stage": "sweep", "mode": None}
-        sweep = _sweep_pairs(config, loaded, matrices, usable)
+        _sweep_pairs(config, sweep, matrices, usable)
         write_metrics_csv(sweep.rows, out / "metrics.csv")
 
         stage = {"stage": "features", "mode": None}

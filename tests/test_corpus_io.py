@@ -5,6 +5,7 @@ from xlalign.corpus import (
     BitextPair,
     EmbeddingMatrix,
     WordOrder,
+    _parse_binary_matrix,
     align_pair,
     load_corpus,
     load_embeddings,
@@ -54,6 +55,19 @@ def test_binary_round_trip_bitwise(tmp_path):
     assert back.lang == "m"
     assert back.ids == m.ids
     assert (back.data == m.data).all()
+
+
+def test_binary_parse_leaves_the_float64_conversion_to_the_matrix(tmp_path):
+    """The parser hands over the stored float32 values, so the matrix's own
+    copy is the one conversion to float64; it is exact."""
+    data = np.random.default_rng(1).standard_normal((4, 3)).astype(np.float32)
+    path = tmp_path / "m.xemb"
+    save_embeddings(EmbeddingMatrix("m", data), path)
+    parsed, _ = _parse_binary_matrix(path)
+    assert parsed.dtype == np.float32
+    back = load_embeddings(path)
+    assert back.data.dtype == np.float64
+    assert (back.data == data).all()
 
 
 def test_binary_without_id_block(tmp_path):
@@ -235,6 +249,20 @@ def test_language_table_bad_rows(tmp_path, row, message):
     path.write_text("lang\tfamily\tsubfamily\tword_order\tpolysynthetic\ttrain_sentences\n" + row + "\n")
     with pytest.raises(ValueError, match=message):
         load_language_table(path)
+
+
+def test_language_table_errors_name_the_file_line(tmp_path):
+    """Blank lines are skipped but still counted: the bad row is line 4."""
+    path = tmp_path / "lt.tsv"
+    path.write_text(
+        "lang\tfamily\tsubfamily\tword_order\tpolysynthetic\ttrain_sentences\n"
+        "\n"
+        "deu\tf\ts\tSOV\tfalse\t10\n"
+        "xxx\tf\ts\tXYZ\tfalse\t10\n"
+    )
+    with pytest.raises(ValueError) as err:
+        load_language_table(path)
+    assert str(err.value) == f"{path}:4: invalid word order 'XYZ'"
 
 
 def test_language_table_structure_errors(tmp_path):

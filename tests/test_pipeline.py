@@ -185,6 +185,26 @@ def test_cli_analyze_names_a_non_finite_metric_and_writes_no_json(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_cli_analyze_names_a_non_finite_feature_and_writes_no_json(
+    analysis_csvs, tmp_path, capsys, cell
+):
+    lines = (analysis_csvs / "features.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2 + xa.FEATURE_NAMES.index("char_overlap")] = cell
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join([*lines[:3], ",".join(cells), *lines[4:]]) + "\n")
+    out = tmp_path / "corr.json"
+    assert main(["analyze", "--features", str(features),
+                 "--metrics", str(analysis_csvs / "metrics.csv"), "--mode", "corr",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"xlalign: error: {features}:4: {cells[0]},{cells[1]}: char_overlap is not finite:"
+        f" {float(cell)}\n"
+    )
+    assert not out.exists()
+
+
 def test_run_pair_metrics_counts_and_failures(workspace):
     config = load_config(workspace["config"])
     sweep = run_pair_metrics(config)
@@ -203,6 +223,18 @@ def test_run_pair_metrics_counts_and_failures(workspace):
     sweep = run_pair_metrics(config)
     assert "quc" in sweep.failed_languages
     assert len(sweep.rows) == 1
+
+
+def test_load_stage_keeps_no_matrix_of_a_language_that_fails(workspace):
+    """A language whose second document fails to load leaves no matrix of
+    its first document behind."""
+    (workspace["root"] / "emb" / "john" / "quc.xemb").write_bytes(b"XEMBgarbage")
+    config = load_config(workspace["config"])
+    result, loaded, usable = pipeline._load_sweep_languages(
+        config, [pipeline._embedding_files(d) for d in config.embeddings])
+    assert list(result.failed_languages) == ["quc"]
+    assert usable == ["deu", "eng", "fra"]
+    assert sorted(loaded) == [(d, lang) for d in (0, 1) for lang in usable]
 
 
 def test_run_pair_metrics_skips_csv_breaking_language_codes(workspace, tmp_path):
@@ -1084,6 +1116,52 @@ def test_cli_report_fatal_error_keeps_summary(
     if stage == "config":
         assert summary["failed_languages"] == {}
         assert [summary[key] for key in ("k", "gh_max_points", "folds", "seed")] == [None] * 4
+
+
+@pytest.mark.parametrize("analyses", ["analyses = corr, anova, ancova, pca, zero_shot",
+                                      "analyses = "])
+def test_cli_report_refuses_an_embeddings_entry_that_is_not_a_directory_first(
+    workspace, capsys, monkeypatch, analyses
+):
+    """A mistyped document directory used to fail every language and then
+    the analysis, or, with no analysis selected, to exit 2 with an empty
+    metrics.csv. It is now refused before any input file is read."""
+    config = workspace["config"]
+    text = config.read_text().replace("emb/matthew, emb/john", "emb/matthew, emb/jon")
+    config.write_text(text.replace("analyses = corr, anova, ancova, pca, zero_shot", analyses))
+    reads = {name: _CallCounter(getattr(pipeline, name))
+             for name in ("load_embeddings", "load_language_table", "load_corpus")}
+    for name, counter in reads.items():
+        monkeypatch.setattr(pipeline, name, counter)
+    assert main(["report", "--config", str(config)]) == 1
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    _validate(summary, "summary")
+    jon = workspace["root"] / "emb" / "jon"
+    assert summary["fatal"] == {"stage": "preflight", "mode": None,
+                                "error": f"embeddings entry {jon} is not a directory"}
+    assert capsys.readouterr().err == f"xlalign: error: {summary['fatal']['error']}\n"
+    assert {name: c.calls for name, c in reads.items()} == dict.fromkeys(reads, 0)
+    assert not (results / "metrics.csv").exists()
+
+
+def test_cli_report_stops_at_preflight_when_fewer_than_two_languages_load(
+    workspace, capsys, monkeypatch
+):
+    for lang in ("deu", "eng", "fra"):
+        (workspace["root"] / "emb" / "john" / f"{lang}.xemb").unlink()
+    align = _CallCounter(pipeline.align_pair)
+    monkeypatch.setattr(pipeline, "align_pair", align)
+    assert main(["report", "--config", str(workspace["config"])]) == 1
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    _validate(summary, "summary")
+    assert summary["fatal"]["stage"] == "preflight" and summary["fatal"]["mode"] is None
+    assert "1 of 4 languages loaded" in summary["fatal"]["error"]
+    missing = f"missing embedding file in {workspace['root'] / 'emb' / 'john'}"
+    assert summary["failed_languages"] == dict.fromkeys(("deu", "eng", "fra"), missing)
+    assert (summary["n_pairs"], summary["languages"], summary["analyses"]) == (0, [], [])
+    assert align.calls == 0 and not (results / "metrics.csv").exists()
 
 
 @pytest.mark.parametrize("edit", [
