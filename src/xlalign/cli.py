@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import pipeline
-from .corpus import load_corpus, load_embeddings, load_language_table
+from .corpus import load_embeddings, load_language_table
 from .mining import mine_backward, mine_direction, mine_intersection
 
 
@@ -96,10 +96,8 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_features(args) -> int:
     table = load_language_table(args.languages)
-    # a directory given for both overlaps is read once
-    chosen = (args.char_corpus, args.token_corpus)
-    texts = {d: pipeline.corpus_texts(load_corpus(d)) for d in dict.fromkeys(chosen) if d}
-    rows = pipeline.build_pair_feature_table(table, *map(texts.get, chosen))
+    texts = pipeline._overlap_texts(args.char_corpus, args.token_corpus)
+    rows = pipeline.build_pair_feature_table(table, *texts)
     pipeline.write_features_csv(rows, args.out)
     return 0
 
@@ -131,8 +129,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    config = pipeline._load_report_config(args.config)
-    return pipeline.run_report(config)
+    return pipeline.run_report(args.config)
 
 
 _COMMANDS = {

@@ -19,14 +19,12 @@ import numpy as np
 from .corpus import LanguageMeta, WordOrder
 from .knn import cosine
 
+# the training-data counts and the agreement flags, whose cells read 0 or 1
+COUNT_FEATURES = ("combined_sentences", "combined_in_family", "combined_in_subfamily")
+BINARY_FEATURES = ("same_family", "same_subfamily", "same_word_order", "same_polysynthesis")
 FEATURE_NAMES = (
-    "combined_sentences",
-    "combined_in_family",
-    "combined_in_subfamily",
-    "same_family",
-    "same_subfamily",
-    "same_word_order",
-    "same_polysynthesis",
+    *COUNT_FEATURES,
+    *BINARY_FEATURES,
     "token_overlap",
     "char_overlap",
     "syntactic_dist",
@@ -67,12 +65,12 @@ class PairFeatureVector:
     geographic_dist: float | None
 
     def __post_init__(self):
-        for name in ("combined_sentences", "combined_in_family", "combined_in_subfamily"):
+        for name in COUNT_FEATURES:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         if self.combined_in_subfamily > self.combined_in_family:
             raise ValueError("combined_in_subfamily exceeds combined_in_family")
-        for name in ("same_family", "same_subfamily", "same_word_order", "same_polysynthesis"):
+        for name in BINARY_FEATURES:
             if getattr(self, name) not in (0, 1):
                 raise ValueError(f"{name} must be 0 or 1")
         for name in ("token_overlap", "char_overlap"):

@@ -47,9 +47,9 @@ from .mining import _PairTables, retrieval_f1
 
 METRIC_NAMES = ("f1", "avg_margin", "svg", "econd_hm", "gh")
 
-ANOVA_FACTORS = ("same_family", "same_subfamily", "same_word_order", "same_polysynthesis")
+ANOVA_FACTORS = feats.BINARY_FEATURES
 ANCOVA_FACTORS = ("same_word_order", "same_polysynthesis")
-ANCOVA_COVARIATES = ("combined_sentences", "combined_in_family", "combined_in_subfamily")
+ANCOVA_COVARIATES = feats.COUNT_FEATURES
 SEMIPARTIAL_FEATURES = (
     "combined_in_family",
     "syntactic_dist",
@@ -154,24 +154,6 @@ def load_config(path: str | Path) -> RunConfig:
     """Parse a ``key = value`` config file (``#`` starts a comment line)."""
     path = Path(path)
     return _config_from_raw(path, _read_config_file(path))
-
-
-def _load_report_config(path: str | Path) -> RunConfig:
-    """``load_config`` for ``report``: once the file is read and names
-    ``out``, a config error is also recorded under ``fatal`` (stage
-    ``config``) in ``<out>/run_summary.json``."""
-    path = Path(path)
-    raw = _read_config_file(path)
-    try:
-        return _config_from_raw(path, raw)
-    except ValueError as exc:
-        if "out" in raw:
-            out = path.parent / raw["out"]
-            out.mkdir(parents=True, exist_ok=True)
-            summary = _run_summary(None, SweepResult(rows={}), [])
-            summary["fatal"] = {"stage": "config", "mode": None, "error": str(exc)}
-            write_json(summary, out / "run_summary.json")
-        raise
 
 
 def _read_config_file(path: Path) -> dict[str, str]:
@@ -537,11 +519,14 @@ def write_features_csv(
 
 
 def read_features_csv(path: str | Path) -> dict[tuple[str, str], dict[str, float | None]]:
-    return _read_pair_csv(
-        path, feats.FEATURE_NAMES, "features",
-        lambda cells: _check_finite({name: float(c) if c != "" else None
-                                     for name, c in cells.items()}),
-    )
+    def row(cells: Mapping[str, str]) -> dict[str, float | None]:
+        values = _check_finite({name: float(c) if c != "" else None for name, c in cells.items()})
+        for name in feats.BINARY_FEATURES:
+            if values[name] not in (0.0, 1.0):
+                raise ValueError(f"{name} must be 0 or 1")
+        return values
+
+    return _read_pair_csv(path, feats.FEATURE_NAMES, "features", row)
 
 
 def corpus_texts(corpus: Corpus) -> dict[str, str]:
@@ -550,6 +535,14 @@ def corpus_texts(corpus: Corpus) -> dict[str, str]:
         lang: "\n".join(text for _, text in sorted(verses.items()))
         for lang, verses in corpus.documents.items()
     }
+
+
+def _overlap_texts(char_dir: str | Path | None, token_dir: str | Path | None) -> tuple:
+    """The ``corpus_texts`` of the character- and token-overlap corpus
+    directories (``None`` for one not given), reading a shared one once."""
+    chosen = (char_dir, token_dir)
+    texts = {d: corpus_texts(load_corpus(d)) for d in dict.fromkeys(chosen) if d}
+    return texts.get(char_dir), texts.get(token_dir)
 
 
 def build_pair_feature_table(
@@ -781,7 +774,7 @@ def analyze_anova(dataset: AnalysisDataset) -> dict:
         if len(levels) < 2:
             raise ValueError(f"factor {factor} has a single level")
         groups = [dataset.dvs[metric][col == level] for level in levels]
-        labels = [_fmt(level) if level % 1 else str(int(level)) for level in levels]
+        labels = [str(int(level)) for level in levels]
         entry = _anova_json(stats.anova_oneway(groups))
         entry["group_means"] = {label: float(np.mean(group)) for label, group in zip(labels, groups)}
         entry["group_sizes"] = {label: int(group.size) for label, group in zip(labels, groups)}
@@ -1036,6 +1029,8 @@ def run_case_study_compare(
         only_a = sorted(set(metrics_a) - set(metrics_b))[:3]
         only_b = sorted(set(metrics_b) - set(metrics_a))[:3]
         raise ValueError(f"pair sets differ (A-only {only_a}, B-only {only_b})")
+    if not metrics_a:
+        raise ValueError("no pairs to compare: both metric tables are empty")
     pairs = sorted(metrics_a)
     per_pair = []
     for lang_a, lang_b in pairs:
@@ -1112,33 +1107,37 @@ def _check_zero_shot_families(table: Mapping[str, LanguageMeta], langs: Iterable
             )
 
 
-def run_report(config: RunConfig) -> int:
-    """Full pipeline: read every input, sweep metrics, derive features, run
-    analyses, write everything under ``config.out``. Returns the process exit
-    code (0 ok, 2 when some languages or pairs were skipped). A fatal error is
-    recorded under ``fatal`` in ``run_summary.json`` and re-raised."""
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+def run_report(config_path: str | Path) -> int:
+    """Full pipeline: parse the config file, read every input, sweep metrics,
+    derive features, run analyses, write everything under ``out``. Returns the
+    exit code (0 ok, 2 when some languages or pairs were skipped). A fatal
+    error is recorded under ``fatal`` in ``run_summary.json`` and re-raised;
+    a file that cannot be read or names no ``out`` leaves no summary."""
+    path = Path(config_path)
+    raw = _read_config_file(path)
+    out = path.parent / raw["out"] if "out" in raw else None
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
 
     # a run that stops before the sweep ends leaves the empty result on record
+    config = None
     sweep = SweepResult(rows={})
     analyses: list[str] = []
-    stage: dict = {"stage": "preflight", "mode": None}
+    stage: dict = {"stage": "config", "mode": None}
     try:
+        config = _config_from_raw(path, raw)
+        stage = {"stage": "preflight", "mode": None}
         # the embeddings directories are listed first, then every input is read before the first pair
         per_dir_files = [_embedding_files(d) for d in config.embeddings]
         table = char_texts = token_texts = None
         if config.languages is not None:
             table = load_language_table(config.languages)
             if config.corpus:
-                # only the two chosen directories, each once
-                names = [Path(d).name for d in config.corpus]
-                chosen = (config.char_doc or names[0], config.token_doc or names[-1])
-                texts = {
-                    name: corpus_texts(load_corpus(config.corpus[names.index(name)]))
-                    for name in dict.fromkeys(chosen)
-                }
-                char_texts, token_texts = map(texts.get, chosen)
+                # only the two chosen directories
+                by_name = {Path(d).name: d for d in config.corpus}
+                char_texts, token_texts = _overlap_texts(
+                    by_name.get(config.char_doc, config.corpus[0]),
+                    by_name.get(config.token_doc, config.corpus[-1]))
         sweep, matrices, usable = _load_sweep_languages(config, per_dir_files)
         if len(usable) < 2:
             n_langs = len(usable) + len(sweep.failed_languages)
@@ -1174,6 +1173,8 @@ def run_report(config: RunConfig) -> int:
                            out / f"analysis_{mode}.json")
             analyses.append(mode)
     except Exception as exc:
+        if out is None:
+            raise
         # the sweep and the analyses already written stay on record
         summary = _run_summary(config, sweep, analyses)
         summary["fatal"] = {**stage, "error": str(exc)}

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xlalign as xa
-from xlalign import cli, pipeline, special
+from xlalign import pipeline, special
 from xlalign.cli import _build_parser, main
 from xlalign.corpus import LanguageMeta, WordOrder
 from xlalign.pipeline import (
@@ -96,6 +96,22 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError, match="distinct names"):
         RunConfig(embeddings=(tmp_path,), out=tmp_path,
                   corpus=(tmp_path / "a" / "matthew", tmp_path / "b" / "matthew"))
+
+
+def test_readme_config_example_loads(tmp_path):
+    """The README's run-config example is a config load_config accepts."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    config = tmp_path / "run.cfg"
+    config.write_text(blocks[0], encoding="utf-8")
+    assert load_config(config) == RunConfig(
+        embeddings=(tmp_path / "emb/matthew", tmp_path / "emb/john"),
+        corpus=(tmp_path / "texts/matthew", tmp_path / "texts/john"),
+        languages=tmp_path / "languages.tsv", k=4, gh_max_points=500, folds=10, seed=17,
+        analyses=("corr", "search", "ablate", "anova", "ancova", "pca", "pcr", "zero_shot"),
+        workers=4, out=tmp_path / "results",
+    )
 
 
 def test_config_parses_each_key_by_its_field(tmp_path):
@@ -201,6 +217,28 @@ def test_cli_analyze_names_a_non_finite_feature_and_writes_no_json(
     assert capsys.readouterr().err == (
         f"xlalign: error: {features}:4: {cells[0]},{cells[1]}: char_overlap is not finite:"
         f" {float(cell)}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["anova", "ancova"])
+@pytest.mark.parametrize("cell", ["0.5", "2", ""])
+def test_cli_analyze_refuses_a_binary_feature_that_is_not_0_or_1(
+    analysis_csvs, tmp_path, capsys, mode, cell
+):
+    """A same_word_order cell of 0.5 used to be a third ANOVA level and a 0
+    to ANCOVA, and both modes exited 0."""
+    lines = (analysis_csvs / "features.csv").read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[2 + xa.FEATURE_NAMES.index("same_word_order")] = cell
+    features = tmp_path / "features.csv"
+    features.write_text("\n".join([*lines[:3], ",".join(cells), *lines[4:]]) + "\n")
+    out = tmp_path / f"{mode}.json"
+    assert main(["analyze", "--features", str(features),
+                 "--metrics", str(analysis_csvs / "metrics.csv"), "--mode", mode,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"xlalign: error: {features}:4: {cells[0]},{cells[1]}: same_word_order must be 0 or 1\n"
     )
     assert not out.exists()
 
@@ -765,6 +803,20 @@ def test_compare_identity_and_direction():
         run_case_study_compare(rows_a, {("x", "y"): synthetic_metrics()})
 
 
+def test_cli_compare_refuses_two_tables_with_no_pairs(tmp_path, capsys):
+    """A header-only metrics.csv is what report writes when every pair
+    fails. Two of them used to give numpy's empty-mean warnings and then a
+    JSON error about nan."""
+    empty = tmp_path / "metrics.csv"
+    write_metrics_csv({}, empty)
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--a", str(empty), "--b", str(empty), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "xlalign: error: no pairs to compare: both metric tables are empty\n"
+    )
+    assert not out.exists()
+
+
 def test_word_order_class_mapping():
     assert word_order_class(WordOrder.VSO) == "verb_initial"
     assert word_order_class(WordOrder.VOS) == "verb_initial"
@@ -984,8 +1036,8 @@ def test_cli_features_analyze_zero_shot_compare(workspace, tmp_path, monkeypatch
     with pytest.raises(SystemExit):
         main(["features", "--languages", str(root / "languages.tsv"),
               "--corpus", matthew, "--out", str(tmp_path / "shared.csv")])
-    loads = _CallCounter(cli.load_corpus)
-    monkeypatch.setattr(cli, "load_corpus", loads)
+    loads = _CallCounter(pipeline.load_corpus)
+    monkeypatch.setattr(pipeline, "load_corpus", loads)
     assert main(["features", "--languages", str(root / "languages.tsv"), "--char-corpus",
                  matthew, "--token-corpus", matthew, "--out", str(tmp_path / "shared.csv")]) == 0
     assert loads.calls == 1
@@ -1175,6 +1227,18 @@ def test_cli_report_writes_no_summary_without_a_parsed_out(workspace, capsys, ed
     assert main(["report", "--config", str(config)]) == 1
     assert capsys.readouterr().err.startswith(f"xlalign: error: {config}")
     assert not (workspace["root"] / "results").exists()
+
+
+def test_report_interrupted_leaves_no_summary(workspace, monkeypatch):
+    """An interrupt is no fatal error to record: it leaves no summary that
+    could read as a finished run."""
+    def interrupt(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(pipeline, "align_pair", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        pipeline.run_report(workspace["config"])
+    assert (workspace["root"] / "results").is_dir()
+    assert not (workspace["root"] / "results" / "run_summary.json").exists()
 
 
 def test_cli_report_refuses_a_zero_shot_family_with_a_comma_before_the_sweep(

@@ -19,6 +19,7 @@ from xlalign.pipeline import METRIC_NAMES, AlignmentMetrics
 from conftest import write_language_table
 
 FEATURE_NAMES = xa.FEATURE_NAMES
+BINARY_FEATURES = ("same_family", "same_subfamily", "same_word_order", "same_polysynthesis")
 
 
 # ------------------------------------------------- reference implementation
@@ -26,8 +27,8 @@ FEATURE_NAMES = xa.FEATURE_NAMES
 # Since the readers refuse a repeated pair and a language paired with itself
 # and give a malformed row its line number, the copy does the same; since the
 # writers refuse to write either kind of pair, so does the copy. Since the
-# features reader refuses a non-finite cell, as the metrics reader does, the
-# copy does the same.
+# features reader refuses a non-finite cell, as the metrics reader does, and
+# a binary feature's cell that does not read 0 or 1, the copy does the same.
 
 def _ref_fmt(x):
     return f"{x:.12g}"
@@ -126,6 +127,9 @@ def ref_read_features_csv(path):
             for name, value in row.items():
                 if value is not None and not math.isfinite(value):
                     raise ValueError(f"{name} is not finite: {value}")
+            for name in BINARY_FEATURES:
+                if row[name] not in (0.0, 1.0):
+                    raise ValueError(f"{name} must be 0 or 1")
             rows[(cells[0], cells[1])] = row
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {cells[0]},{cells[1]}: {exc}") from None
@@ -374,6 +378,12 @@ _FEATURES_HEADER = "lang_a,lang_b," + ",".join(FEATURE_NAMES)
     (pipeline.read_features_csv, ref_read_features_csv,
      _FEATURES_HEADER + "\na,b" + ",1" * 12 + ",1e999\n",
      f":2: a,b: {FEATURE_NAMES[-1]} is not finite: inf"),
+    (pipeline.read_features_csv, ref_read_features_csv,
+     _FEATURES_HEADER + "\na,b" + ",1" * 5 + ",0.5" + ",1" * 7 + "\n",
+     ":2: a,b: same_word_order must be 0 or 1"),
+    (pipeline.read_features_csv, ref_read_features_csv,
+     _FEATURES_HEADER + "\na,b" + ",1" * 3 + "," + ",1" * 9 + "\n",
+     ":2: a,b: same_family must be 0 or 1"),
 ])
 def test_readers_raise_like_reference(read, ref_read, text, message):
     new, ref = _read_both(text, read, ref_read)
@@ -416,13 +426,16 @@ _WRITTEN = (st.none() | st.floats() | _SUBNORMALS | _SPECIALS | _TWELVE_DIGITS
 
 
 def _read_back(value):
-    """The 13 values ``read_features_csv`` returns for a row of ``value``
-    cells written by ``_write_table``."""
+    """The nine values ``read_features_csv`` returns for the non-binary cells
+    of a row written by ``_write_table`` with ``value`` in each of them. The
+    four binary cells hold 1, since the reader refuses any cell there that
+    does not read 0 or 1."""
+    row = [1 if name in BINARY_FEATURES else value for name in FEATURE_NAMES]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "features.csv"
-        pipeline._write_table([("a", "b", *[value] * len(FEATURE_NAMES))],
-                              ("lang_a", "lang_b", *FEATURE_NAMES), path)
-        return list(pipeline.read_features_csv(path)[("a", "b")].values())
+        pipeline._write_table([("a", "b", *row)], ("lang_a", "lang_b", *FEATURE_NAMES), path)
+        back = pipeline.read_features_csv(path)[("a", "b")]
+    return [back[name] for name in FEATURE_NAMES if name not in BINARY_FEATURES]
 
 
 def _refused(value):
