@@ -192,20 +192,23 @@ class LanguageMeta:
 def _parse_text_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """One pass over the lines takes off the ``#id:`` tokens, then one
     ``np.loadtxt`` call parses every value. Both round a decimal the way
-    ``float`` does. A file that fails is rescanned for its first bad line."""
-    ids: list[str] = []
-    bodies: list[str] = []
+    ``float`` does. A file that fails is diagnosed from the lines that pass
+    kept, so the file is opened once either way."""
+    # (line number, #id: value or None, rest of the line) of each nonblank line
+    lines: list[tuple[int, str | None, str]] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             head = line.split(None, 1)
             if not head:
                 continue
             if head[0].startswith("#id:"):
-                ids.append(head[0][4:])
-                line = head[1] if len(head) > 1 else ""
-            bodies.append(line)
-    if not bodies:
+                lines.append((lineno, head[0][4:], head[1] if len(head) > 1 else ""))
+            else:
+                lines.append((lineno, None, line))
+    if not lines:
         raise ValueError(f"{path}: no data rows")
+    ids = [row_id for _, row_id, _ in lines if row_id is not None]
+    bodies = [rest for _, _, rest in lines]
     try:
         # loadtxt skips an empty body (an id-only line), so the row count
         # below catches one; when every body is empty there is nothing to parse
@@ -218,7 +221,7 @@ def _parse_text_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...] | None]:
         data = None
     ids_ok = not ids or (len(ids) == len(bodies) and all(ids))
     if data is None or len(data) != len(bodies) or not ids_ok:
-        raise ValueError(_text_matrix_error(path))
+        raise ValueError(_text_matrix_error(path, lines))
     return data, (tuple(ids) if ids else None)
 
 
@@ -232,27 +235,21 @@ def _is_decimal(token: str) -> bool:
     return token.isascii() and "_" not in token
 
 
-def _text_matrix_error(path: Path) -> str:
-    """The message for the first fault of a text matrix that failed to parse:
-    an empty id or a bad token in line order, then ids on some rows only,
-    then the first row whose length differs from the first row's."""
+def _text_matrix_error(path: Path, lines: Sequence[tuple[int, str | None, str]]) -> str:
+    """The message for the first fault of a text matrix that failed to parse,
+    from the lines ``_parse_text_matrix`` kept: an empty id or a bad token in
+    line order, then ids on some rows only, then the first row whose length
+    differs from the first row's."""
     lengths: list[int] = []
-    n_ids = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tokens = line.split()
-            if not tokens:
-                continue
-            if tokens[0].startswith("#id:"):
-                if tokens[0] == "#id:":
-                    return f"{path}:{lineno}: empty row id"
-                n_ids += 1
-                tokens = tokens[1:]
-            for token in tokens:
-                if not _is_decimal(token):
-                    return f"{path}:{lineno}: could not convert string to float: {token!r}"
-            lengths.append(len(tokens))
-    if n_ids and n_ids != len(lengths):
+    for lineno, row_id, rest in lines:
+        if row_id == "":
+            return f"{path}:{lineno}: empty row id"
+        tokens = rest.split()
+        for token in tokens:
+            if not _is_decimal(token):
+                return f"{path}:{lineno}: could not convert string to float: {token!r}"
+        lengths.append(len(tokens))
+    if 0 < sum(row_id is not None for _, row_id, _ in lines) < len(lines):
         return f"{path}: id annotations must cover all rows or none"
     for i, n in enumerate(lengths):
         if n != lengths[0]:

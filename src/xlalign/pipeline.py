@@ -377,9 +377,9 @@ def _sweep_pairs(
         except (ValueError, np.linalg.LinAlgError) as exc:
             return pair, exc
 
-    # pairs are in canonical order and map() keeps it, whatever the schedule
+    # the pairs run in the pool at every worker count; map() keeps their canonical order
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        outcomes = list((pool.map if config.workers > 1 else map)(guarded, pairs))
+        outcomes = list(pool.map(guarded, pairs))
 
     for pair, outcome in outcomes:
         if isinstance(outcome, Exception):
@@ -539,10 +539,14 @@ def corpus_texts(corpus: Corpus) -> dict[str, str]:
 
 def _overlap_texts(char_dir: str | Path | None, token_dir: str | Path | None) -> tuple:
     """The ``corpus_texts`` of the character- and token-overlap corpus
-    directories (``None`` for one not given), reading a shared one once."""
-    chosen = (char_dir, token_dir)
-    texts = {d: corpus_texts(load_corpus(d)) for d in dict.fromkeys(chosen) if d}
-    return texts.get(char_dir), texts.get(token_dir)
+    directories (``None`` for one not given). The reads are keyed on the
+    resolved path, so a directory given for both is read once, however spelled."""
+    keys = [Path(d).resolve() if d else None for d in (char_dir, token_dir)]
+    texts = {}
+    for key, d in zip(keys, (char_dir, token_dir)):
+        if d and key not in texts:
+            texts[key] = corpus_texts(load_corpus(d))
+    return texts.get(keys[0]), texts.get(keys[1])
 
 
 def build_pair_feature_table(
@@ -571,7 +575,6 @@ def build_pair_feature_table(
 class AnalysisDataset:
     """Joined, listwise-complete design matrix for the analysis modes."""
 
-    pairs: list[tuple[str, str]]
     X: np.ndarray
     dvs: dict[str, np.ndarray]
     n_common: int
@@ -613,7 +616,7 @@ def make_analysis_dataset(
                        dtype=np.float64)
         for name in METRIC_NAMES
     }
-    return AnalysisDataset(pairs=kept, X=X, dvs=dvs, n_common=len(common), n_used=len(kept))
+    return AnalysisDataset(X=X, dvs=dvs, n_common=len(common), n_used=len(kept))
 
 
 def _pearson_table(

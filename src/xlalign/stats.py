@@ -48,8 +48,6 @@ class TukeyComparison:
 @dataclass(frozen=True)
 class TukeyResult:
     comparisons: tuple[TukeyComparison, ...]
-    ms_within: float
-    df_error: int
 
 
 @dataclass(frozen=True)
@@ -421,7 +419,7 @@ def tukey_hsd(groups: Sequence, labels: Sequence[str] | None = None) -> TukeyRes
                     p_value=studentized_range_sf(q, k, df_error),
                 )
             )
-    return TukeyResult(comparisons=tuple(comparisons), ms_within=ms_within, df_error=df_error)
+    return TukeyResult(comparisons=tuple(comparisons))
 
 
 def pca(X) -> PCAResult:

@@ -155,6 +155,30 @@ def test_report_loads_only_the_chosen_corpora(workspace, monkeypatch):
     assert (root / "results" / "features.csv").read_bytes() == expected
 
 
+def _corpus_dir(path: Path) -> None:
+    path.mkdir(parents=True)
+    (path / "deu.tsv").write_text("MAT_1\tIm Anfang\nMAT_2\twar das Wort\n", encoding="utf-8")
+    (path / "eng.tsv").write_text("MAT_1\tIn the beginning\nMAT_2\twas the Word\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("spelling", ["t/matthew/", "t/../t/matthew", "./t/matthew", "link"])
+def test_overlap_texts_reads_a_directory_once_however_spelled(tmp_path, monkeypatch, spelling):
+    monkeypatch.chdir(tmp_path)
+    _corpus_dir(tmp_path / "t" / "matthew")
+    (tmp_path / "link").symlink_to(tmp_path / "t" / "matthew", target_is_directory=True)
+    loads = _CallCounter(pipeline.load_corpus)
+    monkeypatch.setattr(pipeline, "load_corpus", loads)
+    char_texts, token_texts = pipeline._overlap_texts("t/matthew", spelling)
+    assert loads.calls == 1
+    assert char_texts is token_texts
+    assert char_texts == pipeline.corpus_texts(xa.load_corpus(tmp_path / "t" / "matthew"))
+    # two directories are two reads, and an unset one is None
+    _corpus_dir(tmp_path / "t" / "john")
+    assert pipeline._overlap_texts("t/john", spelling)[0] is not char_texts
+    assert loads.calls == 3
+    assert pipeline._overlap_texts(None, spelling) == (None, char_texts)
+
+
 # ------------------------------------------------------------------- metrics
 
 def test_compute_pair_metrics_identical_pair():
@@ -359,6 +383,22 @@ def test_run_pair_metrics_isolates_a_failing_language_spectrum(workspace, monkey
             pair: "SVD did not converge" for pair in [("deu", "quc"), ("eng", "quc"), ("fra", "quc")]
         }
         assert len(sweep.rows) == 3
+
+
+def test_run_pair_metrics_runs_pairs_in_the_pool_at_one_worker(workspace, monkeypatch):
+    """One schedule at every worker count: with ``workers = 1`` the pairs run
+    on the pool's thread, not on the calling one."""
+    pair_metrics = pipeline._pair_metrics
+    threads = []
+
+    def recording(*args):
+        threads.append(threading.current_thread())
+        return pair_metrics(*args)
+
+    monkeypatch.setattr(pipeline, "_pair_metrics", recording)
+    config = dataclasses.replace(load_config(workspace["config"]), workers=1)
+    assert not run_pair_metrics(config).partial
+    assert threads and threading.main_thread() not in threads
 
 
 def _mixed_coverage_workspace(root: Path) -> RunConfig:
@@ -728,13 +768,15 @@ def test_make_analysis_dataset_drops_incomplete():
         ("a", "b"): dict.fromkeys(xa.FEATURE_NAMES, 1.0),
         ("a", "c"): {**dict.fromkeys(xa.FEATURE_NAMES, 1.0), "syntactic_dist": None},
     }
-    metrics_map = {("a", "b"): synthetic_metrics(), ("a", "c"): synthetic_metrics(),
-                   ("b", "c"): synthetic_metrics()}
+    metrics_map = {("a", "b"): synthetic_metrics(0.25), ("a", "c"): synthetic_metrics(0.5),
+                   ("b", "c"): synthetic_metrics(0.75)}
     dataset = make_analysis_dataset(features_map, metrics_map)
     assert dataset.n_common == 2
     assert dataset.n_used == 1
     assert dataset.n_dropped == 1
-    assert dataset.pairs == [("a", "b")]
+    # the one kept row is ("a", "b")'s
+    assert dataset.X.shape == (1, len(xa.FEATURE_NAMES))
+    assert dataset.dvs["f1"].tolist() == [0.25]
 
 
 # ----------------------------------------------------------------- zero-shot
@@ -1031,7 +1073,7 @@ def test_cli_features_analyze_zero_shot_compare(workspace, tmp_path, monkeypatch
     assert code == 0
     assert len(read_features_csv(features_csv)) == 6
     # one flag per corpus: there is no --corpus for both, and a directory
-    # given for both is read once
+    # given for both is read once, however it is spelled
     matthew = str(root / "texts" / "matthew")
     with pytest.raises(SystemExit):
         main(["features", "--languages", str(root / "languages.tsv"),
@@ -1041,6 +1083,10 @@ def test_cli_features_analyze_zero_shot_compare(workspace, tmp_path, monkeypatch
     assert main(["features", "--languages", str(root / "languages.tsv"), "--char-corpus",
                  matthew, "--token-corpus", matthew, "--out", str(tmp_path / "shared.csv")]) == 0
     assert loads.calls == 1
+    assert main(["features", "--languages", str(root / "languages.tsv"), "--char-corpus",
+                 matthew, "--token-corpus", matthew + "/", "--out", str(tmp_path / "slash.csv")]) == 0
+    assert loads.calls == 2
+    assert (tmp_path / "slash.csv").read_bytes() == (tmp_path / "shared.csv").read_bytes()
 
     assert main(["report", "--config", str(workspace["config"])]) == 0
     metrics_csv = root / "results" / "metrics.csv"

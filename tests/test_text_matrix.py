@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from xlalign import corpus
 from xlalign.corpus import EmbeddingMatrix, _parse_text_matrix, load_embeddings, save_embeddings
 
 
@@ -196,6 +197,33 @@ def test_digit_separators_and_non_ascii_digits_are_errors(tmp_path, token):
     assert str(info.value) == f"{path}:2: could not convert string to float: {token!r}"
     with pytest.raises(ValueError, match=":2: could not convert"):
         load_embeddings(path)
+
+
+@pytest.mark.parametrize("content, error", [
+    ("#id:a 1 2\n#id:b 3 4\n", None),
+    ("#id:a 1 2\n#id:b 3 x\n", ":2: could not convert string to float: 'x'"),
+    ("#id:a 1 2\n#id: 3 4\n", ":2: empty row id"),
+    ("#id:a 1 2\n3 4\n", ": id annotations must cover all rows or none"),
+    ("1 2\n3 4 5\n", ": row 1 has 3 values, expected 2"),
+])
+def test_a_text_matrix_is_opened_once(tmp_path, monkeypatch, content, error):
+    """A file that fails is diagnosed from the lines its one pass kept."""
+    path = tmp_path / "m.txt"
+    path.write_text(content, encoding="utf-8")
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(corpus, "open", counting_open, raising=False)
+    if error is None:
+        assert load_embeddings(path).ids == ("a", "b")
+    else:
+        with pytest.raises(ValueError) as info:
+            load_embeddings(path)
+        assert str(info.value) == f"{path}{error}"
+    assert opened == [path]
 
 
 def test_saved_matrix_round_trips_bitwise(tmp_path):
