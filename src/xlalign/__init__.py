@@ -23,7 +23,6 @@ from .corpus import (
 from .features import (
     FEATURE_NAMES,
     PairFeatureVector,
-    multiset_jaccard,
     pair_features,
     per_language_metrics,
     training_aggregates,
@@ -47,7 +46,6 @@ from .mining import (
     MinedAlignment,
     RetrievalScore,
     average_margin,
-    margin_score,
     mine_backward,
     mine_direction,
     mine_intersection,
@@ -72,8 +70,6 @@ from .stats import (
     adjusted_r2,
     ancova,
     anova_oneway,
-    cv_adjusted_r2,
-    exhaustive_feature_search,
     feature_search_report,
     pca,
     pcr,

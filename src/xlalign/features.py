@@ -87,7 +87,10 @@ class PairFeatureVector:
 
 
 def _unit_counts(text: str, unit: str) -> Counter:
-    """The multiset of ``unit`` items of ``text`` that ``multiset_jaccard`` compares."""
+    """The multiset of ``unit`` items of ``text`` that ``_counts_jaccard`` compares:
+    ``unit="char"`` counts Unicode code points of the NFC-normalized text,
+    whitespace excluded; ``unit="token"`` counts whitespace-split tokens of
+    pre-tokenized input."""
     if unit == "char":
         # count every code point in C, then drop the few whitespace keys
         counts = Counter(unicodedata.normalize("NFC", text))
@@ -100,22 +103,13 @@ def _unit_counts(text: str, unit: str) -> Counter:
 
 
 def _counts_jaccard(count_a: Counter, count_b: Counter, unit: str) -> float:
+    """Weighted Jaccard overlap of two texts' ``_unit_counts``: the ratio of
+    summed per-element minimum counts to summed maximum counts."""
     if not count_a or not count_b:
         raise ValueError(f"text empty after {unit} segmentation")
     intersection = sum(min(count_a[e], count_b[e]) for e in count_a.keys() & count_b.keys())
     union = sum(max(count_a[e], count_b[e]) for e in count_a.keys() | count_b.keys())
     return intersection / union
-
-
-def multiset_jaccard(a: str, b: str, unit: str) -> float:
-    """Weighted Jaccard overlap of two texts.
-
-    ``unit="char"`` counts Unicode code points of the NFC-normalized text,
-    whitespace excluded; ``unit="token"`` counts whitespace-split tokens of
-    pre-tokenized input. The score is the ratio of summed per-element minimum
-    counts to summed maximum counts.
-    """
-    return _counts_jaccard(_unit_counts(a, unit), _unit_counts(b, unit), unit)
 
 
 def _unit_counts_by_language(

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import BitextPair, EmbeddingMatrix
-from .knn import NeighborList, _knn_topk, cosine, unit_rows
+from .knn import _knn_topk, unit_rows
 
 _DENOM_FLOOR = 1e-12
 
@@ -63,20 +63,6 @@ class RetrievalScore:
     n_gold: int
     n_mined: int
     n_correct: int
-
-
-def margin_score(x_row, y_row, nn_x: NeighborList, nn_y: NeighborList, k: int) -> float:
-    """Margin score of the pair (x, y) given each side's k-NN list.
-
-    ``nn_x`` must hold x's neighbors in the opposite space and vice versa,
-    each of length exactly ``k``.
-    """
-    if len(nn_x.neighbors) != k or len(nn_y.neighbors) != k:
-        raise ValueError(f"neighbor lists must hold exactly k={k} entries")
-    denom = sum(c for _, c in nn_x.neighbors) + sum(c for _, c in nn_y.neighbors)
-    if denom <= _DENOM_FLOOR:
-        raise ValueError(f"margin denominator {denom} is degenerate (all-orthogonal neighborhoods)")
-    return 2.0 * k * cosine(x_row, y_row) / denom
 
 
 def _margins(k: int, cos: np.ndarray, denom: np.ndarray) -> np.ndarray:

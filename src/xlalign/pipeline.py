@@ -127,6 +127,8 @@ class RunConfig:
             raise ValueError("gh_max_points must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("seed must be >= 0")
         unknown = [a for a in self.analyses if a not in ANALYSES and a != "zero_shot"]
         if unknown:
             raise ValueError(f"unknown analyses: {unknown}")

@@ -5,12 +5,12 @@ Cross-validated fits shuffle once with a seeded generator, score the held-out
 fold of each split with plain r-squared, average the fold scores, and apply
 the adjusted-r-squared penalty a single time with the total sample size and
 the model's predictor count. One engine, ``_FoldGrams``, scores every such fit
-(search, ablation, PCR, ``cv_adjusted_r2``) from Gram blocks of the z-scored
-design, which leaves adjusted r-squared unchanged and keeps raw count columns
-well conditioned; a rank-deficient model gets its minimum-norm fit. Scores
-within ``_TIE_TOL`` of the best tie and go to the earlier candidate (smaller
-subset, lower feature index, fewer components). All seeded procedures are
-reproducible bit-for-bit for a fixed seed and input.
+(search, ablation, PCR) from Gram blocks of the z-scored design, which leaves
+adjusted r-squared unchanged and keeps raw count columns well conditioned; a
+rank-deficient model gets its minimum-norm fit. Scores within ``_TIE_TOL`` of
+the best tie and go to the earlier candidate (smaller subset, lower feature
+index, fewer components). All seeded procedures are reproducible bit-for-bit
+for a fixed seed and input.
 """
 
 from __future__ import annotations
@@ -48,15 +48,6 @@ class TukeyComparison:
 @dataclass(frozen=True)
 class TukeyResult:
     comparisons: tuple[TukeyComparison, ...]
-
-
-@dataclass(frozen=True)
-class SearchResult:
-    best_features: tuple[str, ...]
-    best_indices: tuple[int, ...]
-    best_adj_r2: float
-    n_models: int
-    n_skipped: int
 
 
 @dataclass(frozen=True)
@@ -193,12 +184,6 @@ class _FoldGrams:
         return adjusted_r2(fold_r2.mean(axis=0), self.n, cols.size - 1), full_rank
 
 
-def cv_adjusted_r2(X, y, folds: int, seed: int) -> float:
-    """K-fold cross-validated fit: mean held-out r2, then one adjusted-r2
-    penalty with the total n and the model's predictor count."""
-    return float(_FoldGrams(X, y, folds, seed).score(range(np.shape(X)[1]))[0][0])
-
-
 def _feature_names(names: Sequence[str] | None, k: int) -> tuple[str, ...]:
     if names is None:
         return tuple(f"f{i}" for i in range(k))
@@ -207,10 +192,10 @@ def _feature_names(names: Sequence[str] | None, k: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _search(X: np.ndarray, Y, folds: int, seed: int) -> tuple[list, int, int]:
+def _search(X: np.ndarray, Y, folds: int, seed: int) -> tuple[list, int]:
     """Best (subset, score) for every dependent variable column of ``Y`` over
-    all nonempty feature subsets in (size, lexicographic) order, the model
-    count, and the count of subsets skipped for a rank-deficient fold."""
+    all nonempty feature subsets in (size, lexicographic) order, and the count
+    of subsets skipped for a rank-deficient fold."""
     grams = _FoldGrams(X, Y, folds, seed)
     k = X.shape[1]
     subsets = [s for size in range(1, k + 1) for s in itertools.combinations(range(k), size)]
@@ -225,28 +210,7 @@ def _search(X: np.ndarray, Y, folds: int, seed: int) -> tuple[list, int, int]:
     if n_skipped == len(subsets):
         raise ValueError("every feature subset was rank deficient")
     best = [_first_best(column) for column in scores.T]
-    return [(subsets[b], float(scores[b, j])) for j, b in enumerate(best)], len(subsets), n_skipped
-
-
-def exhaustive_feature_search(
-    X, y, feature_names: Sequence[str] | None = None, folds: int = 10, seed: int = 0
-) -> SearchResult:
-    """Evaluate every nonempty feature subset by cross-validated adjusted r2.
-
-    The best subset is the first, in (size, lexicographic) order, whose score
-    is within ``_TIE_TOL`` of the maximum. Rank-deficient subsets (e.g.
-    duplicated columns) are skipped and counted.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    names = _feature_names(feature_names, X.shape[1])
-    [(best, score)], n_models, n_skipped = _search(X, y, folds, seed)
-    return SearchResult(
-        best_features=tuple(names[i] for i in best),
-        best_indices=best,
-        best_adj_r2=score,
-        n_models=n_models,
-        n_skipped=n_skipped,
-    )
+    return [(subsets[b], float(scores[b, j])) for j, b in enumerate(best)], n_skipped
 
 
 def feature_search_report(
@@ -260,7 +224,7 @@ def feature_search_report(
     tally how often each feature lands in a best-subset list."""
     X = np.asarray(X, dtype=np.float64)
     names = _feature_names(feature_names, X.shape[1])
-    results, _, n_skipped = _search(X, np.column_stack(list(dvs.values())), folds, seed)
+    results, n_skipped = _search(X, np.column_stack(list(dvs.values())), folds, seed)
     per_dv_best = {dv: tuple(names[i] for i in best) for dv, (best, _) in zip(dvs, results)}
     return FeatureSearchReport(
         per_dv_best=per_dv_best,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import xlalign as xa
+from xlalign import stats
 
 
 def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -48,6 +49,20 @@ def bottleneck_brute_force(deaths_a, deaths_b) -> float:
                         cost = max(cost, y / 2.0)
                 best = min(best, cost)
     return float(best)
+
+
+def count_scored_models(monkeypatch) -> list:
+    """A list that gets the feature subset of every model the cross-validation
+    engine scores from now on (``stats._FoldGrams.score`` is patched)."""
+    scored = []
+    score = stats._FoldGrams.score
+
+    def counted(self, features):
+        scored.append(features)
+        return score(self, features)
+
+    monkeypatch.setattr(stats._FoldGrams, "score", counted)
+    return scored
 
 
 def write_language_table(path: Path, rows: list[dict]) -> Path:

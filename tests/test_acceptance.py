@@ -17,7 +17,9 @@ from xlalign.knn import knn_search
 from xlalign.mining import mine_intersection, retrieval_f1
 from xlalign.pipeline import AlignmentMetrics, group_metrics_by_word_order_class
 
-from conftest import bottleneck_brute_force, build_workspace, knn_sort_oracle, random_rotation
+from conftest import (
+    bottleneck_brute_force, build_workspace, count_scored_models, knn_sort_oracle, random_rotation,
+)
 
 
 def unit_rows(rng, n, d):
@@ -135,21 +137,23 @@ def test_statistics_oracles():
     assert abs(result.p_value - independent) <= 1e-6
 
 
-def test_feature_search_protocol():
+def test_feature_search_protocol(monkeypatch):
+    scored = count_scored_models(monkeypatch)
     successes = 0
     sweep_seconds = None
     for seed in range(10):
         rng = np.random.default_rng(2000 + seed)
         X = rng.standard_normal((500, 13))
         y = 2.0 * X[:, 0] - X[:, 1] + 0.5 * rng.standard_normal(500)
+        scored.clear()
         start = time.monotonic()
-        search = stats.exhaustive_feature_search(X, y, folds=10, seed=seed)
+        search = stats.feature_search_report(X, {"y": y}, folds=10, seed=seed)
         if sweep_seconds is None:
             sweep_seconds = time.monotonic() - start
-        assert search.n_models == 8191
+        assert len(scored) == 8191
         ablation = stats.ablation_single_step(X, y, folds=10, seed=seed)
         top_two = set(sorted(ablation.ranks, key=ablation.ranks.get)[:2])
-        if {0, 1} <= set(search.best_indices) and top_two == {"f0", "f1"}:
+        if {"f0", "f1"} <= set(search.per_dv_best["y"]) and top_two == {"f0", "f1"}:
             successes += 1
     assert successes >= 9
     assert sweep_seconds < 120.0

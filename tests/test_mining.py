@@ -6,12 +6,11 @@ import pytest
 import xlalign as xa
 from xlalign import isomorphism as iso
 from xlalign import mining
-from xlalign.knn import NeighborList, _knn_topk, unit_rows
+from xlalign.knn import NeighborList, _knn_topk, cosine, unit_rows
 from xlalign.mining import (
     Direction,
     MinedAlignment,
     average_margin,
-    margin_score,
     mine_backward,
     mine_direction,
     mine_intersection,
@@ -27,39 +26,54 @@ def _unit(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
-def test_margin_mutual_nearest_is_one():
-    x = np.array([1.0, 0.0])
-    y = np.array([0.9, math.sqrt(1 - 0.81)])
-    c = xa.cosine(x, y)
-    nn_x = NeighborList(0, ((0, c),))
-    nn_y = NeighborList(0, ((0, c),))
-    assert margin_score(x, y, nn_x, nn_y, 1) == 1.0
+_DENOM_FLOOR = 1e-12  # the floor of xlalign.mining
 
 
-def test_margin_direct_formula():
-    x = np.array([1.0, 0.0])
-    y = np.array([0.9, math.sqrt(1 - 0.81)])
-    nn_x = NeighborList(0, ((0, 0.9), (1, 0.5)))
-    nn_y = NeighborList(0, ((0, 0.9), (1, 0.7)))
-    assert margin_score(x, y, nn_x, nn_y, 2) == pytest.approx(1.2, abs=1e-12)
+def _ref_margin_score(x_row, y_row, nn_x: NeighborList, nn_y: NeighborList, k: int) -> float:
+    """Margin score of the pair (x, y) given each side's k-NN list.
+
+    ``nn_x`` must hold x's neighbors in the opposite space and vice versa,
+    each of length exactly ``k``.
+    """
+    # frozen copy of the two-row margin function that xlalign.mining exported
+    if len(nn_x.neighbors) != k or len(nn_y.neighbors) != k:
+        raise ValueError(f"neighbor lists must hold exactly k={k} entries")
+    denom = sum(c for _, c in nn_x.neighbors) + sum(c for _, c in nn_y.neighbors)
+    if denom <= _DENOM_FLOOR:
+        raise ValueError(f"margin denominator {denom} is degenerate (all-orthogonal neighborhoods)")
+    return 2.0 * k * cosine(x_row, y_row) / denom
 
 
-def test_margin_symmetry():
+def test_average_margin_mutual_nearest_is_one():
+    a = xa.EmbeddingMatrix("a", [[1.0, 0.0]])
+    b = xa.EmbeddingMatrix("b", [[0.9, math.sqrt(1 - 0.81)]])
+    assert average_margin(xa.align_pair(a, b), 1) == 1.0
+
+
+def test_average_margin_direct_formula():
+    # x0's neighbors in b have cosines 0.9 and 0.5, y0's in a 0.9 and 0.7
+    below = math.acos(0.9) - math.acos(0.7)
+    a = xa.EmbeddingMatrix("a", [[1.0, 0.0], [math.cos(below), math.sin(below)]], ("p", "q"))
+    b = xa.EmbeddingMatrix("b", [[0.9, math.sqrt(1 - 0.81)], [0.5, math.sqrt(0.75)]], ("p", "r"))
+    pair = xa.align_pair(a, b)
+    assert pair.gold == ((0, 0),)
+    # 2k cos / (neighbor sums) = 4 * 0.9 / (1.4 + 1.6)
+    assert average_margin(pair, 2) == pytest.approx(1.2, abs=1e-12)
+
+
+def test_average_margin_symmetry():
+    # shared ids in the same order, so both orientations list the gold pairs alike
     rng = np.random.default_rng(0)
-    x, y = rng.standard_normal(6), rng.standard_normal(6)
-    nn_x = NeighborList(0, ((0, 0.8), (1, 0.3)))
-    nn_y = NeighborList(0, ((0, 0.7), (1, 0.4)))
-    assert margin_score(x, y, nn_x, nn_y, 2) == margin_score(y, x, nn_y, nn_x, 2)
+    a = xa.EmbeddingMatrix("a", rng.standard_normal((6, 6)))
+    b = xa.EmbeddingMatrix("b", rng.standard_normal((7, 6)))
+    assert average_margin(xa.align_pair(a, b), 2) == average_margin(xa.align_pair(b, a), 2)
 
 
-def test_margin_validation():
-    x = np.array([1.0, 0.0])
-    nn = NeighborList(0, ((0, 0.9),))
-    with pytest.raises(ValueError, match="exactly k"):
-        margin_score(x, x, nn, nn, 2)
-    zero = NeighborList(0, ((0, 0.0),))
+def test_average_margin_degenerate_denominator():
+    a = xa.EmbeddingMatrix("a", [[1.0, 0.0]])
+    b = xa.EmbeddingMatrix("b", [[-1.0, 0.0]])  # anti-aligned: each top-1 cosine is -1
     with pytest.raises(ValueError, match="degenerate"):
-        margin_score(x, x, zero, zero, 1)
+        average_margin(xa.align_pair(a, b), 1)
 
 
 def test_mine_direction_recovers_permutation():
@@ -178,7 +192,7 @@ def test_average_margin_single_gold_pair_matches_margin_score():
     k = 3
     nn_a = xa.knn_search(a, b, k)[5]
     nn_b = xa.knn_search(b, a, k)[0]
-    direct = margin_score(a_data[5], b_data[0], nn_a, nn_b, k)
+    direct = _ref_margin_score(a_data[5], b_data[0], nn_a, nn_b, k)
     assert average_margin(pair, k) == pytest.approx(direct, abs=1e-12)
 
 

@@ -49,7 +49,7 @@ from xlalign.pipeline import (
 )
 
 import conftest
-from conftest import build_workspace
+from conftest import build_workspace, count_scored_models
 
 
 def synthetic_metrics(value: float = 0.5) -> AlignmentMetrics:
@@ -112,6 +112,43 @@ def test_readme_config_example_loads(tmp_path):
         analyses=("corr", "search", "ablate", "anova", "ancova", "pca", "pcr", "zero_shot"),
         workers=4, out=tmp_path / "results",
     )
+
+
+def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
+    """The README's Library use block runs as written, on two saved matrices."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    rng = np.random.default_rng(3)
+    deu = rng.standard_normal((12, 8))
+    eng = deu + 0.1 * rng.standard_normal(deu.shape)
+    xa.save_embeddings(xa.EmbeddingMatrix("deu", deu), tmp_path / "deu.xemb")
+    xa.save_embeddings(xa.EmbeddingMatrix("eng", eng), tmp_path / "eng.xemb")
+    monkeypatch.chdir(tmp_path)
+    exec(blocks[0], {})
+    printed = [float(value) for value in capsys.readouterr().out.split()]
+    assert len(printed) == 5 and all(np.isfinite(printed))
+
+
+def test_public_names_are_frozen():
+    """An export change shows up as a change of this list."""
+    public = sorted(name for name, value in vars(xa).items()
+                    if not name.startswith("_") and not isinstance(value, type(xa)))
+    assert public == [
+        "AlignmentMetrics", "AnovaResult", "BitextPair", "Corpus", "Direction", "EmbeddingMatrix",
+        "FEATURE_NAMES", "LanguageMeta", "METRIC_NAMES", "MinedAlignment", "NeighborList",
+        "PairFeatureVector", "PersistenceDiagram", "RetrievalScore", "RunConfig",
+        "SingularSpectrum", "WordOrder", "ablation_single_step", "adjusted_r2", "align_pair",
+        "ancova", "anova_oneway", "average_margin", "bottleneck_distance", "compute_pair_metrics",
+        "cosine", "econd_hm", "effective_condition_number", "effective_rank",
+        "feature_search_report", "gh_distance", "group_metrics_by_word_order_class", "knn_search",
+        "load_config", "load_corpus", "load_embeddings", "load_language_table", "mine_backward",
+        "mine_direction", "mine_intersection", "pair_features", "pca", "pcr", "pearson",
+        "per_language_metrics", "persistence_diagram_0d", "retrieval_f1", "run_case_study_compare",
+        "run_pair_metrics", "run_report", "run_zero_shot_analysis", "save_embeddings",
+        "semipartial", "singular_values", "svg", "training_aggregates", "tukey_hsd",
+        "typological_distance", "word_order_class",
+    ]
 
 
 def test_config_parses_each_key_by_its_field(tmp_path):
@@ -695,11 +732,14 @@ def test_analyze_corr(analysis_dataset):
     assert r is not None and r > 0  # planted positive association
 
 
-def test_analyze_search_and_ablate(analysis_dataset):
+def test_analyze_search_and_ablate(analysis_dataset, monkeypatch):
     dataset, *_ = analysis_dataset
+    scored = count_scored_models(monkeypatch)
     report = analyze_search(dataset, folds=3, seed=5)
     _validate(report, "search")
     assert report["n_models_per_dv"] == 8191
+    # one pass scores each subset once, for every dependent variable at once
+    assert len(scored) == report["n_models_per_dv"]
     assert set(report["tallies"]) == set(xa.FEATURE_NAMES)
 
     ablate = analyze_ablate(dataset, folds=3, seed=5)
@@ -1185,8 +1225,11 @@ NO_ZERO_SHOT = ("analyses = corr, anova, ancova, pca, zero_shot", "analyses = co
     ([("k = 4", "k = four")], "config", None, [], 0),
     ([("k = 4", "k = 4\nmystery = 1")], "config", None, [], 0),
     ([("folds = 3", "folds = 1")], "config", None, [], 0),  # RunConfig refuses it
+    # numpy's generators refuse a negative seed, so RunConfig does
+    ([("seed = 17", "seed = -1")], "config", None, [], 0),
 ], ids=["analysis", "config-char-doc", "config-corpus-names", "preflight-embeddings",
-        "preflight-corpus", "preflight-table", "config-integer", "config-key", "config-check"])
+        "preflight-corpus", "preflight-table", "config-integer", "config-key", "config-check",
+        "config-negative-seed"])
 def test_cli_report_fatal_error_keeps_summary(
     workspace, capsys, monkeypatch, edits, stage, mode, analyses, n_pairs
 ):

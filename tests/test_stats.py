@@ -19,8 +19,6 @@ from xlalign.stats import (
     adjusted_r2,
     ancova,
     anova_oneway,
-    cv_adjusted_r2,
-    exhaustive_feature_search,
     feature_search_report,
     pca,
     pcr,
@@ -28,6 +26,8 @@ from xlalign.stats import (
     semipartial,
     tukey_hsd,
 )
+
+from conftest import count_scored_models
 
 
 # ---------------------------------------------------------------- special fns
@@ -197,6 +197,12 @@ def test_adjusted_r2_penalizes(r2, k, n):
 
 # ------------------------------------------------------------------------- cv
 
+def cv_adjusted_r2(X, y, folds, seed):
+    """Cross-validated adjusted r2 of the full model: the baseline that
+    ablation scores every feature's removal against."""
+    return ablation_single_step(X, y, folds=folds, seed=seed).baseline_adj_r2
+
+
 def test_cv_noiseless_target():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((120, 3))
@@ -230,25 +236,35 @@ def test_cv_validation():
 
 # --------------------------------------------------------------------- search
 
-def test_search_planted_single_feature():
+def search_one(X, y, folds, seed):
+    """Best subset (as feature indices), its score and the skipped-subset
+    count of the search for the one dependent variable ``y``."""
+    report = feature_search_report(X, {"y": y}, folds=folds, seed=seed)
+    best = tuple(int(name[1:]) for name in report.per_dv_best["y"])
+    return best, report.per_dv_adj_r2["y"], report.per_dv_n_skipped["y"]
+
+
+def test_search_planted_single_feature(monkeypatch):
     # cross-validated subset selection over-selects a little by design, so the
     # planted feature must always be found and noise features mostly rejected
+    scored = count_scored_models(monkeypatch)
     for seed in range(10):
         rng = np.random.default_rng(100 + seed)
         X = rng.standard_normal((300, 8))
         y = X[:, 3] + 0.3 * rng.standard_normal(300)
-        result = exhaustive_feature_search(X, y, folds=10, seed=seed)
-        assert result.n_models == 2**8 - 1
-        assert 3 in result.best_indices
-        assert len(result.best_indices) <= 3
+        scored.clear()
+        best, _, _ = search_one(X, y, 10, seed)
+        assert len(scored) == 2**8 - 1
+        assert 3 in best
+        assert len(best) <= 3
 
 
 def test_search_null_data():
     rng = np.random.default_rng(11)
     X = rng.standard_normal((500, 8))
     y = rng.standard_normal(500)
-    result = exhaustive_feature_search(X, y, folds=10, seed=11)
-    assert result.best_adj_r2 <= 0.05
+    _, best_adj_r2, _ = search_one(X, y, 10, 11)
+    assert best_adj_r2 <= 0.05
 
 
 def test_search_duplicate_features_tie_break():
@@ -257,9 +273,9 @@ def test_search_duplicate_features_tie_break():
     noise = rng.standard_normal((400, 2))
     X = np.column_stack([signal, signal, noise])  # f0 and f1 identical
     y = signal + 0.1 * rng.standard_normal(400)
-    result = exhaustive_feature_search(X, y, folds=10, seed=12)
-    assert result.best_indices == (0,)
-    assert result.n_skipped > 0  # {f0, f1} and supersets are singular
+    best, _, n_skipped = search_one(X, y, 10, 12)
+    assert best == (0,)
+    assert n_skipped > 0  # {f0, f1} and supersets are singular
 
 
 def test_search_report_tallies():
@@ -429,12 +445,11 @@ def test_cv_engine_matches_reference_scorers(make, seed):
         assert abs(report.per_dv_adj_r2[name] - score) <= _DIFF_TOL
         for i in best:
             tallies[f"f{i}"] += 1
-        single = exhaustive_feature_search(X, y, folds=5, seed=seed + 1)
+        single_best, single_score, single_skipped = search_one(X, y, 5, seed + 1)
         best, score, n_skipped = _ref_search(X, y, 5, seed + 1)
-        assert (single.best_indices, single.n_skipped) == (best, n_skipped)
-        assert abs(single.best_adj_r2 - score) <= _DIFF_TOL
+        assert (single_best, single_skipped) == (best, n_skipped)
+        assert abs(single_score - score) <= _DIFF_TOL
 
-        assert abs(cv_adjusted_r2(X, y, 10, seed) - _ref_cv(X, y, 10, seed)) <= _DIFF_TOL
         ablation = ablation_single_step(X, y, folds=10, seed=seed)
         baseline, deltas, ranks = _ref_ablation(X, y, 10, seed)
         assert ablation.ranks == ranks and list(ablation.ranks) == list(ranks)
@@ -456,7 +471,7 @@ def test_tie_rule_prefers_the_earlier_feature(seed):
     for y in dvs.values():
         ranks = ablation_single_step(X, y, folds=10, seed=seed).ranks
         assert ranks["f4"] == ranks["f0"] + 1
-        assert 4 not in exhaustive_feature_search(X, y, folds=10, seed=seed).best_indices
+        assert 4 not in search_one(X, y, 10, seed)[0]
 
 
 @pytest.mark.parametrize("make, n_skipped", [
@@ -468,13 +483,13 @@ def test_tie_rule_prefers_the_earlier_feature(seed):
 ], ids=["constant", "constant-0.1", "duplicated"])
 def test_rank_deficient_designs_keep_working(make, n_skipped):
     X, dvs = make(3)
-    assert exhaustive_feature_search(X, dvs["mixed"], folds=10, seed=3).n_skipped == n_skipped
+    assert search_one(X, dvs["mixed"], 10, 3)[2] == n_skipped
     for y in dvs.values():
         # every fold of the full model is rank deficient; it gets its minimum-norm fit
-        full = cv_adjusted_r2(X, y, 10, 3)
+        ablation = ablation_single_step(X, y, folds=10, seed=3)
+        full = ablation.baseline_adj_r2
         assert math.isfinite(full)
         assert abs(full - _ref_cv(X, y, 10, 3)) <= _DIFF_TOL
-        ablation = ablation_single_step(X, y, folds=10, seed=3)
         _, deltas, _ = _ref_ablation(X, y, 10, 3)
         assert all(math.isfinite(d) for d in ablation.deltas.values())
         assert max(abs(ablation.deltas[f"f{i}"] - d) for i, d in enumerate(deltas)) <= _DIFF_TOL
