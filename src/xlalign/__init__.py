@@ -62,7 +62,6 @@ from .pipeline import (
     run_pair_metrics,
     run_report,
     run_zero_shot_analysis,
-    word_order_class,
 )
 from .stats import (
     AnovaResult,

@@ -103,6 +103,11 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    # RunConfig's bounds, checked before either table is read
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    if args.folds < 2:
+        raise ValueError(f"--folds must be >= 2, got {args.folds}")
     features_map = pipeline.read_features_csv(args.features)
     metrics_map = pipeline.read_metrics_csv(args.metrics)
     dataset = pipeline.make_analysis_dataset(features_map, metrics_map)
@@ -150,7 +155,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"xlalign: error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

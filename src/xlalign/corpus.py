@@ -132,8 +132,6 @@ class BitextPair:
     matrices and act as distractors during mining.
     """
 
-    lang_a: str
-    lang_b: str
     mat_a: EmbeddingMatrix
     mat_b: EmbeddingMatrix
     gold: tuple[tuple[int, int], ...]
@@ -386,7 +384,7 @@ def align_pair(ea: EmbeddingMatrix, eb: EmbeddingMatrix) -> BitextPair:
     if not shared:
         raise ValueError(f"no shared verse ids between {ea.lang!r} and {eb.lang!r}")
     gold = tuple((index_a[vid], index_b[vid]) for vid in shared)
-    return BitextPair(lang_a=ea.lang, lang_b=eb.lang, mat_a=ea, mat_b=eb, gold=gold)
+    return BitextPair(mat_a=ea, mat_b=eb, gold=gold)
 
 
 def _parse_bool(token: str, context: str) -> bool:

@@ -66,8 +66,9 @@ class PairFeatureVector:
 
     def __post_init__(self):
         for name in COUNT_FEATURES:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if value is None or value < 0 or value % 1:
+                raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
         if self.combined_in_subfamily > self.combined_in_family:
             raise ValueError("combined_in_subfamily exceeds combined_in_family")
         for name in BINARY_FEATURES:

@@ -51,13 +51,6 @@ class PersistenceDiagram:
             raise ValueError("deaths must be finite and non-negative")
         object.__setattr__(self, "deaths", tuple(sorted(deaths)))
 
-    @property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        return tuple((0.0, d) for d in self.deaths)
-
-    def __len__(self) -> int:
-        return len(self.deaths)
-
 
 def singular_values(m: EmbeddingMatrix) -> SingularSpectrum:
     """Singular values of the raw embedding matrix, descending."""
@@ -161,9 +154,6 @@ def persistence_diagram_0d(m: EmbeddingMatrix, max_points: int = 500) -> Persist
     if max_points < 1:
         raise ValueError("max_points must be >= 1")
     cloud = unit_rows(m.data[:max_points])
-    n = cloud.shape[0]
-    if n == 1:
-        return PersistenceDiagram(deaths=())
     gram = cloud @ cloud.T
     gram = (gram + gram.T) / 2.0
     sq = np.clip(2.0 - 2.0 * gram, 0.0, None)

@@ -24,7 +24,7 @@ import json
 import math
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
@@ -290,7 +290,8 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
     code the CSV outputs cannot hold, or a pair whose computation fails, is
     recorded and skipped without aborting the sweep.
 
-    There is no stage before the pair loop. A pair side whose gold rows are
+    The files are loaded before the pair loop, but there is no per-language
+    stage that computes spectra or diagrams. A pair side whose gold rows are
     all of its matrix's rows, in file order, reads its spectrum and
     persistence diagram from one entry per (document, language), which the
     first pair that needs it computes from the whole matrix; later pairs wait
@@ -305,47 +306,40 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
 
 def _load_sweep_languages(
     config: RunConfig, per_dir_files: Sequence[Mapping[str, list[Path]]]
-) -> tuple[SweepResult, dict[tuple[int, str], EmbeddingMatrix], list[str]]:
+) -> tuple[SweepResult, dict[str, list[EmbeddingMatrix]]]:
     """The sweep's load stage, over each directory's ``_embedding_files``: the
-    result so far, each usable language's matrix per document index, and the
-    usable languages in sorted order. A language with a missing or unreadable
-    file, two files in one directory or a code the CSV outputs cannot hold
-    goes to the result's ``failed_languages`` instead, with no matrix kept."""
+    result so far and, in sorted order, each usable language's matrices, one
+    per document. A language with a missing or unreadable file, two files in
+    one directory or a code the CSV outputs cannot hold goes to the result's
+    ``failed_languages`` instead, with no matrix kept."""
     all_langs = sorted(set().union(*per_dir_files))
     if not all_langs:
         raise ValueError("no embedding files found")
 
     result = SweepResult(rows={})
-    loaded: dict[tuple[int, str], EmbeddingMatrix] = {}
-    usable: list[str] = []
+    loaded: dict[str, list[EmbeddingMatrix]] = {}
     for lang in all_langs:
-        matrices: dict[tuple[int, str], EmbeddingMatrix] = {}
         try:
             _check_language_codes(lang)
-            for doc_index, files in enumerate(per_dir_files):
+            matrices = []
+            for directory, files in zip(config.embeddings, per_dir_files):
                 paths = files.get(lang, [])
                 if not paths:
-                    raise ValueError(f"missing embedding file in {config.embeddings[doc_index]}")
+                    raise ValueError(f"missing embedding file in {directory}")
                 if len(paths) > 1:
                     raise ValueError(f"two embedding files: {' and '.join(map(str, paths))}")
-                matrices[(doc_index, lang)] = load_embeddings(paths[0], lang=lang)
+                matrices.append(load_embeddings(paths[0], lang=lang))
+            loaded[lang] = matrices
         except (ValueError, OSError) as exc:
             result.failed_languages[lang] = str(exc)
-            continue
-        loaded.update(matrices)
-        usable.append(lang)
-    return result, loaded, usable
+    return result, loaded
 
 
 def _sweep_pairs(
-    config: RunConfig,
-    result: SweepResult,
-    loaded: Mapping[tuple[int, str], EmbeddingMatrix],
-    usable: Sequence[str],
+    config: RunConfig, result: SweepResult, loaded: Mapping[str, Sequence[EmbeddingMatrix]]
 ) -> SweepResult:
     """The sweep's pair loop, over what ``_load_sweep_languages`` returned."""
-    pairs = list(itertools.combinations(usable, 2))
-    docs = range(len(config.embeddings))
+    pairs = list(itertools.combinations(loaded, 2))
     gh = config.gh_max_points
     # one entry per (document, language); the lock guards only the dict, so
     # different entries still compute in parallel
@@ -366,28 +360,24 @@ def _sweep_pairs(
                 raise
         return entry.result()
 
-    def guarded(pair: tuple[str, str]):
+    def guarded(pair: tuple[str, str]) -> AlignmentMetrics | Exception:
         lang_a, lang_b = pair
         try:
             per_doc = [
-                _pair_metrics(
-                    loaded[(d, lang_a)], loaded[(d, lang_b)], config.k, functools.partial(side, d)
-                )
-                for d in docs
+                _pair_metrics(mat_a, mat_b, config.k, functools.partial(side, d))
+                for d, (mat_a, mat_b) in enumerate(zip(loaded[lang_a], loaded[lang_b]))
             ]
-            return pair, AlignmentMetrics(**_metric_means(per_doc))
+            return AlignmentMetrics(**_metric_means(per_doc))
         except (ValueError, np.linalg.LinAlgError) as exc:
-            return pair, exc
+            return exc
 
     # the pairs run in the pool at every worker count; map() keeps their canonical order
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
-        outcomes = list(pool.map(guarded, pairs))
-
-    for pair, outcome in outcomes:
-        if isinstance(outcome, Exception):
-            result.failed_pairs[pair] = str(outcome)
-        else:
-            result.rows[pair] = outcome
+        for pair, outcome in zip(pairs, pool.map(guarded, pairs)):
+            if isinstance(outcome, Exception):
+                result.failed_pairs[pair] = str(outcome)
+            else:
+                result.rows[pair] = outcome
     return result
 
 
@@ -428,13 +418,8 @@ def _as_written(value) -> float | None:
     the cell was written from, so ``report``'s rows and the rows ``analyze``
     reads from its CSVs give the same numbers. That is why an int goes in as
     a float: its own cell reads back exact, so an int of 13 or more digits
-    would change when taken again. A whole number below 10**12 in size is
-    exact at 12 digits and skips the formatting."""
-    if value is None:
-        return None
-    if abs(value) < 10**12 and value % 1 == 0:
-        return float(value)
-    return float(_cell(float(value)))
+    would change when taken again."""
+    return None if value is None else float(_cell(float(value)))
 
 
 def _write_table(
@@ -521,12 +506,12 @@ def write_features_csv(
 
 
 def read_features_csv(path: str | Path) -> dict[tuple[str, str], dict[str, float | None]]:
+    """Read a features table; each row must make a ``PairFeatureVector``, as
+    every row ``write_features_csv`` writes does."""
+
     def row(cells: Mapping[str, str]) -> dict[str, float | None]:
         values = _check_finite({name: float(c) if c != "" else None for name, c in cells.items()})
-        for name in feats.BINARY_FEATURES:
-            if values[name] not in (0.0, 1.0):
-                raise ValueError(f"{name} must be 0 or 1")
-        return values
+        return feats.PairFeatureVector(**values).as_dict()
 
     return _read_pair_csv(path, feats.FEATURE_NAMES, "features", row)
 
@@ -682,7 +667,7 @@ def analyze_search(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
         dv: {
             "best_features": list(report.per_dv_best[dv]),
             "adj_r2": report.per_dv_adj_r2[dv],
-            "n_skipped": report.per_dv_n_skipped[dv],
+            "n_skipped": report.n_skipped,
         }
         for dv in report.per_dv_best
     }
@@ -737,21 +722,12 @@ def _anova_json(result: stats.AnovaResult) -> dict:
 
 
 def _tukey_json(groups: Sequence[Sequence[float]], labels: Sequence[str]) -> list[dict] | None:
-    """Tukey HSD comparisons, or None where the test is undefined."""
+    """Tukey HSD comparisons, each as the dict of its fields, or None where
+    the test is undefined."""
     try:
-        tukey = stats.tukey_hsd(groups, labels)
+        return [asdict(c) for c in stats.tukey_hsd(groups, labels)]
     except ValueError:
         return None
-    return [
-        {
-            "group_a": c.group_a,
-            "group_b": c.group_b,
-            "mean_diff": c.mean_diff,
-            "q_stat": c.q_stat,
-            "p_value": c.p_value,
-        }
-        for c in tukey.comparisons
-    ]
 
 
 def _f_test_table(
@@ -894,11 +870,6 @@ def run_analysis(mode: str, dataset: AnalysisDataset, folds: int, seed: int | No
     return analyze(dataset, folds, seed)
 
 
-def word_order_class(order: WordOrder) -> str | None:
-    """Initial-constituent class (verb/subject/object-initial), None if unknown."""
-    return _WORD_ORDER_CLASS.get(order)
-
-
 def group_metrics_by_word_order_class(
     metrics_map: Mapping[tuple[str, str], AlignmentMetrics],
     table: Mapping[str, LanguageMeta],
@@ -910,8 +881,8 @@ def group_metrics_by_word_order_class(
     for (lang_a, lang_b), metrics in metrics_map.items():
         meta_a = table.get(lang_a)
         meta_b = table.get(lang_b)
-        cls_a = word_order_class(meta_a.word_order) if meta_a else None
-        cls_b = word_order_class(meta_b.word_order) if meta_b else None
+        cls_a = _WORD_ORDER_CLASS.get(meta_a.word_order) if meta_a else None
+        cls_b = _WORD_ORDER_CLASS.get(meta_b.word_order) if meta_b else None
         if cls_a is None or cls_b is None:
             excluded += 1
             continue
@@ -1143,15 +1114,15 @@ def run_report(config_path: str | Path) -> int:
                 char_texts, token_texts = _overlap_texts(
                     by_name.get(config.char_doc, config.corpus[0]),
                     by_name.get(config.token_doc, config.corpus[-1]))
-        sweep, matrices, usable = _load_sweep_languages(config, per_dir_files)
-        if len(usable) < 2:
-            n_langs = len(usable) + len(sweep.failed_languages)
-            raise ValueError(f"{len(usable)} of {n_langs} languages loaded; a pair needs two")
+        sweep, matrices = _load_sweep_languages(config, per_dir_files)
+        if len(matrices) < 2:
+            n_langs = len(matrices) + len(sweep.failed_languages)
+            raise ValueError(f"{len(matrices)} of {n_langs} languages loaded; a pair needs two")
         if "zero_shot" in config.analyses:
-            _check_zero_shot_families(table, usable)
+            _check_zero_shot_families(table, matrices)
 
         stage = {"stage": "sweep", "mode": None}
-        _sweep_pairs(config, sweep, matrices, usable)
+        _sweep_pairs(config, sweep, matrices)
         write_metrics_csv(sweep.rows, out / "metrics.csv")
 
         stage = {"stage": "features", "mode": None}

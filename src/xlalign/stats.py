@@ -46,19 +46,15 @@ class TukeyComparison:
 
 
 @dataclass(frozen=True)
-class TukeyResult:
-    comparisons: tuple[TukeyComparison, ...]
-
-
-@dataclass(frozen=True)
 class FeatureSearchReport:
-    """Best subset per dependent variable, the count of rank-deficient
-    subsets skipped for it, and appearance tallies."""
+    """Best subset and its score per dependent variable, appearance tallies,
+    and the count of rank-deficient subsets skipped, which is the same for
+    every dependent variable."""
 
     per_dv_best: dict[str, tuple[str, ...]]
     per_dv_adj_r2: dict[str, float]
     tallies: dict[str, int]
-    per_dv_n_skipped: dict[str, int]
+    n_skipped: int
 
 
 @dataclass(frozen=True)
@@ -192,14 +188,25 @@ def _feature_names(names: Sequence[str] | None, k: int) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _search(X: np.ndarray, Y, folds: int, seed: int) -> tuple[list, int]:
-    """Best (subset, score) for every dependent variable column of ``Y`` over
-    all nonempty feature subsets in (size, lexicographic) order, and the count
-    of subsets skipped for a rank-deficient fold."""
-    grams = _FoldGrams(X, Y, folds, seed)
+def feature_search_report(
+    X,
+    dvs: Mapping[str, np.ndarray],
+    feature_names: Sequence[str] | None = None,
+    folds: int = 10,
+    seed: int = 0,
+) -> FeatureSearchReport:
+    """Run the exhaustive search for every dependent variable in one pass and
+    tally how often each feature lands in a best-subset list.
+
+    Every nonempty feature subset is scored in (size, lexicographic) order. A
+    subset with a rank-deficient fold is skipped for every dependent variable
+    and counted in ``n_skipped``."""
+    X = np.asarray(X, dtype=np.float64)
     k = X.shape[1]
+    names = _feature_names(feature_names, k)
+    grams = _FoldGrams(X, np.column_stack(list(dvs.values())), folds, seed)
     subsets = [s for size in range(1, k + 1) for s in itertools.combinations(range(k), size)]
-    scores = np.full((len(subsets), grams.yy_te.shape[1]), -np.inf)
+    scores = np.full((len(subsets), len(dvs)), -np.inf)
     n_skipped = 0
     for row, subset in zip(scores, subsets):
         adj, full_rank = grams.score(subset)
@@ -210,27 +217,12 @@ def _search(X: np.ndarray, Y, folds: int, seed: int) -> tuple[list, int]:
     if n_skipped == len(subsets):
         raise ValueError("every feature subset was rank deficient")
     best = [_first_best(column) for column in scores.T]
-    return [(subsets[b], float(scores[b, j])) for j, b in enumerate(best)], n_skipped
-
-
-def feature_search_report(
-    X,
-    dvs: Mapping[str, np.ndarray],
-    feature_names: Sequence[str] | None = None,
-    folds: int = 10,
-    seed: int = 0,
-) -> FeatureSearchReport:
-    """Run the exhaustive search for every dependent variable in one pass and
-    tally how often each feature lands in a best-subset list."""
-    X = np.asarray(X, dtype=np.float64)
-    names = _feature_names(feature_names, X.shape[1])
-    results, n_skipped = _search(X, np.column_stack(list(dvs.values())), folds, seed)
-    per_dv_best = {dv: tuple(names[i] for i in best) for dv, (best, _) in zip(dvs, results)}
+    per_dv_best = {dv: tuple(names[i] for i in subsets[b]) for dv, b in zip(dvs, best)}
     return FeatureSearchReport(
         per_dv_best=per_dv_best,
-        per_dv_adj_r2={dv: score for dv, (_, score) in zip(dvs, results)},
-        tallies={name: sum(best.count(name) for best in per_dv_best.values()) for name in names},
-        per_dv_n_skipped=dict.fromkeys(dvs, n_skipped),
+        per_dv_adj_r2={dv: float(scores[b, j]) for j, (dv, b) in enumerate(zip(dvs, best))},
+        tallies={name: sum(chosen.count(name) for chosen in per_dv_best.values()) for name in names},
+        n_skipped=n_skipped,
     )
 
 
@@ -347,8 +339,9 @@ def ancova(y, factor: Sequence, covariates=None) -> AnovaResult:
     return _f_test(max(_sse(reduced, y) - sse_full, 0.0), sse_full, df_effect, df_error)
 
 
-def tukey_hsd(groups: Sequence, labels: Sequence[str] | None = None) -> TukeyResult:
-    """Pairwise Tukey HSD over the given groups.
+def tukey_hsd(groups: Sequence, labels: Sequence[str] | None = None) -> tuple[TukeyComparison, ...]:
+    """Pairwise Tukey HSD over the given groups, one comparison per pair of
+    groups in group order.
 
     With two groups the p-value is the exact two-sided t tail and equals
     ``anova_oneway(groups).p_value``. With three or more it comes from
@@ -383,7 +376,7 @@ def tukey_hsd(groups: Sequence, labels: Sequence[str] | None = None) -> TukeyRes
                     p_value=studentized_range_sf(q, k, df_error),
                 )
             )
-    return TukeyResult(comparisons=tuple(comparisons))
+    return tuple(comparisons)
 
 
 def pca(X) -> PCAResult:

@@ -88,7 +88,16 @@ def test_binary_truncated_and_trailing(tmp_path):
     blob = path.read_bytes()
     bad = tmp_path / "bad.xemb"
     bad.write_bytes(blob[:-3])
-    with pytest.raises(ValueError, match="truncated id"):
+    with pytest.raises(ValueError, match="truncated id block"):
+        load_embeddings(bad)
+    bad.write_bytes(blob[:-1])  # the last id's length, but not its byte
+    with pytest.raises(ValueError, match="truncated id entry"):
+        load_embeddings(bad)
+    bad.write_bytes(blob[:4] + b"\x02" + blob[5:])
+    with pytest.raises(ValueError, match="unsupported version 2"):
+        load_embeddings(bad)
+    bad.write_bytes(blob[:20])  # a 13-byte header and 7 of the 36 payload bytes
+    with pytest.raises(ValueError, match="payload shorter than 3x3 header promises"):
         load_embeddings(bad)
     bad.write_bytes(blob + b"xx")
     with pytest.raises(ValueError, match="trailing|truncated"):
@@ -160,11 +169,12 @@ def test_binary_text_agreement(tmp_path):
 
 def test_load_corpus(tmp_path):
     (tmp_path / "deu.tsv").write_text("1\tein satz\n2\tnoch einer\n3\tdrei\n")
-    (tmp_path / "eng.tsv").write_text("2\ta sentence\n3\tanother\n4\tfour\n")
+    (tmp_path / "eng.tsv").write_text("2\ta sentence\n\n3\tanother\n4\tfour\n")  # a blank line
     corpus = load_corpus(tmp_path)
     assert corpus.name == tmp_path.name
     assert set(corpus.documents) == {"deu", "eng"}
     assert corpus.documents["deu"]["2"] == "noch einer"
+    assert corpus.documents["eng"] == {"2": "a sentence", "3": "another", "4": "four"}
 
 
 def test_load_corpus_errors(tmp_path):
@@ -211,11 +221,11 @@ def test_align_pair_symmetric():
 def test_bitext_pair_invariants():
     a = EmbeddingMatrix("a", np.eye(3), ("x", "y", "z"))
     with pytest.raises(ValueError, match="out of range"):
-        BitextPair("a", "a", a, a, ((0, 5),))
+        BitextPair(a, a, ((0, 5),))
     with pytest.raises(ValueError, match="sorted"):
-        BitextPair("a", "a", a, a, ((2, 2), (0, 0)))
+        BitextPair(a, a, ((2, 2), (0, 0)))
     with pytest.raises(ValueError, match="different verse ids"):
-        BitextPair("a", "a", a, a, ((0, 1),))
+        BitextPair(a, a, ((0, 1),))
 
 
 def test_language_table_parse(tmp_path):
@@ -224,6 +234,7 @@ def test_language_table_parse(tmp_path):
         "lang\tfamily\tsubfamily\tword_order\tpolysynthetic\ttrain_sentences\tsyntax_vec\n"
         "deu\tIndo-European\tGermanic\tSOV\tfalse\t120000\t0.1,0.2\n"
         "ikt\tEskimo-Aleut\tInuit\t\ttrue\t0\t\n"
+        "fra\tIndo-European\tRomance\tSVO\tfalse\n"  # short: the missing cells read empty
     )
     table = load_language_table(path)
     meta = table["deu"]
@@ -234,6 +245,7 @@ def test_language_table_parse(tmp_path):
     np.testing.assert_array_equal(meta.typo_vectors["syntax"], [0.1, 0.2])
     assert table["ikt"].word_order is WordOrder.UNKNOWN
     assert "syntax" not in table["ikt"].typo_vectors
+    assert table["fra"].train_sentences == 0 and table["fra"].typo_vectors == {}
 
 
 @pytest.mark.parametrize(
@@ -242,11 +254,16 @@ def test_language_table_parse(tmp_path):
         ("xxx\tf\ts\tXYZ\tfalse\t10", "invalid word order"),
         ("xxx\tf\ts\tSVO\tmaybe\t10", "malformed boolean"),
         ("xxx\tf\ts\tSVO\tfalse\t-5", "negative train_sentences"),
+        ("xxx\tf\ts\tSVO\tfalse\tmany", "malformed train_sentences"),
+        ("\tf\ts\tSVO\tfalse\t10", "empty language code"),
+        ("xxx\tf\ts\tSVO\tfalse\t10\t0.1,x", "malformed syntax_vec"),
+        ("xxx\tf\ts\tSVO\tfalse\t10\t0.1\textra", "8 cells for 7 columns"),
     ],
 )
 def test_language_table_bad_rows(tmp_path, row, message):
     path = tmp_path / "langs.tsv"
-    path.write_text("lang\tfamily\tsubfamily\tword_order\tpolysynthetic\ttrain_sentences\n" + row + "\n")
+    path.write_text("lang\tfamily\tsubfamily\tword_order\tpolysynthetic\ttrain_sentences\tsyntax_vec\n"
+                    + row + "\n")
     with pytest.raises(ValueError, match=message):
         load_language_table(path)
 

@@ -149,8 +149,8 @@ def test_persistence_degenerate_cases():
 def test_persistence_subsampling_and_size():
     rng = np.random.default_rng(7)
     m = EmbeddingMatrix("m", rng.standard_normal((30, 4)))
-    assert len(persistence_diagram_0d(m, max_points=10)) == 9
-    assert len(persistence_diagram_0d(m)) == 29
+    assert len(persistence_diagram_0d(m, max_points=10).deaths) == 9
+    assert len(persistence_diagram_0d(m).deaths) == 29
     prefix = EmbeddingMatrix("m", m.data[:10])
     assert persistence_diagram_0d(m, max_points=10) == persistence_diagram_0d(prefix)
 
@@ -162,7 +162,6 @@ def test_diagram_invariants():
         PersistenceDiagram((-1.0,))
     d = PersistenceDiagram((2.0, 1.0))
     assert d.deaths == (1.0, 2.0)
-    assert d.points == ((0.0, 1.0), (0.0, 2.0))
 
 
 def test_bottleneck_hand_cases():

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import xlalign as xa
 from xlalign import pipeline, special
-from xlalign.cli import _build_parser, main
+from xlalign.cli import _COMMANDS, _build_parser, main
 from xlalign.corpus import LanguageMeta, WordOrder
 from xlalign.pipeline import (
     ANALYSES,
@@ -43,7 +43,6 @@ from xlalign.pipeline import (
     run_case_study_compare,
     run_pair_metrics,
     run_zero_shot_analysis,
-    word_order_class,
     write_features_csv,
     write_metrics_csv,
 )
@@ -76,6 +75,12 @@ def test_config_validation(tmp_path):
                   analyses=("corr",))
     with pytest.raises(ValueError, match="k must be"):
         RunConfig(embeddings=(tmp_path,), out=tmp_path, k=0)
+    with pytest.raises(ValueError, match="gh_max_points must be >= 1"):
+        RunConfig(embeddings=(tmp_path,), out=tmp_path, gh_max_points=0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        RunConfig(embeddings=(tmp_path,), out=tmp_path, workers=0)
+    with pytest.raises(ValueError, match="zero_shot analysis requires a language table"):
+        RunConfig(embeddings=(tmp_path,), out=tmp_path, analyses=("zero_shot",))
     with pytest.raises(ValueError, match="unknown analyses"):
         RunConfig(embeddings=(tmp_path,), out=tmp_path, analyses=("tsne",))
     cfg = tmp_path / "bad.cfg"
@@ -130,6 +135,18 @@ def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
     assert len(printed) == 5 and all(np.isfinite(printed))
 
 
+def test_readme_cli_lines_parse():
+    """Each ``xlalign`` line of the README's CLI block is a command line the
+    parser accepts, and the block shows every subcommand."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"## CLI\n\n```bash\n(.*?)```", readme, flags=re.S)
+    commands = [line.split("#")[0].split()[1:] for line in block.splitlines()
+                if line.startswith("xlalign ")]
+    for argv in commands:
+        _build_parser().parse_args(argv)  # exits on a line it refuses
+    assert sorted(argv[0] for argv in commands) == sorted(_COMMANDS)
+
+
 def test_public_names_are_frozen():
     """An export change shows up as a change of this list."""
     public = sorted(name for name, value in vars(xa).items()
@@ -147,7 +164,7 @@ def test_public_names_are_frozen():
         "per_language_metrics", "persistence_diagram_0d", "retrieval_f1", "run_case_study_compare",
         "run_pair_metrics", "run_report", "run_zero_shot_analysis", "save_embeddings",
         "semipartial", "singular_values", "svg", "training_aggregates", "tukey_hsd",
-        "typological_distance", "word_order_class",
+        "typological_distance",
     ]
 
 
@@ -282,6 +299,22 @@ def test_cli_analyze_names_a_non_finite_feature_and_writes_no_json(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "ablate", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["--mode", "corr", "--folds", "1"], "--folds must be >= 2, got 1"),
+])
+def test_cli_analyze_refuses_a_bad_seed_or_fold_count_before_reading(
+    tmp_path, capsys, flags, message
+):
+    """The bounds RunConfig sets for report. The tables named do not exist,
+    so the error is the flag's only if it comes before either is opened."""
+    out = tmp_path / "analysis.json"
+    assert main(["analyze", "--features", str(tmp_path / "features.csv"),
+                 "--metrics", str(tmp_path / "metrics.csv"), *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"xlalign: error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["anova", "ancova"])
 @pytest.mark.parametrize("cell", ["0.5", "2", ""])
 def test_cli_analyze_refuses_a_binary_feature_that_is_not_0_or_1(
@@ -329,11 +362,11 @@ def test_load_stage_keeps_no_matrix_of_a_language_that_fails(workspace):
     its first document behind."""
     (workspace["root"] / "emb" / "john" / "quc.xemb").write_bytes(b"XEMBgarbage")
     config = load_config(workspace["config"])
-    result, loaded, usable = pipeline._load_sweep_languages(
+    result, loaded = pipeline._load_sweep_languages(
         config, [pipeline._embedding_files(d) for d in config.embeddings])
     assert list(result.failed_languages) == ["quc"]
-    assert usable == ["deu", "eng", "fra"]
-    assert sorted(loaded) == [(d, lang) for d in (0, 1) for lang in usable]
+    assert list(loaded) == ["deu", "eng", "fra"]
+    assert all(len(matrices) == 2 for matrices in loaded.values())
 
 
 def test_run_pair_metrics_skips_csv_breaking_language_codes(workspace, tmp_path):
@@ -803,6 +836,18 @@ def test_analyze_pca_pcr(analysis_dataset):
         assert 1 <= best <= n_comp
 
 
+def test_analyze_pca_pcr_refuse_too_few_varying_features(analysis_dataset):
+    dataset, *_ = analysis_dataset
+    one_varies = dataset.X.copy()
+    one_varies[:, 1:] = 1.0
+    with pytest.raises(ValueError, match="fewer than two varying features"):
+        analyze_pca(dataclasses.replace(dataset, X=one_varies))
+    assert analyze_pcr(dataclasses.replace(dataset, X=one_varies), folds=3, seed=5)[
+        "constant_features"] == list(xa.FEATURE_NAMES[1:])
+    with pytest.raises(ValueError, match="no varying features"):
+        analyze_pcr(dataclasses.replace(dataset, X=np.ones_like(dataset.X)), folds=3, seed=5)
+
+
 def test_make_analysis_dataset_drops_incomplete():
     features_map = {
         ("a", "b"): dict.fromkeys(xa.FEATURE_NAMES, 1.0),
@@ -817,6 +862,11 @@ def test_make_analysis_dataset_drops_incomplete():
     # the one kept row is ("a", "b")'s
     assert dataset.X.shape == (1, len(xa.FEATURE_NAMES))
     assert dataset.dvs["f1"].tolist() == [0.25]
+
+    with pytest.raises(ValueError, match="no pairs shared between features and metrics"):
+        make_analysis_dataset(features_map, {("b", "c"): synthetic_metrics()})
+    with pytest.raises(ValueError, match="every pair has at least one missing feature"):
+        make_analysis_dataset({("a", "c"): features_map[("a", "c")]}, metrics_map)
 
 
 # ----------------------------------------------------------------- zero-shot
@@ -899,12 +949,33 @@ def test_cli_compare_refuses_two_tables_with_no_pairs(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_word_order_class_mapping():
-    assert word_order_class(WordOrder.VSO) == "verb_initial"
-    assert word_order_class(WordOrder.VOS) == "verb_initial"
-    assert word_order_class(WordOrder.SVO) == "subject_initial"
-    assert word_order_class(WordOrder.OVS) == "object_initial"
-    assert word_order_class(WordOrder.UNKNOWN) is None
+_ORDERS = {"vso": "VSO", "vos": "VOS", "svo": "SVO", "sov": "SOV", "ovs": "OVS", "osv": "OSV",
+           "unk": "", "unk2": ""}
+
+
+@pytest.mark.parametrize("pairs, similar, different", [
+    # each class's two orders agree; a pair with an unknown order is left out
+    ([("vos", "vso"), ("sov", "svo"), ("osv", "ovs"), ("unk", "vso")], 3, 0),
+    # the three classes differ from each other; two unknown orders do not agree
+    ([("svo", "vso"), ("ovs", "svo"), ("ovs", "vos"), ("unk", "unk2")], 0, 3),
+])
+def test_cli_compare_groups_pairs_by_word_order_class(tmp_path, pairs, similar, different):
+    languages = conftest.write_language_table(
+        tmp_path / "languages.tsv",
+        [{"lang": lang, "word_order": order} for lang, order in _ORDERS.items()],
+    )
+    for name, value in (("a", 0.25), ("b", 0.75)):
+        write_metrics_csv({pair: synthetic_metrics(value) for pair in pairs},
+                          tmp_path / f"{name}.csv")
+    out = tmp_path / "cmp.json"
+    assert main(["compare", "--a", str(tmp_path / "a.csv"), "--b", str(tmp_path / "b.csv"),
+                 "--languages", str(languages), "--out", str(out)]) == 0
+    groups = json.loads(out.read_text())["word_order_groups"]
+    for name, value in (("a", 0.25), ("b", 0.75)):
+        assert groups[name]["excluded_pairs"] == 1
+        for label, n_pairs in (("similar", similar), ("different", different)):
+            means = synthetic_metrics(value).as_dict() if n_pairs else None
+            assert groups[name][label] == {"n_pairs": n_pairs, "means": means}
 
 
 def test_word_order_grouping_counts():
@@ -1077,9 +1148,13 @@ def test_cli_report_refuses_a_repeated_table_column_before_the_sweep(
     assert align.calls == 0 and not (results / "metrics.csv").exists()
 
 
-def test_cli_single_pair_commands(workspace, tmp_path):
+def test_cli_single_pair_commands(workspace, tmp_path, capsys):
     emb = workspace["root"] / "emb" / "matthew"
     out_json = tmp_path / "m.json"
+    assert main(["metrics", "--pair", str(emb / "deu.xemb"), str(emb / "eng.xemb"),
+                 "--k", "0", "--out", str(out_json)]) == 1
+    assert capsys.readouterr().err == "xlalign: error: k=0 out of range [1, 36]\n"
+    assert not out_json.exists()
     code = main(["metrics", "--pair", str(emb / "deu.xemb"), str(emb / "eng.xemb"),
                  "--gh-max-points", "30", "--out", str(out_json)])
     assert code == 0

@@ -19,7 +19,10 @@ from xlalign.pipeline import METRIC_NAMES, AlignmentMetrics
 from conftest import write_language_table
 
 FEATURE_NAMES = xa.FEATURE_NAMES
+COUNT_FEATURES = ("combined_sentences", "combined_in_family", "combined_in_subfamily")
 BINARY_FEATURES = ("same_family", "same_subfamily", "same_word_order", "same_polysynthesis")
+BOUNDED_FEATURES = {"token_overlap": 1.0, "char_overlap": 1.0, "syntactic_dist": 2.0,
+                    "phonological_dist": 2.0, "inventory_dist": 2.0, "geographic_dist": 2.0}
 
 
 # ------------------------------------------------- reference implementation
@@ -29,6 +32,10 @@ BINARY_FEATURES = ("same_family", "same_subfamily", "same_word_order", "same_pol
 # writers refuse to write either kind of pair, so does the copy. Since the
 # features reader refuses a non-finite cell, as the metrics reader does, and
 # a binary feature's cell that does not read 0 or 1, the copy does the same.
+# Since the features reader refuses any row that no PairFeatureVector holds
+# (a count that is empty, negative or fractional, a subfamily count above the
+# family count, an overlap outside [0, 1], a distance outside [0, 2]), so
+# does the copy.
 
 def _ref_fmt(x):
     return f"{x:.12g}"
@@ -127,9 +134,17 @@ def ref_read_features_csv(path):
             for name, value in row.items():
                 if value is not None and not math.isfinite(value):
                     raise ValueError(f"{name} is not finite: {value}")
+            for name in COUNT_FEATURES:
+                if row[name] is None or row[name] < 0 or row[name] != int(row[name]):
+                    raise ValueError(f"{name} must be a non-negative integer, got {row[name]!r}")
+            if row["combined_in_subfamily"] > row["combined_in_family"]:
+                raise ValueError("combined_in_subfamily exceeds combined_in_family")
             for name in BINARY_FEATURES:
                 if row[name] not in (0.0, 1.0):
                     raise ValueError(f"{name} must be 0 or 1")
+            for name, top in BOUNDED_FEATURES.items():
+                if row[name] is not None and not 0.0 <= row[name] <= top + 1e-9:
+                    raise ValueError(f"{name} outside [0, {top:g}]")
             rows[(cells[0], cells[1])] = row
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {cells[0]},{cells[1]}: {exc}") from None
@@ -356,6 +371,11 @@ _METRICS_HEADER = "lang_a,lang_b," + ",".join(METRIC_NAMES)
 _FEATURES_HEADER = "lang_a,lang_b," + ",".join(FEATURE_NAMES)
 
 
+def _features_row(**cells):
+    """A features table of one a,b row: ``cells`` as given, every other cell 1."""
+    return _FEATURES_HEADER + "\na,b," + ",".join(str(cells.get(n, 1)) for n in FEATURE_NAMES) + "\n"
+
+
 @pytest.mark.parametrize("read, ref_read, text, message", [
     (pipeline.read_metrics_csv, ref_read_metrics_csv, "lang_a,lang_b,f1\n",
      "unexpected metrics header"),
@@ -384,6 +404,21 @@ _FEATURES_HEADER = "lang_a,lang_b," + ",".join(FEATURE_NAMES)
     (pipeline.read_features_csv, ref_read_features_csv,
      _FEATURES_HEADER + "\na,b" + ",1" * 3 + "," + ",1" * 9 + "\n",
      ":2: a,b: same_family must be 0 or 1"),
+    # rows no PairFeatureVector holds, so write_features_csv never writes them
+    (pipeline.read_features_csv, ref_read_features_csv, _features_row(char_overlap=7.5),
+     ":2: a,b: char_overlap outside [0, 1]"),
+    (pipeline.read_features_csv, ref_read_features_csv, _features_row(syntactic_dist=9),
+     ":2: a,b: syntactic_dist outside [0, 2]"),
+    (pipeline.read_features_csv, ref_read_features_csv, _features_row(combined_sentences=-3),
+     ":2: a,b: combined_sentences must be a non-negative integer, got -3.0"),
+    (pipeline.read_features_csv, ref_read_features_csv, _features_row(combined_sentences=2.5),
+     ":2: a,b: combined_sentences must be a non-negative integer, got 2.5"),
+    (pipeline.read_features_csv, ref_read_features_csv,
+     _features_row(combined_in_family=2, combined_in_subfamily=5),
+     ":2: a,b: combined_in_subfamily exceeds combined_in_family"),
+    # an empty count cell is named, not a TypeError from comparing None
+    (pipeline.read_features_csv, ref_read_features_csv, _features_row(combined_in_family=""),
+     ":2: a,b: combined_in_family must be a non-negative integer, got None"),
 ])
 def test_readers_raise_like_reference(read, ref_read, text, message):
     new, ref = _read_both(text, read, ref_read)
@@ -426,24 +461,29 @@ _WRITTEN = (st.none() | st.floats() | _SUBNORMALS | _SPECIALS | _TWELVE_DIGITS
 
 
 def _read_back(value):
-    """The nine values ``read_features_csv`` returns for the non-binary cells
-    of a row written by ``_write_table`` with ``value`` in each of them. The
-    four binary cells hold 1, since the reader refuses any cell there that
-    does not read 0 or 1."""
-    row = [1 if name in BINARY_FEATURES else value for name in FEATURE_NAMES]
+    """What the readers return for a cell that ``_write_table`` wrote from
+    ``value``: the six optional cells of a ``features.csv`` row for ``None``,
+    else the ``avg_margin`` cell of a ``metrics.csv`` row, the one cell of
+    either table that holds any finite number. The other cells hold values
+    the readers accept."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "features.csv"
-        pipeline._write_table([("a", "b", *row)], ("lang_a", "lang_b", *FEATURE_NAMES), path)
-        back = pipeline.read_features_csv(path)[("a", "b")]
-    return [back[name] for name in FEATURE_NAMES if name not in BINARY_FEATURES]
+        path = Path(tmp) / "table.csv"
+        if value is None:
+            row = [None if name in BOUNDED_FEATURES else 1 for name in FEATURE_NAMES]
+            pipeline._write_table([("a", "b", *row)], ("lang_a", "lang_b", *FEATURE_NAMES), path)
+            back = pipeline.read_features_csv(path)[("a", "b")]
+            return [back[name] for name in BOUNDED_FEATURES]
+        row = [value if name == "avg_margin" else 1 for name in METRIC_NAMES]
+        pipeline._write_table([("a", "b", *row)], ("lang_a", "lang_b", *METRIC_NAMES), path)
+        return [pipeline.read_metrics_csv(path)[("a", "b")].avg_margin]
 
 
 def _refused(value):
     """Whether ``value`` is a non-finite float, whose cell
-    ``read_features_csv`` refuses, naming the row's first feature."""
+    ``read_metrics_csv`` refuses, naming its column."""
     if not (isinstance(value, float) and not math.isfinite(value)):
         return False
-    with pytest.raises(ValueError, match=re.escape(f"{FEATURE_NAMES[0]} is not finite: {value}")):
+    with pytest.raises(ValueError, match=re.escape(f"avg_margin is not finite: {value}")):
         _read_back(value)
     return True
 
