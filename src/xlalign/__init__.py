@@ -42,12 +42,9 @@ from .isomorphism import (
 )
 from .knn import NeighborList, cosine, knn_search
 from .mining import (
-    Direction,
     MinedAlignment,
     RetrievalScore,
     average_margin,
-    mine_backward,
-    mine_direction,
     mine_intersection,
     retrieval_f1,
 )

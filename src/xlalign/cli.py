@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import pipeline
+from . import mining, pipeline
 from .corpus import load_embeddings, load_language_table
-from .mining import mine_backward, mine_direction, mine_intersection
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -72,15 +71,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_mine(args) -> int:
-    src = load_embeddings(args.src)
-    tgt = load_embeddings(args.tgt)
-    miners = {
-        "forward": mine_direction,
-        "backward": mine_backward,
-        "intersection": mine_intersection,
-    }
-    mined = miners[args.direction](src, tgt, args.k)
-    pipeline._write_table(mined.pairs, ("row_a", "row_b", "margin"), args.out, sep="\t")
+    tables = mining._PairTables(load_embeddings(args.src), load_embeddings(args.tgt), args.k)
+    if args.direction == "forward":
+        rows = tables.mine(0)
+    elif args.direction == "backward":
+        rows = sorted(tables.mine(1))  # one row per target row, ordered by row_a
+    else:
+        rows = tables.intersection().pairs
+    pipeline._write_table(rows, ("row_a", "row_b", "margin"), args.out, sep="\t")
     return 0
 
 
@@ -108,6 +106,7 @@ def _cmd_analyze(args) -> int:
         raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.folds < 2:
         raise ValueError(f"--folds must be >= 2, got {args.folds}")
+    pipeline._require_seed([args.mode], args.seed)
     features_map = pipeline.read_features_csv(args.features)
     metrics_map = pipeline.read_metrics_csv(args.metrics)
     dataset = pipeline.make_analysis_dataset(features_map, metrics_map)

@@ -400,9 +400,10 @@ def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:
     """Parse the language-metadata TSV into a ``lang -> LanguageMeta`` map.
 
     A missing word-order cell maps to ``UNKNOWN``; missing vector cells are
-    recorded as absent rather than zero-filled. Typological vectors of the
-    same kind must share a dimensionality across all languages. A column
-    named twice in the header is refused.
+    recorded as absent rather than zero-filled. An empty ``family``,
+    ``subfamily`` or ``train_sentences`` cell is refused. Typological vectors
+    of the same kind must share a dimensionality across all languages. A
+    column named twice in the header is refused.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -435,6 +436,9 @@ def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:
             raise ValueError(f"{path}:{lineno}: empty language code")
         if lang in table:
             raise ValueError(f"{path}:{lineno}: duplicate language {lang!r}")
+        for column in ("family", "subfamily", "train_sentences"):
+            if not cells[col_of[column]].strip():
+                raise ValueError(f"{path}:{lineno}: empty {column}")
         order_token = cells[col_of["word_order"]].strip()
         if not order_token:
             word_order = WordOrder.UNKNOWN
@@ -444,7 +448,7 @@ def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: invalid word order {order_token!r}") from None
         try:
-            train = int(cells[col_of["train_sentences"]].strip() or "0")
+            train = int(cells[col_of["train_sentences"]])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed train_sentences") from None
         if train < 0:

@@ -1,4 +1,4 @@
-"""Margin-score bitext mining: directional search, intersection, and scoring.
+"""Margin-score bitext mining: the forward/backward intersection and its scoring.
 
 The margin score of a candidate pair relativizes its cosine similarity by the
 mean similarity of each side's k nearest neighbors:
@@ -13,7 +13,6 @@ the retrieved alignment, which is scored as F1 against a gold alignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,28 +23,17 @@ from .knn import _knn_topk, unit_rows
 _DENOM_FLOOR = 1e-12
 
 
-class Direction(str, Enum):
-    FORWARD = "forward"
-    BACKWARD = "backward"
-    INTERSECTION = "intersection"
-
-
 @dataclass(frozen=True)
 class MinedAlignment:
-    """Mined (row_a, row_b, margin) triples for one mining direction."""
+    """Mined (row_a, row_b, margin) triples: one pair at most per row of either side."""
 
     pairs: tuple[tuple[int, int, float], ...]
-    direction: Direction
 
     def __post_init__(self):
-        rows_a = [a for a, _, _ in self.pairs]
-        rows_b = [b for _, b, _ in self.pairs]
-        if self.direction in (Direction.FORWARD, Direction.INTERSECTION):
-            if len(set(rows_a)) != len(rows_a):
-                raise ValueError("duplicate source row in mined pairs")
-        if self.direction in (Direction.BACKWARD, Direction.INTERSECTION):
-            if len(set(rows_b)) != len(rows_b):
-                raise ValueError("duplicate target row in mined pairs")
+        if len({a for a, _, _ in self.pairs}) != len(self.pairs):
+            raise ValueError("duplicate source row in mined pairs")
+        if len({b for _, b, _ in self.pairs}) != len(self.pairs):
+            raise ValueError("duplicate target row in mined pairs")
         if not all(np.isfinite(s) for _, _, s in self.pairs):
             raise ValueError("non-finite margin score")
 
@@ -96,24 +84,13 @@ class _PairTables:
     def intersection(self) -> MinedAlignment:
         backward_set = {(a, b) for a, b, _ in self.mine(1)}
         pairs = tuple(p for p in self.mine(0) if p[:2] in backward_set)
-        return MinedAlignment(pairs=pairs, direction=Direction.INTERSECTION)
+        return MinedAlignment(pairs)
 
     def average_margin(self, gold: Sequence[tuple[int, int]]) -> float:
         rows_a, rows_b = np.array(gold).T
         # one BLAS dot per gold pair: einsum or a row-wise sum rounds differently
         cos = np.clip([self.unit[0][i] @ self.unit[1][j] for i, j in gold], -1.0, 1.0)
         return float(np.mean(_margins(self.k, cos, self.sums[0][rows_a] + self.sums[1][rows_b])))
-
-
-def mine_direction(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k: int) -> MinedAlignment:
-    """Mine one pair per source row: the margin-score maximizer among its k
-    cosine-nearest targets (ties toward the lower target index)."""
-    return MinedAlignment(tuple(_PairTables(src, tgt, k).mine(0)), Direction.FORWARD)
-
-
-def mine_backward(src: EmbeddingMatrix, tgt: EmbeddingMatrix, k: int) -> MinedAlignment:
-    """Mine one pair per *target* row, reported in (row_a, row_b) orientation."""
-    return MinedAlignment(tuple(sorted(_PairTables(src, tgt, k).mine(1))), Direction.BACKWARD)
 
 
 def mine_intersection(a: EmbeddingMatrix, b: EmbeddingMatrix, k: int) -> MinedAlignment:

@@ -132,8 +132,7 @@ class RunConfig:
         unknown = [a for a in self.analyses if a not in ANALYSES and a != "zero_shot"]
         if unknown:
             raise ValueError(f"unknown analyses: {unknown}")
-        if self.seed is None and any(a in ANALYSES and ANALYSES[a][1] for a in self.analyses):
-            raise ValueError("seed is required when a stochastic analysis is selected")
+        _require_seed(self.analyses, self.seed)
         needs_features = [a for a in self.analyses if a != "zero_shot"]
         if needs_features and self.languages is None:
             raise ValueError(f"analyses {needs_features} require a language table")
@@ -859,15 +858,19 @@ ANALYSES: dict[str, tuple[Callable[..., dict], bool]] = {
 }
 
 
+def _require_seed(modes: Iterable[str], seed: int | None) -> None:
+    """Refuse a missing seed when one of ``modes`` takes a seed in ``ANALYSES``."""
+    seeded = [mode for mode in modes if mode in ANALYSES and ANALYSES[mode][1]]
+    if seed is None and seeded:
+        raise ValueError(f"seed is required for mode {seeded[0]!r}")
+
+
 def run_analysis(mode: str, dataset: AnalysisDataset, folds: int, seed: int | None) -> dict:
     """Run one dataset analysis mode from ``ANALYSES``; a mode that takes a
     seed raises ``ValueError`` when none is given."""
     analyze, seeded = ANALYSES[mode]
-    if not seeded:
-        return analyze(dataset)
-    if seed is None:
-        raise ValueError(f"seed is required for mode {mode!r}")
-    return analyze(dataset, folds, seed)
+    _require_seed([mode], seed)
+    return analyze(dataset, folds, seed) if seeded else analyze(dataset)
 
 
 def group_metrics_by_word_order_class(

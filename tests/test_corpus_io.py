@@ -234,7 +234,7 @@ def test_language_table_parse(tmp_path):
         "lang\tfamily\tsubfamily\tword_order\tpolysynthetic\ttrain_sentences\tsyntax_vec\n"
         "deu\tIndo-European\tGermanic\tSOV\tfalse\t120000\t0.1,0.2\n"
         "ikt\tEskimo-Aleut\tInuit\t\ttrue\t0\t\n"
-        "fra\tIndo-European\tRomance\tSVO\tfalse\n"  # short: the missing cells read empty
+        "fra\tIndo-European\tRomance\tSVO\tfalse\t5000\n"  # short: the vector cell reads empty
     )
     table = load_language_table(path)
     meta = table["deu"]
@@ -245,7 +245,7 @@ def test_language_table_parse(tmp_path):
     np.testing.assert_array_equal(meta.typo_vectors["syntax"], [0.1, 0.2])
     assert table["ikt"].word_order is WordOrder.UNKNOWN
     assert "syntax" not in table["ikt"].typo_vectors
-    assert table["fra"].train_sentences == 0 and table["fra"].typo_vectors == {}
+    assert table["fra"].train_sentences == 5000 and table["fra"].typo_vectors == {}
 
 
 @pytest.mark.parametrize(
@@ -256,6 +256,10 @@ def test_language_table_parse(tmp_path):
         ("xxx\tf\ts\tSVO\tfalse\t-5", "negative train_sentences"),
         ("xxx\tf\ts\tSVO\tfalse\tmany", "malformed train_sentences"),
         ("\tf\ts\tSVO\tfalse\t10", "empty language code"),
+        ("xxx\t\ts\tSVO\tfalse\t10", "empty family"),
+        ("xxx\tf\t \tSVO\tfalse\t10", "empty subfamily"),
+        ("xxx\tf\ts\tSVO\tfalse\t", "empty train_sentences"),
+        ("xxx\tf\ts\tSVO\tfalse", "empty train_sentences"),  # short: the count reads empty
         ("xxx\tf\ts\tSVO\tfalse\t10\t0.1,x", "malformed syntax_vec"),
         ("xxx\tf\ts\tSVO\tfalse\t10\t0.1\textra", "8 cells for 7 columns"),
     ],
@@ -284,6 +288,12 @@ def test_language_table_errors_name_the_file_line(tmp_path):
 
 def test_language_table_structure_errors(tmp_path):
     path = tmp_path / "langs.tsv"
+    path.write_text("\n")
+    with pytest.raises(ValueError, match="empty table"):
+        load_language_table(path)
+    path.write_text("lang\tfamily\tsubfamily\tword_order\tpolysynthetic\ttrain_sentences\n")
+    with pytest.raises(ValueError, match="table has no language rows"):
+        load_language_table(path)
     path.write_text("lang\tfamily\tsubfamily\tword_order\tpolysynthetic\n")
     with pytest.raises(ValueError, match="missing column"):
         load_language_table(path)

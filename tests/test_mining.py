@@ -7,18 +7,20 @@ import xlalign as xa
 from xlalign import isomorphism as iso
 from xlalign import mining
 from xlalign.knn import NeighborList, _knn_topk, cosine, unit_rows
-from xlalign.mining import (
-    Direction,
-    MinedAlignment,
-    average_margin,
-    mine_backward,
-    mine_direction,
-    mine_intersection,
-    retrieval_f1,
-)
+from xlalign.mining import MinedAlignment, average_margin, mine_intersection, retrieval_f1
 from xlalign.pipeline import compute_pair_metrics
 
 from conftest import random_rotation
+
+
+def _forward(src, tgt, k):
+    """The rows `mine --direction forward` writes: one pair per source row."""
+    return tuple(mining._PairTables(src, tgt, k).mine(0))
+
+
+def _backward(src, tgt, k):
+    """The rows `mine --direction backward` writes: one pair per target row, by row_a."""
+    return tuple(sorted(mining._PairTables(src, tgt, k).mine(1)))
 
 
 def _unit(rng, n, d):
@@ -76,31 +78,29 @@ def test_average_margin_degenerate_denominator():
         average_margin(xa.align_pair(a, b), 1)
 
 
-def test_mine_direction_recovers_permutation():
+def test_forward_mining_recovers_permutation():
     rng = np.random.default_rng(11)
     src = _unit(rng, 40, 16)
     perm = rng.permutation(40)
     tgt = src[perm]
-    mined = mine_direction(xa.EmbeddingMatrix("s", src), xa.EmbeddingMatrix("t", tgt), 4)
-    assert mined.direction is Direction.FORWARD
-    recovered = {a: b for a, b, _ in mined.pairs}
+    mined = _forward(xa.EmbeddingMatrix("s", src), xa.EmbeddingMatrix("t", tgt), 4)
+    recovered = {a: b for a, b, _ in mined}
     assert all(perm[recovered[i]] == i for i in range(40))
 
 
-def test_mine_direction_single_row():
+def test_forward_mining_single_row():
     a = xa.EmbeddingMatrix("a", np.array([[0.6, 0.8]]))
     b = xa.EmbeddingMatrix("b", np.array([[0.6, 0.8]]))
-    mined = mine_direction(a, b, 1)
-    assert mined.pairs == ((0, 0, 1.0),)
+    assert _forward(a, b, 1) == ((0, 0, 1.0),)
 
 
-def test_mine_direction_is_total_over_sources():
+def test_forward_mining_is_total_over_sources():
     # one source row orthogonal to every target still yields a (low) pair
     src = xa.EmbeddingMatrix("s", np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]))
     tgt = xa.EmbeddingMatrix("t", np.array([[1.0, 0.0, 0.0], [0.9, 0.1, 0.0]]))
-    mined = mine_direction(src, tgt, 1)
-    assert len(mined.pairs) == 2
-    orthogonal = dict((a, s) for a, _, s in mined.pairs)[0]
+    mined = _forward(src, tgt, 1)
+    assert len(mined) == 2
+    orthogonal = dict((a, s) for a, _, s in mined)[0]
     assert orthogonal == pytest.approx(0.0, abs=1e-12)
 
 
@@ -120,8 +120,8 @@ def test_mine_intersection_is_subset_of_both_directions():
     a = xa.EmbeddingMatrix("a", base @ rot)
     b = xa.EmbeddingMatrix("b", base @ rot + 0.2 * rng.standard_normal((100, 16)))
     inter = mine_intersection(a, b, 4).pair_set()
-    fwd = mine_direction(a, b, 4).pair_set()
-    bwd = mine_backward(a, b, 4).pair_set()
+    fwd = {(i, j) for i, j, _ in _forward(a, b, 4)}
+    bwd = {(i, j) for i, j, _ in _backward(a, b, 4)}
     assert inter == fwd & bwd
     assert inter <= fwd and inter <= bwd
 
@@ -137,27 +137,27 @@ def test_mine_intersection_symmetric_up_to_transpose():
 
 def test_mined_alignment_invariants():
     with pytest.raises(ValueError, match="duplicate source"):
-        MinedAlignment(((0, 1, 0.5), (0, 2, 0.5)), Direction.FORWARD)
+        MinedAlignment(((0, 1, 0.5), (0, 2, 0.5)))
     with pytest.raises(ValueError, match="duplicate target"):
-        MinedAlignment(((0, 1, 0.5), (1, 1, 0.5)), Direction.INTERSECTION)
+        MinedAlignment(((0, 1, 0.5), (1, 1, 0.5)))
     with pytest.raises(ValueError, match="non-finite"):
-        MinedAlignment(((0, 1, math.nan),), Direction.FORWARD)
+        MinedAlignment(((0, 1, math.nan),))
 
 
 def test_retrieval_f1_examples():
     gold = [(0, 0), (1, 1), (2, 2)]
-    perfect = MinedAlignment(tuple((i, i, 1.0) for i in range(3)), Direction.INTERSECTION)
+    perfect = MinedAlignment(tuple((i, i, 1.0) for i in range(3)))
     score = retrieval_f1(perfect, gold)
     assert (score.precision, score.recall, score.f1) == (1.0, 1.0, 1.0)
 
-    partial = MinedAlignment(((0, 0, 1.0), (1, 1, 1.0)), Direction.INTERSECTION)
+    partial = MinedAlignment(((0, 0, 1.0), (1, 1, 1.0)))
     score = retrieval_f1(partial, gold)
     assert score.precision == 1.0
     assert score.recall == pytest.approx(2 / 3)
     assert score.f1 == pytest.approx(0.8)
     assert score.n_correct <= min(score.n_gold, score.n_mined)
 
-    disjoint = MinedAlignment(((0, 1, 1.0), (1, 2, 1.0)), Direction.INTERSECTION)
+    disjoint = MinedAlignment(((0, 1, 1.0), (1, 2, 1.0)))
     assert retrieval_f1(disjoint, gold).f1 == 0.0
 
     with pytest.raises(ValueError, match="empty"):
@@ -166,9 +166,9 @@ def test_retrieval_f1_examples():
 
 def test_f1_is_one_iff_mined_equals_gold():
     gold = [(0, 0), (1, 1)]
-    same = MinedAlignment(((0, 0, 1.0), (1, 1, 1.0)), Direction.INTERSECTION)
+    same = MinedAlignment(((0, 0, 1.0), (1, 1, 1.0)))
     assert retrieval_f1(same, gold).f1 == 1.0
-    superset = MinedAlignment(((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)), Direction.INTERSECTION)
+    superset = MinedAlignment(((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)))
     assert retrieval_f1(superset, gold).f1 < 1.0
 
 
@@ -297,7 +297,7 @@ def _ref_svg(a, b):
 
 def _ref_pair_metrics(mat_a, mat_b, k, gh_max_points):
     pair = xa.align_pair(mat_a, mat_b)
-    mined = MinedAlignment(_ref_intersection(mat_a, mat_b, k), Direction.INTERSECTION)
+    mined = MinedAlignment(_ref_intersection(mat_a, mat_b, k))
     rows_a = [i for i, _ in pair.gold]
     rows_b = [j for _, j in pair.gold]
     sub_a = xa.EmbeddingMatrix("a", mat_a.data[rows_a])
@@ -351,8 +351,8 @@ _DIFF_CASES = [
                          ids=[f"{make.__name__[1:]}-k{k}" for make, k in _DIFF_CASES])
 def test_pair_kernel_matches_reference_path(make, k):
     a, b = make()
-    assert mine_direction(a, b, k).pairs == _ref_forward(a, b, k)
-    assert mine_backward(a, b, k).pairs == _ref_backward(a, b, k)
+    assert _forward(a, b, k) == _ref_forward(a, b, k)
+    assert _backward(a, b, k) == _ref_backward(a, b, k)
     assert mine_intersection(a, b, k).pairs == _ref_intersection(a, b, k)
     pair = xa.align_pair(a, b)
     assert average_margin(pair, k) == _ref_average_margin(pair, k)

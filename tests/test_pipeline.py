@@ -65,7 +65,7 @@ def test_load_config(workspace):
 
 
 def test_config_validation(tmp_path):
-    with pytest.raises(ValueError, match="seed is required"):
+    with pytest.raises(ValueError, match="seed is required for mode 'search'"):
         RunConfig(embeddings=(tmp_path,), out=tmp_path, corpus=(tmp_path,),
                   languages=tmp_path / "l.tsv", analyses=("search",))
     with pytest.raises(ValueError, match="language table"):
@@ -152,15 +152,15 @@ def test_public_names_are_frozen():
     public = sorted(name for name, value in vars(xa).items()
                     if not name.startswith("_") and not isinstance(value, type(xa)))
     assert public == [
-        "AlignmentMetrics", "AnovaResult", "BitextPair", "Corpus", "Direction", "EmbeddingMatrix",
+        "AlignmentMetrics", "AnovaResult", "BitextPair", "Corpus", "EmbeddingMatrix",
         "FEATURE_NAMES", "LanguageMeta", "METRIC_NAMES", "MinedAlignment", "NeighborList",
         "PairFeatureVector", "PersistenceDiagram", "RetrievalScore", "RunConfig",
         "SingularSpectrum", "WordOrder", "ablation_single_step", "adjusted_r2", "align_pair",
         "ancova", "anova_oneway", "average_margin", "bottleneck_distance", "compute_pair_metrics",
         "cosine", "econd_hm", "effective_condition_number", "effective_rank",
         "feature_search_report", "gh_distance", "group_metrics_by_word_order_class", "knn_search",
-        "load_config", "load_corpus", "load_embeddings", "load_language_table", "mine_backward",
-        "mine_direction", "mine_intersection", "pair_features", "pca", "pcr", "pearson",
+        "load_config", "load_corpus", "load_embeddings", "load_language_table",
+        "mine_intersection", "pair_features", "pca", "pcr", "pearson",
         "per_language_metrics", "persistence_diagram_0d", "retrieval_f1", "run_case_study_compare",
         "run_pair_metrics", "run_report", "run_zero_shot_analysis", "save_embeddings",
         "semipartial", "singular_values", "svg", "training_aggregates", "tukey_hsd",
@@ -262,19 +262,24 @@ def test_alignment_metrics_reject_non_finite_values(name, value):
         AlignmentMetrics(**fields)
 
 
-def test_cli_analyze_names_a_non_finite_metric_and_writes_no_json(
-    analysis_csvs, tmp_path, capsys
+@pytest.mark.parametrize("column, cell, message", [
+    ("svg", "nan", "svg is not finite: nan"),
+    ("svg", "-0.5", "svg and gh must be non-negative"),
+    ("gh", "-0.5", "svg and gh must be non-negative"),
+])
+def test_cli_analyze_names_a_bad_metric_and_writes_no_json(
+    analysis_csvs, tmp_path, capsys, column, cell, message
 ):
     lines = (analysis_csvs / "metrics.csv").read_text().splitlines()
     cells = lines[3].split(",")
-    cells[2 + METRIC_NAMES.index("svg")] = "nan"
+    cells[2 + METRIC_NAMES.index(column)] = cell
     metrics = tmp_path / "metrics.csv"
     metrics.write_text("\n".join([*lines[:3], ",".join(cells), *lines[4:]]) + "\n")
     out = tmp_path / "corr.json"
     assert main(["analyze", "--features", str(analysis_csvs / "features.csv"),
                  "--metrics", str(metrics), "--mode", "corr", "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        f"xlalign: error: {metrics}:4: {cells[0]},{cells[1]}: svg is not finite: nan\n"
+        f"xlalign: error: {metrics}:4: {cells[0]},{cells[1]}: {message}\n"
     )
     assert not out.exists()
 
@@ -302,12 +307,14 @@ def test_cli_analyze_names_a_non_finite_feature_and_writes_no_json(
 @pytest.mark.parametrize("flags, message", [
     (["--mode", "ablate", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["--mode", "corr", "--folds", "1"], "--folds must be >= 2, got 1"),
+    (["--mode", "search"], "seed is required for mode 'search'"),
 ])
 def test_cli_analyze_refuses_a_bad_seed_or_fold_count_before_reading(
     tmp_path, capsys, flags, message
 ):
-    """The bounds RunConfig sets for report. The tables named do not exist,
-    so the error is the flag's only if it comes before either is opened."""
+    """The bounds and the seed rule RunConfig sets for report. The tables
+    named do not exist, so the error is the flag's only if it comes before
+    either is opened."""
     out = tmp_path / "analysis.json"
     assert main(["analyze", "--features", str(tmp_path / "features.csv"),
                  "--metrics", str(tmp_path / "metrics.csv"), *flags, "--out", str(out)]) == 1
@@ -1148,6 +1155,22 @@ def test_cli_report_refuses_a_repeated_table_column_before_the_sweep(
     assert align.calls == 0 and not (results / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["metrics", "mine"])
+def test_cli_pair_commands_refuse_a_dimension_mismatch(workspace, tmp_path, capsys, command):
+    deu = workspace["root"] / "emb" / "matthew" / "deu.xemb"
+    matrix = xa.load_embeddings(deu)
+    narrow = tmp_path / "narrow.xemb"
+    xa.save_embeddings(xa.EmbeddingMatrix("narrow", matrix.data[:, 1:], matrix.ids), narrow)
+    pair = {"metrics": ["--pair", str(deu), str(narrow)],
+            "mine": ["--src", str(deu), "--tgt", str(narrow)]}[command]
+    out = tmp_path / "out"
+    assert main([command, *pair, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"xlalign: error: dimension mismatch: {matrix.dim} vs {matrix.dim - 1}\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_single_pair_commands(workspace, tmp_path, capsys):
     emb = workspace["root"] / "emb" / "matthew"
     out_json = tmp_path / "m.json"
@@ -1172,8 +1195,9 @@ def test_cli_single_pair_commands(workspace, tmp_path, capsys):
     back_tsv = tmp_path / "back.tsv"
     assert main(["mine", "--src", str(emb / "deu.xemb"), "--tgt", str(emb / "eng.xemb"),
                  "--direction", "backward", "--out", str(back_tsv)]) == 0
-    rows_b = [line.split("\t")[1] for line in back_tsv.read_text().splitlines()[1:]]
-    assert len(set(rows_b)) == len(rows_b)  # backward mining is unique per target
+    rows = [tuple(map(int, line.split("\t")[:2])) for line in back_tsv.read_text().splitlines()[1:]]
+    assert len({b for _, b in rows}) == len(rows) == 36  # one pair per target row
+    assert rows == sorted(rows)  # ordered by row_a
 
 
 def test_cli_features_analyze_zero_shot_compare(workspace, tmp_path, monkeypatch):
@@ -1289,6 +1313,8 @@ NO_ZERO_SHOT = ("analyses = corr, anova, ancova, pca, zero_shot", "analyses = co
     ([("analyses = corr, anova, ancova, pca, zero_shot", "analyses = corr, search")],
      "analysis", "search", ["corr"], 6),  # search needs more than 6 pairs
     ([("out = results", "char_doc = luke\nout = results")], "config", None, [], 0),
+    ([("embeddings = emb/matthew, emb/john", "embeddings = ")],
+     "config", None, [], 0),  # RunConfig refuses an empty list
     ([("corpus = texts/matthew, texts/john", "corpus = texts/matthew, emb/matthew")],
      "config", None, [], 0),  # two corpus directories named matthew
     ([("embeddings = emb/matthew, emb/john", "embeddings = texts/matthew")],
@@ -1302,9 +1328,9 @@ NO_ZERO_SHOT = ("analyses = corr, anova, ancova, pca, zero_shot", "analyses = co
     ([("folds = 3", "folds = 1")], "config", None, [], 0),  # RunConfig refuses it
     # numpy's generators refuse a negative seed, so RunConfig does
     ([("seed = 17", "seed = -1")], "config", None, [], 0),
-], ids=["analysis", "config-char-doc", "config-corpus-names", "preflight-embeddings",
-        "preflight-corpus", "preflight-table", "config-integer", "config-key", "config-check",
-        "config-negative-seed"])
+], ids=["analysis", "config-char-doc", "config-no-embeddings", "config-corpus-names",
+        "preflight-embeddings", "preflight-corpus", "preflight-table", "config-integer",
+        "config-key", "config-check", "config-negative-seed"])
 def test_cli_report_fatal_error_keeps_summary(
     workspace, capsys, monkeypatch, edits, stage, mode, analyses, n_pairs
 ):
