@@ -24,7 +24,6 @@ from .features import (
     FEATURE_NAMES,
     PairFeatureVector,
     pair_features,
-    per_language_metrics,
     training_aggregates,
     typological_distance,
 )
@@ -55,6 +54,7 @@ from .pipeline import (
     compute_pair_metrics,
     group_metrics_by_word_order_class,
     load_config,
+    per_language_metrics,
     run_case_study_compare,
     run_pair_metrics,
     run_report,

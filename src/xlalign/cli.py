@@ -101,12 +101,8 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    # RunConfig's bounds, checked before either table is read
-    if args.seed is not None and args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
-    if args.folds < 2:
-        raise ValueError(f"--folds must be >= 2, got {args.folds}")
-    pipeline._require_seed([args.mode], args.seed)
+    # RunConfig's rules, checked before either table is read
+    pipeline._check_analysis_settings([args.mode], args.folds, args.seed)
     features_map = pipeline.read_features_csv(args.features)
     metrics_map = pipeline.read_metrics_csv(args.metrics)
     dataset = pipeline.make_analysis_dataset(features_map, metrics_map)

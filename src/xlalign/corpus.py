@@ -16,6 +16,8 @@ File formats:
   polysynthetic train_sentences`` plus optional vector columns ``syntax_vec``,
   ``phonology_vec``, ``inventory_vec``, ``geo_vec`` (comma-separated decimals).
 
+A UTF-8 byte-order mark at the start of a text file is ignored.
+
 Matrices are held as float64 internally regardless of on-disk precision, and
 loaded objects are immutable: they can safely be shared across threads.
 """
@@ -29,6 +31,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+# every text reader decodes with this codec, so a leading UTF-8 byte-order
+# mark is dropped; the writers write plain UTF-8
+READ_ENCODING = "utf-8-sig"
 
 XEMB_MAGIC = b"XEMB"
 XEMB_VERSION = 0x01
@@ -194,7 +200,7 @@ def _parse_text_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     kept, so the file is opened once either way."""
     # (line number, #id: value or None, rest of the line) of each nonblank line
     lines: list[tuple[int, str | None, str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=READ_ENCODING) as fh:
         for lineno, line in enumerate(fh, start=1):
             head = line.split(None, 1)
             if not head:
@@ -347,7 +353,7 @@ def load_corpus(directory: str | Path) -> Corpus:
     for path in sorted(directory.glob("*.tsv")):
         lang = path.stem
         verses: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding=READ_ENCODING) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -406,7 +412,7 @@ def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:
     column named twice in the header is refused.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=READ_ENCODING) as fh:
         # (line number in the file, text) of each nonblank line
         lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1)]
     lines = [(n, line) for n, line in lines if line]

@@ -8,7 +8,6 @@ rows listwise.
 
 from __future__ import annotations
 
-import dataclasses
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -219,28 +218,3 @@ def _pair_features_from_counts(
         inventory_dist=distance("inventory"),
         geographic_dist=distance("geography"),
     )
-
-
-def per_language_metrics(pair_metrics: Mapping[tuple[str, str], object]) -> dict[str, object]:
-    """Average pair-level metrics into per-language metrics.
-
-    Works on any dataclass of float fields; each language's value is the
-    arithmetic mean over all pairs it appears in.
-    """
-    if not pair_metrics:
-        raise ValueError("no pair metrics given")
-    sample = next(iter(pair_metrics.values()))
-    names = [f.name for f in dataclasses.fields(sample)]
-    sums: dict[str, dict[str, float]] = {}
-    counts: dict[str, int] = {}
-    for (lang_a, lang_b), metrics in pair_metrics.items():
-        for lang in (lang_a, lang_b):
-            entry = sums.setdefault(lang, {name: 0.0 for name in names})
-            for name in names:
-                entry[name] += float(getattr(metrics, name))
-            counts[lang] = counts.get(lang, 0) + 1
-    cls = type(sample)
-    return {
-        lang: cls(**{name: sums[lang][name] / counts[lang] for name in names})
-        for lang in sums
-    }

@@ -34,6 +34,7 @@ from . import features as feats
 from . import isomorphism as iso
 from . import stats
 from .corpus import (
+    READ_ENCODING,
     Corpus,
     EmbeddingMatrix,
     LanguageMeta,
@@ -121,18 +122,14 @@ class RunConfig:
             raise ValueError("at least one embeddings directory is required")
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.folds < 2:
-            raise ValueError("folds must be >= 2")
         if self.gh_max_points < 1:
             raise ValueError("gh_max_points must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("seed must be >= 0")
         unknown = [a for a in self.analyses if a not in ANALYSES and a != "zero_shot"]
         if unknown:
             raise ValueError(f"unknown analyses: {unknown}")
-        _require_seed(self.analyses, self.seed)
+        _check_analysis_settings(self.analyses, self.folds, self.seed)
         needs_features = [a for a in self.analyses if a != "zero_shot"]
         if needs_features and self.languages is None:
             raise ValueError(f"analyses {needs_features} require a language table")
@@ -159,7 +156,7 @@ def load_config(path: str | Path) -> RunConfig:
 
 def _read_config_file(path: Path) -> dict[str, str]:
     raw: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding=READ_ENCODING) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -465,7 +462,7 @@ def _read_pair_csv(
     row with the wrong cell count, a language paired with itself, a pair
     already read in either order, or a cell that ``convert`` rejects is
     refused with a message that starts ``path:line:``."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding=READ_ENCODING).splitlines()
     if not lines or lines[0] != ",".join(("lang_a", "lang_b", *names)):
         raise ValueError(f"{path}: unexpected {kind} header")
     rows = {}
@@ -582,6 +579,9 @@ def make_analysis_dataset(
     it, the value its ``features.csv`` or ``metrics.csv`` cell reads back as.
     So the rows ``report`` holds in memory and the rows ``analyze`` reads from
     those CSVs give the same dataset, bit for bit."""
+    for kind, table in (("metrics", metrics_map), ("features", features_map)):
+        if not table:
+            raise ValueError(f"the {kind} table has no pairs")
     common = sorted(set(features_map) & set(metrics_map))
     if not common:
         raise ValueError("no pairs shared between features and metrics")
@@ -858,18 +858,22 @@ ANALYSES: dict[str, tuple[Callable[..., dict], bool]] = {
 }
 
 
-def _require_seed(modes: Iterable[str], seed: int | None) -> None:
-    """Refuse a missing seed when one of ``modes`` takes a seed in ``ANALYSES``."""
+def _check_analysis_settings(modes: Iterable[str], folds: int, seed: int | None) -> None:
+    """Refuse settings no analysis of ``modes`` runs under: fewer than 2
+    folds, a negative seed, or no seed when a mode takes one in ``ANALYSES``."""
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     seeded = [mode for mode in modes if mode in ANALYSES and ANALYSES[mode][1]]
     if seed is None and seeded:
         raise ValueError(f"seed is required for mode {seeded[0]!r}")
 
 
 def run_analysis(mode: str, dataset: AnalysisDataset, folds: int, seed: int | None) -> dict:
-    """Run one dataset analysis mode from ``ANALYSES``; a mode that takes a
-    seed raises ``ValueError`` when none is given."""
+    """Run one dataset analysis mode from ``ANALYSES``, checking its settings first."""
     analyze, seeded = ANALYSES[mode]
-    _require_seed([mode], seed)
+    _check_analysis_settings([mode], folds, seed)
     return analyze(dataset, folds, seed) if seeded else analyze(dataset)
 
 
@@ -897,6 +901,24 @@ def group_metrics_by_word_order_class(
         else:
             out[label] = {"n_pairs": 0, "means": None}
     return out
+
+
+def per_language_metrics(
+    pair_metrics: Mapping[tuple[str, str], AlignmentMetrics],
+) -> dict[str, AlignmentMetrics]:
+    """Each language's mean of every metric over the pairs it appears in,
+    summed in pair order from 0.0."""
+    if not pair_metrics:
+        raise ValueError("no pair metrics given")
+    sums: dict[str, list[float]] = {}
+    counts: dict[str, int] = {}
+    for pair, metrics in pair_metrics.items():
+        for lang in pair:
+            total = sums.get(lang, [0.0] * len(METRIC_NAMES))
+            sums[lang] = [s + v for s, v in zip(total, metrics.as_dict().values())]
+            counts[lang] = counts.get(lang, 0) + 1
+    return {lang: AlignmentMetrics(**{n: s / counts[lang] for n, s in zip(METRIC_NAMES, total)})
+            for lang, total in sums.items()}
 
 
 def _is_zero_shot(meta: LanguageMeta) -> bool:
@@ -939,7 +961,7 @@ def run_zero_shot_analysis(
     if not zs_langs:
         simple["skipped"] = "no zero-shot languages"
     else:
-        per_lang = feats.per_language_metrics(known_pairs)
+        per_lang = per_language_metrics(known_pairs)
         rows = {lang: per_lang[lang] for lang in zs_langs if lang in per_lang}
         factor_values = {
             "word_order": {
@@ -1091,17 +1113,24 @@ def run_report(config_path: str | Path) -> int:
     derive features, run analyses, write everything under ``out``. Returns the
     exit code (0 ok, 2 when some languages or pairs were skipped). A fatal
     error is recorded under ``fatal`` in ``run_summary.json`` and re-raised;
-    a file that cannot be read or names no ``out`` leaves no summary."""
+    a file that cannot be read or names no ``out`` leaves no summary.
+
+    Every file name a run can write under ``out`` is deleted first, so no
+    file of an earlier run stays beside this run's."""
     path = Path(config_path)
     raw = _read_config_file(path)
     out = path.parent / raw["out"] if "out" in raw else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
+        for name in ("run_summary.json", "metrics.csv", "features.csv", "plot_zero_shot_groups.csv",
+                     *(f"analysis_{mode}.json" for mode in (*ANALYSES, "zero_shot"))):
+            (out / name).unlink(missing_ok=True)
 
     # a run that stops before the sweep ends leaves the empty result on record
     config = None
     sweep = SweepResult(rows={})
     analyses: list[str] = []
+    unlisted: list[str] = []  # loaded languages the table has no row for
     stage: dict = {"stage": "config", "mode": None}
     try:
         config = _config_from_raw(path, raw)
@@ -1118,6 +1147,8 @@ def run_report(config_path: str | Path) -> int:
                     by_name.get(config.char_doc, config.corpus[0]),
                     by_name.get(config.token_doc, config.corpus[-1]))
         sweep, matrices = _load_sweep_languages(config, per_dir_files)
+        if table is not None:
+            unlisted = sorted(matrices.keys() - table.keys())
         if len(matrices) < 2:
             n_langs = len(matrices) + len(sweep.failed_languages)
             raise ValueError(f"{len(matrices)} of {n_langs} languages loaded; a pair needs two")
@@ -1155,17 +1186,19 @@ def run_report(config_path: str | Path) -> int:
         if out is None:
             raise
         # the sweep and the analyses already written stay on record
-        summary = _run_summary(config, sweep, analyses)
+        summary = _run_summary(config, sweep, analyses, unlisted)
         summary["fatal"] = {**stage, "error": str(exc)}
         write_json(summary, out / "run_summary.json")
         raise
-    write_json(_run_summary(config, sweep, analyses), out / "run_summary.json")
+    write_json(_run_summary(config, sweep, analyses, unlisted), out / "run_summary.json")
     return 2 if sweep.partial else 0
 
 
-def _run_summary(config: RunConfig | None, sweep: SweepResult, analyses: list[str]) -> dict:
+def _run_summary(
+    config: RunConfig | None, sweep: SweepResult, analyses: list[str], unlisted: list[str]
+) -> dict:
     """The run summary; a config that failed to load leaves its settings null."""
-    return {
+    summary = {
         "mode": "summary",
         "languages": sorted({lang for pair in sweep.rows for lang in pair}),
         "n_pairs": len(sweep.rows),
@@ -1175,6 +1208,9 @@ def _run_summary(config: RunConfig | None, sweep: SweepResult, analyses: list[st
         **{name: None if config is None else getattr(config, name)
            for name in ("k", "gh_max_points", "folds", "seed")},
     }
+    if unlisted:
+        summary["languages_missing_from_table"] = unlisted
+    return summary
 
 
 _ANOVA_ENTRY_SCHEMA = {
@@ -1286,6 +1322,7 @@ REPORT_SCHEMAS: dict[str, dict] = {
             "mode": {"const": "summary"},
             "languages": {"type": "array", "items": {"type": "string"}},
             "n_pairs": {"type": "integer"},
+            "languages_missing_from_table": {"type": "array", "items": {"type": "string"}},
             "fatal": {"type": "object", "required": ["stage", "mode", "error"]},
         },
     },

@@ -12,11 +12,15 @@ from xlalign.features import (
     PairFeatureVector,
     _unit_counts,
     pair_features,
-    per_language_metrics,
     training_aggregates,
     typological_distance,
 )
-from xlalign.pipeline import AlignmentMetrics, build_pair_feature_table
+from xlalign.pipeline import (
+    METRIC_NAMES,
+    AlignmentMetrics,
+    build_pair_feature_table,
+    per_language_metrics,
+)
 
 
 def meta(lang, family="fam", subfamily="sub", order=WordOrder.SVO, poly=False, train=0, vectors=None):
@@ -291,3 +295,26 @@ def test_per_language_metrics():
 
     constant = per_language_metrics({("a", "b"): m1, ("a", "c"): m1, ("b", "c"): m1})
     assert constant["a"] == m1
+    with pytest.raises(ValueError, match="no pair metrics given"):
+        per_language_metrics({})
+
+
+def test_per_language_metrics_sums_in_pair_order():
+    """Each mean is the sum from 0.0 over the language's pairs, in pair
+    order, divided by their count: the bits zero-shot's JSON is written from."""
+    rng = np.random.default_rng(5)
+    langs = [f"l{i}" for i in range(6)]
+    rows = {
+        pair: AlignmentMetrics(f1=rng.uniform(), avg_margin=rng.normal(), svg=rng.uniform(0, 5),
+                               econd_hm=1 + rng.uniform(0, 50), gh=rng.uniform())
+        for pair in itertools.combinations(langs, 2)
+    }
+    per_lang = per_language_metrics(rows)
+    assert list(per_lang) == langs
+    for lang in langs:
+        members = [m.as_dict() for pair, m in rows.items() if lang in pair]
+        for name in METRIC_NAMES:
+            total = 0.0
+            for values in members:
+                total += values[name]
+            assert getattr(per_lang[lang], name) == total / len(members)

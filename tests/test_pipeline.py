@@ -79,6 +79,10 @@ def test_config_validation(tmp_path):
         RunConfig(embeddings=(tmp_path,), out=tmp_path, gh_max_points=0)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         RunConfig(embeddings=(tmp_path,), out=tmp_path, workers=0)
+    with pytest.raises(ValueError, match="folds must be >= 2, got 1"):
+        RunConfig(embeddings=(tmp_path,), out=tmp_path, folds=1)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        RunConfig(embeddings=(tmp_path,), out=tmp_path, seed=-1)
     with pytest.raises(ValueError, match="zero_shot analysis requires a language table"):
         RunConfig(embeddings=(tmp_path,), out=tmp_path, analyses=("zero_shot",))
     with pytest.raises(ValueError, match="unknown analyses"):
@@ -166,6 +170,34 @@ def test_public_names_are_frozen():
         "semipartial", "singular_values", "svg", "training_aggregates", "tukey_hsd",
         "typological_distance",
     ]
+
+
+# the text matrix reader has its own case in tests/test_text_matrix.py
+_TEXT_READERS = {
+    "config": ("run.cfg", "embeddings = e\nout = results\n", load_config),
+    "language-table": (
+        "langs.tsv",
+        "lang\tfamily\tsubfamily\tword_order\tpolysynthetic\ttrain_sentences\n"
+        "deu\tIE\tGermanic\tSOV\tfalse\t120000\n",
+        xa.load_language_table,
+    ),
+    "metrics-csv": ("m.csv", "lang_a,lang_b," + ",".join(METRIC_NAMES) + "\ndeu,eng,0.5,1,1,2,0.5\n",
+                    read_metrics_csv),
+    "corpus": ("deu.tsv", "100001\tein satz\n", lambda path: xa.load_corpus(path.parent).documents),
+}
+
+
+@pytest.mark.parametrize("reader", list(_TEXT_READERS))
+def test_text_readers_ignore_a_leading_byte_order_mark(tmp_path, reader):
+    """A UTF-8 byte-order mark used to become part of the first key, cell,
+    value or verse id; each file reads as it does without one."""
+    name, text, read = _TEXT_READERS[reader]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    plain = read(path)
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read(path) == plain
 
 
 def test_config_parses_each_key_by_its_field(tmp_path):
@@ -305,8 +337,8 @@ def test_cli_analyze_names_a_non_finite_feature_and_writes_no_json(
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--mode", "ablate", "--seed", "-1"], "--seed must be >= 0, got -1"),
-    (["--mode", "corr", "--folds", "1"], "--folds must be >= 2, got 1"),
+    (["--mode", "ablate", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["--mode", "corr", "--folds", "1"], "folds must be >= 2, got 1"),
     (["--mode", "search"], "seed is required for mode 'search'"),
 ])
 def test_cli_analyze_refuses_a_bad_seed_or_fold_count_before_reading(
@@ -872,8 +904,28 @@ def test_make_analysis_dataset_drops_incomplete():
 
     with pytest.raises(ValueError, match="no pairs shared between features and metrics"):
         make_analysis_dataset(features_map, {("b", "c"): synthetic_metrics()})
+    # an empty table is named, the metrics table first
+    for features, metrics in (({}, {}), (features_map, {})):
+        with pytest.raises(ValueError, match="^the metrics table has no pairs$"):
+            make_analysis_dataset(features, metrics)
+    with pytest.raises(ValueError, match="^the features table has no pairs$"):
+        make_analysis_dataset({}, metrics_map)
     with pytest.raises(ValueError, match="every pair has at least one missing feature"):
         make_analysis_dataset({("a", "c"): features_map[("a", "c")]}, metrics_map)
+
+
+@pytest.mark.parametrize("mode, folds, seed, message", [
+    ("corr", 1, None, "folds must be >= 2, got 1"),
+    ("anova", 3, -1, "seed must be >= 0, got -1"),
+    ("pcr", 3, None, "seed is required for mode 'pcr'"),
+])
+def test_run_analysis_refuses_what_report_and_analyze_refuse(
+    analysis_dataset, mode, folds, seed, message
+):
+    """One rule and one message for every mode, whichever entry point runs it."""
+    dataset, *_ = analysis_dataset
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        pipeline.run_analysis(mode, dataset, folds, seed)
 
 
 # ----------------------------------------------------------------- zero-shot
@@ -1008,6 +1060,7 @@ def test_cli_report_and_determinism(workspace, tmp_path):
     summary = json.loads((out / "run_summary.json").read_text())
     _validate(summary, "summary")
     assert summary["n_pairs"] == 6
+    assert "languages_missing_from_table" not in summary  # every language has a row
 
     for mode in ("corr", "anova", "ancova", "pca", "zero_shot"):
         report = json.loads((out / f"analysis_{mode}.json").read_text())
@@ -1417,6 +1470,79 @@ def test_cli_report_writes_no_summary_without_a_parsed_out(workspace, capsys, ed
     assert main(["report", "--config", str(config)]) == 1
     assert capsys.readouterr().err.startswith(f"xlalign: error: {config}")
     assert not (workspace["root"] / "results").exists()
+
+
+def _edit_config(config: Path, old: str, new: str) -> None:
+    text = config.read_text()
+    assert old in text
+    config.write_text(text.replace(old, new))
+
+
+def test_cli_report_rerun_replaces_the_whole_file_set(workspace):
+    """A rerun into the same ``out`` used to leave the first run's
+    analysis files beside a summary that does not list them."""
+    config = workspace["config"]
+    results = workspace["root"] / "results"
+    assert main(["report", "--config", str(config)]) == 0
+    (results / "notes.txt").write_text("kept\n")  # not a name a run writes
+    _edit_config(config, "analyses = corr, anova, ancova, pca, zero_shot", "analyses = corr")
+    assert main(["report", "--config", str(config)]) == 0
+    assert sorted(p.name for p in results.iterdir()) == [
+        "analysis_corr.json", "features.csv", "metrics.csv", "notes.txt", "run_summary.json"]
+    assert json.loads((results / "run_summary.json").read_text())["analyses"] == ["corr"]
+
+
+def test_cli_report_rerun_that_fails_leaves_no_earlier_analysis(workspace, capsys):
+    """With every pair failing, the rerun stops at the analysis stage; the
+    first run's analysis files used to stay beside its empty tables, and the
+    error read as if the two tables shared no pair."""
+    config = workspace["config"]
+    results = workspace["root"] / "results"
+    assert main(["report", "--config", str(config)]) == 0
+    _edit_config(config, "k = 4", "k = 5000")
+    assert main(["report", "--config", str(config)]) == 1
+    assert capsys.readouterr().err == "xlalign: error: the metrics table has no pairs\n"
+    assert sorted(p.name for p in results.iterdir()) == [
+        "features.csv", "metrics.csv", "run_summary.json"]
+    summary = json.loads((results / "run_summary.json").read_text())
+    assert summary["fatal"] == {"stage": "analysis", "mode": "corr",
+                                "error": "the metrics table has no pairs"}
+    assert summary["n_pairs"] == 0 and summary["analyses"] == []
+    # analyze on the tables that run left names the same fault
+    assert main(["analyze", "--mode", "corr", "--metrics", str(results / "metrics.csv"),
+                 "--features", str(results / "features.csv"),
+                 "--out", str(workspace["root"] / "corr.json")]) == 1
+    assert capsys.readouterr().err == "xlalign: error: the metrics table has no pairs\n"
+
+
+@pytest.mark.parametrize("edit", [("out = results", ""), ("k = 4", "k 4")],
+                         ids=["no-out", "syntax"])
+def test_cli_report_that_cannot_name_out_keeps_an_earlier_run(workspace, edit):
+    config = workspace["config"]
+    results = workspace["root"] / "results"
+    assert main(["report", "--config", str(config)]) == 0
+    before = {p.name: p.read_bytes() for p in results.iterdir()}
+    _edit_config(config, *edit)
+    assert main(["report", "--config", str(config)]) == 1
+    assert {p.name: p.read_bytes() for p in results.iterdir()} == before
+
+
+def test_cli_report_names_languages_missing_from_the_table(workspace):
+    """A language with embeddings but no table row drops out of every
+    feature analysis; the summary used to say nothing of it."""
+    table = workspace["root"] / "languages.tsv"
+    table.write_text("".join(line for line in table.read_text().splitlines(keepends=True)
+                             if not line.startswith("deu\t")))
+    assert main(["report", "--config", str(workspace["config"])]) == 0
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    _validate(summary, "summary")
+    assert summary["languages_missing_from_table"] == ["deu"]
+    assert summary["n_pairs"] == 6
+    corr = json.loads((results / "analysis_corr.json").read_text())
+    assert (corr["n_pairs"], corr["n_dropped"]) == (3, 0)
+    zero_shot = json.loads((results / "analysis_zero_shot.json").read_text())
+    assert zero_shot["n_pairs_unknown_language"] == 3
 
 
 def test_report_interrupted_leaves_no_summary(workspace, monkeypatch):

@@ -1,8 +1,9 @@
 """Differential tests of the text embedding parser against a frozen copy of
 the per-token ``float()`` loop it replaced. Both must give bitwise-equal
 arrays and equal ids, or fail with the same message, which names the file
-and, for a bad line, its line number. The one deliberate difference, ``_``
-digit separators and non-ASCII digits, is asserted as an error."""
+and, for a bad line, its line number. The deliberate differences are
+asserted on their own: ``_`` digit separators and non-ASCII digits are
+errors, and a byte-order mark at the start of the file is ignored."""
 
 import math
 import struct
@@ -165,7 +166,7 @@ def test_damaged_files_fail_or_parse_alike(content, data):
     "#id:x 2.5\n",                                 # a single cell
     "nan -nan inf -inf\nNaN +Infinity -INF 1e500\n",  # non-finite spellings
     "1e-400 -1e-400 4.9406564584124654e-324 2.4703282292062328e-324\n",
-    "\ufeff1 2\n",                                # a byte-order mark is no whitespace
+    "1 2\n\ufeff3 4\n",                           # a byte-order mark past the start is no whitespace
     "",                                            # no rows
     " \n\t\n",                                     # blank lines only
     "#id:a\n#id:b\n",                              # id-only lines only
@@ -197,6 +198,17 @@ def test_digit_separators_and_non_ascii_digits_are_errors(tmp_path, token):
     assert str(info.value) == f"{path}:2: could not convert string to float: {token!r}"
     with pytest.raises(ValueError, match=":2: could not convert"):
         load_embeddings(path)
+
+
+def test_a_leading_byte_order_mark_is_ignored(tmp_path):
+    """The float loop read it as part of the first token and failed."""
+    path = tmp_path / "m.txt"
+    path.write_text("1 2\n", encoding="utf-8")
+    plain = outcome(_parse_text_matrix, path)
+    path.write_text("\ufeff1 2\n", encoding="utf-8")
+    assert outcome(_parse_text_matrix, path) == plain
+    assert outcome(ref_parse_text_matrix, path) == (
+        "error", f"{path}:1: could not convert string to float: '\\ufeff1'")
 
 
 @pytest.mark.parametrize("content, error", [
