@@ -282,9 +282,10 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
 
     With several embedding directories (one per document), metrics are
     averaged per-metric across documents. A language with a missing or
-    unreadable file, two files in one directory (``.txt`` and ``.xemb``) or a
-    code the CSV outputs cannot hold, or a pair whose computation fails, is
-    recorded and skipped without aborting the sweep.
+    unreadable file, two files in one directory (``.txt`` and ``.xemb``), a
+    matrix of fewer than ``k`` rows or a code the CSV outputs cannot hold, or
+    a pair whose computation fails, is recorded and skipped without aborting
+    the sweep.
 
     The files are loaded before the pair loop, but there is no per-language
     stage that computes spectra or diagrams. A pair side whose gold rows are
@@ -306,7 +307,8 @@ def _load_sweep_languages(
     """The sweep's load stage, over each directory's ``_embedding_files``: the
     result so far and, in sorted order, each usable language's matrices, one
     per document. A language with a missing or unreadable file, two files in
-    one directory or a code the CSV outputs cannot hold goes to the result's
+    one directory, a matrix of fewer than ``k`` rows (every pair of it would
+    fail) or a code the CSV outputs cannot hold goes to the result's
     ``failed_languages`` instead, with no matrix kept."""
     all_langs = sorted(set().union(*per_dir_files))
     if not all_langs:
@@ -324,7 +326,10 @@ def _load_sweep_languages(
                     raise ValueError(f"missing embedding file in {directory}")
                 if len(paths) > 1:
                     raise ValueError(f"two embedding files: {' and '.join(map(str, paths))}")
-                matrices.append(load_embeddings(paths[0], lang=lang))
+                matrix = load_embeddings(paths[0], lang=lang)
+                if matrix.n_rows < config.k:
+                    raise ValueError(f"{paths[0]}: {matrix.n_rows} rows, fewer than k = {config.k}")
+                matrices.append(matrix)
             loaded[lang] = matrices
         except (ValueError, OSError) as exc:
             result.failed_languages[lang] = str(exc)
@@ -556,16 +561,31 @@ def build_pair_feature_table(
 
 @dataclass
 class AnalysisDataset:
-    """Joined, listwise-complete design matrix for the analysis modes."""
+    """Joined, listwise-complete design matrix for the analysis modes, and
+    the count of pairs that only the metrics or only the features table holds."""
 
     X: np.ndarray
     dvs: dict[str, np.ndarray]
     n_common: int
     n_used: int
+    n_metrics_only: int = 0
+    n_features_only: int = 0
 
     @property
     def n_dropped(self) -> int:
         return self.n_common - self.n_used
+
+    def report(self, mode: str, **fields) -> dict:
+        """A dataset mode's report: its ``mode``, the pairs it used and dropped,
+        each nonzero count of pairs only one table holds, then ``fields``."""
+        one_table = {"n_metrics_only": self.n_metrics_only, "n_features_only": self.n_features_only}
+        return {
+            "mode": mode,
+            "n_used": self.n_used,
+            "n_dropped": self.n_dropped,
+            **{name: n for name, n in one_table.items() if n},
+            **fields,
+        }
 
 
 def make_analysis_dataset(
@@ -602,7 +622,9 @@ def make_analysis_dataset(
                        dtype=np.float64)
         for name in METRIC_NAMES
     }
-    return AnalysisDataset(X=X, dvs=dvs, n_common=len(common), n_used=len(kept))
+    return AnalysisDataset(X=X, dvs=dvs, n_common=len(common), n_used=len(kept),
+                           n_metrics_only=len(metrics_map) - len(common),
+                           n_features_only=len(features_map) - len(common))
 
 
 def _pearson_table(
@@ -648,14 +670,12 @@ def analyze_corr(dataset: AnalysisDataset) -> dict:
             else stats.semipartial(r[name], r_fc[name], r_cy)
             for name in SEMIPARTIAL_FEATURES
         }
-    return {
-        "mode": "corr",
-        "n_pairs": dataset.n_common,
-        "n_used": dataset.n_used,
-        "n_dropped": dataset.n_dropped,
-        "pearson": pearson_block,
-        "semipartial_vs_combined_sentences": semi_block,
-    }
+    return dataset.report(
+        "corr",
+        n_pairs=dataset.n_common,
+        pearson=pearson_block,
+        semipartial_vs_combined_sentences=semi_block,
+    )
 
 
 def analyze_search(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
@@ -670,21 +690,18 @@ def analyze_search(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
         }
         for dv in report.per_dv_best
     }
-    return {
-        "mode": "search",
-        "n_used": dataset.n_used,
-        "n_dropped": dataset.n_dropped,
-        "folds": folds,
-        "seed": seed,
-        "n_models_per_dv": 2 ** len(feats.FEATURE_NAMES) - 1,
-        "per_dv": per_dv,
-        "tallies": dict(report.tallies),
-    }
+    return dataset.report(
+        "search",
+        folds=folds,
+        seed=seed,
+        n_models_per_dv=2 ** len(feats.FEATURE_NAMES) - 1,
+        per_dv=per_dv,
+        tallies=dict(report.tallies),
+    )
 
 
 def analyze_ablate(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
     per_dv = {}
-    rank_sums = {name: 0.0 for name in feats.FEATURE_NAMES}
     for metric, y in dataset.dvs.items():
         result = stats.ablation_single_step(dataset.X, y, feats.FEATURE_NAMES, folds=folds, seed=seed)
         per_dv[metric] = {
@@ -692,20 +709,17 @@ def analyze_ablate(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
             "delta_adj_r2": dict(result.deltas),
             "rank": dict(result.ranks),
         }
-        for name in feats.FEATURE_NAMES:
-            rank_sums[name] += result.ranks[name]
-    average_rank = {name: rank_sums[name] / len(dataset.dvs) for name in feats.FEATURE_NAMES}
-    ranking = sorted(feats.FEATURE_NAMES, key=lambda name: (average_rank[name], name))
-    return {
-        "mode": "ablate",
-        "n_used": dataset.n_used,
-        "n_dropped": dataset.n_dropped,
-        "folds": folds,
-        "seed": seed,
-        "per_dv": per_dv,
-        "average_rank": average_rank,
-        "ranking": ranking,
-    }
+    # the ranks are integers, so each sum is exact in any order
+    average_rank = {name: sum(entry["rank"][name] for entry in per_dv.values()) / len(per_dv)
+                    for name in feats.FEATURE_NAMES}
+    return dataset.report(
+        "ablate",
+        folds=folds,
+        seed=seed,
+        per_dv=per_dv,
+        average_rank=average_rank,
+        ranking=sorted(feats.FEATURE_NAMES, key=lambda name: (average_rank[name], name)),
+    )
 
 
 def _anova_json(result: stats.AnovaResult) -> dict:
@@ -761,12 +775,7 @@ def analyze_anova(dataset: AnalysisDataset) -> dict:
         entry["tukey"] = _tukey_json(groups, labels)
         return entry
 
-    return {
-        "mode": "anova",
-        "n_used": dataset.n_used,
-        "n_dropped": dataset.n_dropped,
-        "factors": _f_test_table(ANOVA_FACTORS, dataset.dvs, test),
-    }
+    return dataset.report("anova", factors=_f_test_table(ANOVA_FACTORS, dataset.dvs, test))
 
 
 def analyze_ancova(dataset: AnalysisDataset) -> dict:
@@ -784,24 +793,22 @@ def analyze_ancova(dataset: AnalysisDataset) -> dict:
             raise ValueError(f"factor {factor} has a single level")
         return _anova_json(stats.ancova(dataset.dvs[metric], labels[factor], covariates))
 
-    return {
-        "mode": "ancova",
-        "covariates": list(ANCOVA_COVARIATES),
-        "n_used": dataset.n_used,
-        "n_dropped": dataset.n_dropped,
-        "factors": _f_test_table(ANCOVA_FACTORS, dataset.dvs, test),
-    }
+    return dataset.report(
+        "ancova",
+        covariates=list(ANCOVA_COVARIATES),
+        factors=_f_test_table(ANCOVA_FACTORS, dataset.dvs, test),
+    )
 
 
-def _varying_columns(dataset: AnalysisDataset) -> tuple[list[str], np.ndarray]:
-    # standardization is undefined for constant columns; drop and report them
-    keep = [name for i, name in enumerate(feats.FEATURE_NAMES) if dataset.X[:, i].std() > 0.0]
-    idx = [feats.FEATURE_NAMES.index(name) for name in keep]
-    return keep, dataset.X[:, idx]
+def _varying_columns(dataset: AnalysisDataset) -> tuple[list[str], np.ndarray, list[str]]:
+    # standardization is undefined for constant columns; drop them and name them
+    constant = stats.constant_columns(dataset.X)
+    names = [name for name, c in zip(feats.FEATURE_NAMES, constant) if not c]
+    return names, dataset.X[:, ~constant], [n for n in feats.FEATURE_NAMES if n not in names]
 
 
 def analyze_pca(dataset: AnalysisDataset) -> dict:
-    names, X = _varying_columns(dataset)
+    names, X, constant = _varying_columns(dataset)
     if len(names) < 2:
         raise ValueError("fewer than two varying features; PCA not meaningful")
     result = stats.pca(X)
@@ -809,40 +816,34 @@ def analyze_pca(dataset: AnalysisDataset) -> dict:
         name: [float(result.components[c, i]) for c in range(result.components.shape[0])]
         for i, name in enumerate(names)
     }
-    return {
-        "mode": "pca",
-        "n_used": dataset.n_used,
-        "n_dropped": dataset.n_dropped,
-        "constant_features": [n for n in feats.FEATURE_NAMES if n not in names],
-        "explained_variance": [float(v) for v in result.explained_variance],
-        "explained_variance_ratio": [float(v) for v in result.explained_variance_ratio],
-        "loadings": loadings,
-    }
+    return dataset.report(
+        "pca",
+        constant_features=constant,
+        explained_variance=[float(v) for v in result.explained_variance],
+        explained_variance_ratio=[float(v) for v in result.explained_variance_ratio],
+        loadings=loadings,
+    )
 
 
 def analyze_pcr(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
-    names, X = _varying_columns(dataset)
+    names, X, constant = _varying_columns(dataset)
     if len(names) < 1:
         raise ValueError("no varying features; PCR not meaningful")
     per_dv = {}
-    best_values = []
     for metric, y in dataset.dvs.items():
         result = stats.pcr(X, y, folds=folds, seed=seed)
         per_dv[metric] = {
             "adj_r2_by_components": [float(v) for v in result.adj_r2_by_components],
             "best_components": result.best_components,
         }
-        best_values.append(result.best_components)
-    return {
-        "mode": "pcr",
-        "n_used": dataset.n_used,
-        "n_dropped": dataset.n_dropped,
-        "constant_features": [n for n in feats.FEATURE_NAMES if n not in names],
-        "folds": folds,
-        "seed": seed,
-        "per_dv": per_dv,
-        "average_best_components": float(np.mean(best_values)),
-    }
+    return dataset.report(
+        "pcr",
+        constant_features=constant,
+        folds=folds,
+        seed=seed,
+        per_dv=per_dv,
+        average_best_components=float(np.mean([e["best_components"] for e in per_dv.values()])),
+    )
 
 
 # mode -> (analysis function, whether it takes folds and seed); ``zero_shot``
@@ -1226,6 +1227,10 @@ _ANOVA_ENTRY_SCHEMA = {
     "required": ["f_stat", "p_value", "eta_p2", "df_effect", "df_error"],
 }
 
+# written by AnalysisDataset.report only when nonzero
+_ONE_TABLE_COUNTS = {name: {"type": "integer", "minimum": 1}
+                     for name in ("n_metrics_only", "n_features_only")}
+
 REPORT_SCHEMAS: dict[str, dict] = {
     "corr": {
         "type": "object",
@@ -1238,6 +1243,7 @@ REPORT_SCHEMAS: dict[str, dict] = {
             "n_dropped": {"type": "integer"},
             "pearson": {"type": "object"},
             "semipartial_vs_combined_sentences": {"type": "object"},
+            **_ONE_TABLE_COUNTS,
         },
     },
     "search": {
@@ -1248,6 +1254,7 @@ REPORT_SCHEMAS: dict[str, dict] = {
             "n_models_per_dv": {"const": 8191},
             "per_dv": {"type": "object"},
             "tallies": {"type": "object"},
+            **_ONE_TABLE_COUNTS,
         },
     },
     "ablate": {
@@ -1258,12 +1265,17 @@ REPORT_SCHEMAS: dict[str, dict] = {
             "per_dv": {"type": "object"},
             "average_rank": {"type": "object"},
             "ranking": {"type": "array", "items": {"type": "string"}},
+            **_ONE_TABLE_COUNTS,
         },
     },
     "anova": {
         "type": "object",
         "required": ["mode", "n_used", "factors"],
-        "properties": {"mode": {"const": "anova"}, "factors": {"type": "object"}},
+        "properties": {
+            "mode": {"const": "anova"},
+            "factors": {"type": "object"},
+            **_ONE_TABLE_COUNTS,
+        },
     },
     "ancova": {
         "type": "object",
@@ -1272,6 +1284,7 @@ REPORT_SCHEMAS: dict[str, dict] = {
             "mode": {"const": "ancova"},
             "covariates": {"type": "array", "items": {"type": "string"}},
             "factors": {"type": "object"},
+            **_ONE_TABLE_COUNTS,
         },
     },
     "pca": {
@@ -1283,6 +1296,7 @@ REPORT_SCHEMAS: dict[str, dict] = {
             "explained_variance": {"type": "array", "items": {"type": "number"}},
             "explained_variance_ratio": {"type": "array", "items": {"type": "number"}},
             "loadings": {"type": "object"},
+            **_ONE_TABLE_COUNTS,
         },
     },
     "pcr": {
@@ -1292,6 +1306,7 @@ REPORT_SCHEMAS: dict[str, dict] = {
             "mode": {"const": "pcr"},
             "per_dv": {"type": "object"},
             "average_best_components": {"type": "number"},
+            **_ONE_TABLE_COUNTS,
         },
     },
     "zero_shot": {

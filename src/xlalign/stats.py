@@ -379,16 +379,30 @@ def tukey_hsd(groups: Sequence, labels: Sequence[str] | None = None) -> tuple[Tu
     return tuple(comparisons)
 
 
+def constant_columns(X) -> np.ndarray:
+    """Whether each column of the n x k matrix ``X`` is constant, so cannot be
+    standardized: no entry differs from the column mean by more than the
+    larger of n * eps * the column's largest magnitude (the rounding error the
+    mean of one repeated value can carry) and sqrt(tiny), about 1.5e-154
+    (below which the squares of the spread underflow and its std reads 0)."""
+    X = np.asarray(X, dtype=np.float64)
+    floats = np.finfo(np.float64)
+    bound = np.maximum(X.shape[0] * floats.eps * np.abs(X).max(axis=0, initial=0.0),
+                       math.sqrt(floats.tiny))
+    return np.abs(X - X.mean(axis=0)).max(axis=0, initial=0.0) <= bound
+
+
 def pca(X) -> PCAResult:
-    """PCA via SVD of the z-scored data matrix."""
+    """PCA via SVD of the z-scored data matrix; a column ``constant_columns``
+    calls constant cannot be standardized and is refused."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValueError("PCA needs an n x k matrix with n > 1")
+    if constant_columns(X).any():
+        raise ValueError("zero-variance column cannot be standardized")
     mean = X.mean(axis=0)
     centered = X - mean
     scale = centered.std(axis=0, ddof=1)
-    if (scale == 0.0).any():
-        raise ValueError("zero-variance column cannot be standardized")
     u, s, vt = np.linalg.svd(centered / scale, full_matrices=False)
     # sign convention: largest-magnitude loading of each component positive
     for i in range(vt.shape[0]):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,10 @@ def test_binary_truncated_and_trailing(tmp_path):
     bad.write_bytes(b"YEMB" + blob[4:])
     with pytest.raises(ValueError, match="magic"):
         load_embeddings(bad)
+    bad.write_bytes(blob[:5] + (0).to_bytes(4, "little") + blob[9:13])  # a header of 0 rows
+    message = f"{bad}: embedding matrix needs at least one row"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_embeddings(bad)
 
 
 def test_nan_and_zero_rows_rejected(tmp_path):
@@ -137,6 +143,9 @@ def test_zero_norm_rows_rejected_exactly_when_unit_rows_fails():
 def test_matrix_invariants():
     with pytest.raises(ValueError, match=">= 2"):
         EmbeddingMatrix("x", np.ones((3, 1)))
+    for data in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match=re.escape(f"must be 2-D, got shape {data.shape}")):
+            EmbeddingMatrix("x", data)
     with pytest.raises(ValueError, match="duplicate"):
         EmbeddingMatrix("x", np.eye(2), ("a", "a"))
     with pytest.raises(ValueError, match="ids for"):

@@ -151,6 +151,8 @@ def test_persistence_subsampling_and_size():
     m = EmbeddingMatrix("m", rng.standard_normal((30, 4)))
     assert len(persistence_diagram_0d(m, max_points=10).deaths) == 9
     assert len(persistence_diagram_0d(m).deaths) == 29
+    with pytest.raises(ValueError, match="max_points must be >= 1"):
+        persistence_diagram_0d(m, max_points=0)
     prefix = EmbeddingMatrix("m", m.data[:10])
     assert persistence_diagram_0d(m, max_points=10) == persistence_diagram_0d(prefix)
 

@@ -52,6 +52,8 @@ def test_knn_k_out_of_range():
         knn_search(m, m, 0)
     with pytest.raises(ValueError, match="out of range"):
         knn_search(m, m, 4)
+    with pytest.raises(ValueError, match="dimension mismatch: 3 vs 2"):
+        knn_search(m, EmbeddingMatrix("t", np.eye(2)), 1)
 
 
 def test_knn_matches_sort_oracle():

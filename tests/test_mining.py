@@ -76,6 +76,8 @@ def test_average_margin_degenerate_denominator():
     b = xa.EmbeddingMatrix("b", [[-1.0, 0.0]])  # anti-aligned: each top-1 cosine is -1
     with pytest.raises(ValueError, match="degenerate"):
         average_margin(xa.align_pair(a, b), 1)
+    with pytest.raises(ValueError, match="gold alignment is empty"):
+        average_margin(xa.BitextPair(a, b, gold=()), 1)
 
 
 def test_forward_mining_recovers_permutation():

@@ -396,6 +396,18 @@ def test_run_pair_metrics_counts_and_failures(workspace):
     assert len(sweep.rows) == 1
 
 
+def test_run_pair_metrics_fails_a_language_with_fewer_than_k_rows(workspace):
+    """Each pair of such a language used to fail on its own, with ``k=4 out
+    of range [1, 3]``; the language now fails at load, naming the file."""
+    path = workspace["root"] / "emb" / "john" / "quc.xemb"
+    m = xa.load_embeddings(path)
+    xa.save_embeddings(xa.EmbeddingMatrix("quc", m.data[:3], m.ids[:3]), path)
+    sweep = run_pair_metrics(load_config(workspace["config"]))
+    assert sweep.failed_languages == {"quc": f"{path}: 3 rows, fewer than k = 4"}
+    assert sweep.failed_pairs == {}
+    assert sorted(sweep.rows) == [("deu", "eng"), ("deu", "fra"), ("eng", "fra")]
+
+
 def test_load_stage_keeps_no_matrix_of_a_language_that_fails(workspace):
     """A language whose second document fails to load leaves no matrix of
     its first document behind."""
@@ -898,6 +910,7 @@ def test_make_analysis_dataset_drops_incomplete():
     assert dataset.n_common == 2
     assert dataset.n_used == 1
     assert dataset.n_dropped == 1
+    assert (dataset.n_metrics_only, dataset.n_features_only) == (1, 0)  # ("b", "c")
     # the one kept row is ("a", "b")'s
     assert dataset.X.shape == (1, len(xa.FEATURE_NAMES))
     assert dataset.dvs["f1"].tolist() == [0.25]
@@ -1252,6 +1265,16 @@ def test_cli_single_pair_commands(workspace, tmp_path, capsys):
     assert len({b for _, b in rows}) == len(rows) == 36  # one pair per target row
     assert rows == sorted(rows)  # ordered by row_a
 
+    fwd_tsv = tmp_path / "forward.tsv"
+    assert main(["mine", "--src", str(emb / "deu.xemb"), "--tgt", str(emb / "eng.xemb"),
+                 "--direction", "forward", "--out", str(fwd_tsv)]) == 0
+    tables = xa.mining._PairTables(xa.load_embeddings(emb / "deu.xemb"),
+                                   xa.load_embeddings(emb / "eng.xemb"), 4)
+    rows = [(int(a), int(b), float(m))
+            for a, b, m in (line.split("\t") for line in fwd_tsv.read_text().splitlines()[1:])]
+    assert [a for a, _, _ in rows] == list(range(36))  # one pair per source row
+    assert rows == [(a, b, float(f"{m:.12g}")) for a, b, m in tables.mine(0)]
+
 
 def test_cli_features_analyze_zero_shot_compare(workspace, tmp_path, monkeypatch):
     root = workspace["root"]
@@ -1340,6 +1363,47 @@ def test_cli_analyze_every_mode(analysis_csvs, mode):
     assert report["n_used"] == 45
 
 
+def test_cli_analyze_counts_the_pairs_only_one_table_holds(analysis_dataset, tmp_path):
+    """No mode used to say that a pair of one table was missing from the other."""
+    _, _, metrics_map, _, vectors = analysis_dataset
+    metrics_only, features_only = sorted(metrics_map)[:2]
+    write_features_csv({p: v for p, v in vectors.items() if p != metrics_only},
+                       tmp_path / "features.csv")
+    write_metrics_csv({p: m for p, m in metrics_map.items() if p != features_only},
+                      tmp_path / "metrics.csv")
+    for mode in ANALYSES:
+        out = tmp_path / f"{mode}.json"
+        assert main(["analyze", "--features", str(tmp_path / "features.csv"),
+                     "--metrics", str(tmp_path / "metrics.csv"), "--mode", mode,
+                     "--folds", "3", "--seed", "5", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        _validate(report, mode)
+        assert [report[key] for key in ("n_used", "n_metrics_only", "n_features_only")] == [43, 1, 1]
+
+
+@pytest.mark.parametrize("mode", ["pca", "pcr"])
+def test_cli_analyze_drops_a_feature_column_of_one_float_value(analysis_csvs, tmp_path, mode):
+    """A column of 0.1 in every row used to make pca and pcr exit 1 with
+    ``zero-variance column cannot be standardized``: its std was rounding
+    noise above 0, so the mode kept it, and pca called it constant. It is
+    now dropped, as a column of 0 is."""
+    header, *rows = (analysis_csvs / "features.csv").read_text().splitlines()
+    col = header.split(",").index("geographic_dist")
+    reports = {}
+    for value in ("0.1", "0"):
+        features = tmp_path / f"features_{value}.csv"
+        cells = [row.split(",") for row in rows]
+        features.write_text("\n".join(
+            [header, *(",".join([*c[:col], value, *c[col + 1:]]) for c in cells)]) + "\n")
+        out = tmp_path / f"{mode}_{value}.json"
+        assert main(["analyze", "--features", str(features),
+                     "--metrics", str(analysis_csvs / "metrics.csv"), "--mode", mode,
+                     "--folds", "3", "--seed", "5", "--out", str(out)]) == 0
+        reports[value] = out.read_bytes()
+    assert reports["0.1"] == reports["0"]
+    assert json.loads(reports["0"])["constant_features"] == ["geographic_dist"]
+
+
 def test_cli_analyze_anova_skips_a_factor_of_singleton_groups(analysis_dataset, tmp_path):
     _, _, metrics_map, features_map, vectors = analysis_dataset
     # two complete pairs, one in a shared family and one not: both groups of
@@ -1376,13 +1440,14 @@ NO_ZERO_SHOT = ("analyses = corr, anova, ancova, pca, zero_shot", "analyses = co
      "preflight", None, [], 0),  # no such corpus directory
     ([NO_ZERO_SHOT, ("languages = languages.tsv", "languages = texts/matthew/deu.tsv")],
      "preflight", None, [], 0),  # not a language table
+    ([("k = 4", "k = 5000")], "preflight", None, [], 0),  # every matrix has fewer than k rows
     ([("k = 4", "k = four")], "config", None, [], 0),
     ([("k = 4", "k = 4\nmystery = 1")], "config", None, [], 0),
     ([("folds = 3", "folds = 1")], "config", None, [], 0),  # RunConfig refuses it
     # numpy's generators refuse a negative seed, so RunConfig does
     ([("seed = 17", "seed = -1")], "config", None, [], 0),
 ], ids=["analysis", "config-char-doc", "config-no-embeddings", "config-corpus-names",
-        "preflight-embeddings", "preflight-corpus", "preflight-table", "config-integer",
+        "preflight-embeddings", "preflight-corpus", "preflight-table", "preflight-k", "config-integer",
         "config-key", "config-check", "config-negative-seed"])
 def test_cli_report_fatal_error_keeps_summary(
     workspace, capsys, monkeypatch, edits, stage, mode, analyses, n_pairs
@@ -1499,7 +1564,12 @@ def test_cli_report_rerun_that_fails_leaves_no_earlier_analysis(workspace, capsy
     config = workspace["config"]
     results = workspace["root"] / "results"
     assert main(["report", "--config", str(config)]) == 0
-    _edit_config(config, "k = 4", "k = 5000")
+    # each language's john verses get ids no other language has, so every
+    # pair fails in the pair loop, with no shared verse ids
+    for lang in workspace["langs"]:
+        path = workspace["root"] / "emb" / "john" / f"{lang}.xemb"
+        m = xa.load_embeddings(path)
+        xa.save_embeddings(xa.EmbeddingMatrix(lang, m.data, [f"{lang}{i}" for i in m.ids]), path)
     assert main(["report", "--config", str(config)]) == 1
     assert capsys.readouterr().err == "xlalign: error: the metrics table has no pairs\n"
     assert sorted(p.name for p in results.iterdir()) == [
@@ -1541,8 +1611,30 @@ def test_cli_report_names_languages_missing_from_the_table(workspace):
     assert summary["n_pairs"] == 6
     corr = json.loads((results / "analysis_corr.json").read_text())
     assert (corr["n_pairs"], corr["n_dropped"]) == (3, 0)
+    # the three pairs of deu are in metrics.csv only, and every mode says so
+    for mode in ("corr", "anova", "ancova", "pca"):
+        report = json.loads((results / f"analysis_{mode}.json").read_text())
+        _validate(report, mode)
+        assert report["n_metrics_only"] == 3 and "n_features_only" not in report
     zero_shot = json.loads((results / "analysis_zero_shot.json").read_text())
     assert zero_shot["n_pairs_unknown_language"] == 3
+
+
+def test_cli_report_counts_a_failed_pair_that_features_csv_holds(workspace):
+    """A pair the sweep fails between two languages it keeps is in
+    features.csv but not in metrics.csv; no analysis used to say so."""
+    for lang, rows in (("deu", slice(0, 18)), ("eng", slice(18, 36))):
+        path = workspace["root"] / "emb" / "john" / f"{lang}.xemb"
+        m = xa.load_embeddings(path)
+        xa.save_embeddings(xa.EmbeddingMatrix(lang, m.data[rows], m.ids[rows]), path)
+    assert main(["report", "--config", str(workspace["config"])]) == 2
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    assert list(summary["failed_pairs"]) == ["deu/eng"]
+    for mode in ("corr", "anova", "ancova", "pca"):
+        report = json.loads((results / f"analysis_{mode}.json").read_text())
+        _validate(report, mode)
+        assert report["n_features_only"] == 1 and "n_metrics_only" not in report
 
 
 def test_report_interrupted_leaves_no_summary(workspace, monkeypatch):

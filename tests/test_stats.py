@@ -32,6 +32,15 @@ from conftest import count_scored_models
 
 # ---------------------------------------------------------------- special fns
 
+@pytest.mark.parametrize("k, df, message", [
+    (1, 12, "k >= 2 groups"),
+    (3, 0.5, "df must be >= 1"),
+])
+def test_studentized_range_refuses_too_few_groups_or_dof(k, df, message):
+    with pytest.raises(ValueError, match=message):
+        studentized_range_cdf(1.0, k, df)
+
+
 def test_studentized_range_published_table_value():
     # standard tables: q(alpha=0.05; k=3, df=12) = 3.77
     assert abs(studentized_range_sf(3.77, 3, 12) - 0.05) <= 0.01
@@ -151,6 +160,8 @@ def test_pearson_errors():
         pearson([1, 1, 1], [1, 2, 3])
     with pytest.raises(ValueError, match="at least 3"):
         pearson([1, 2], [3, 4])
+    with pytest.raises(ValueError, match=r"shape mismatch: \(3,\) vs \(4,\)"):
+        pearson([1, 2, 3], [1, 2, 3, 4])
 
 
 @settings(max_examples=100)
@@ -618,6 +629,8 @@ def test_anova_validation():
         anova_oneway([(1.0, 2.0)])
     with pytest.raises(ValueError, match="two or more"):
         anova_oneway([(1.0,), (2.0,)])
+    with pytest.raises(ValueError, match="every group needs at least one value"):
+        anova_oneway([(1.0, 2.0), ()])
 
 
 # --------------------------------------------------------------------- ancova
@@ -640,6 +653,7 @@ def test_ancova_confounded_factor_vanishes():
     y = 2.0 * z + 0.1 * rng.standard_normal(400)
     labels = ["pos" if v > 0 else "neg" for v in z]
     adjusted = ancova(y, labels, z[:, None])
+    assert ancova(y, labels, z) == adjusted  # a 1-D covariate is one column
     plain = anova_oneway([y[np.array(labels) == "pos"], y[np.array(labels) == "neg"]])
     assert plain.eta_p2 > 0.5
     assert adjusted.eta_p2 < 0.05
@@ -666,6 +680,11 @@ def test_ancova_validation():
     collinear = np.array([[1.0 if lab == "b" else 0.0] for lab in labels])
     with pytest.raises(ValueError, match="collinear"):
         ancova(y, labels, collinear)
+    with pytest.raises(ValueError, match="factor length must match y"):
+        ancova(y, labels[:-1], None)
+    with pytest.raises(ValueError, match="covariate rows must match y"):
+        ancova(y, labels, np.ones((9, 1)))
+
 
 
 # ---------------------------------------------------------------------- tukey
@@ -721,6 +740,8 @@ def test_tukey_pair_count_and_labels():
     comparisons = tukey_hsd(groups)
     assert len(comparisons) == 6
     assert comparisons[0].group_a == "g0"
+    with pytest.raises(ValueError, match="one label per group required"):
+        tukey_hsd(groups, ["a", "b", "c"])
 
 
 # ------------------------------------------------------------------------ pca
@@ -752,6 +773,29 @@ def test_pca_sign_convention_and_errors():
     X[:, 2] = 5.0
     with pytest.raises(ValueError, match="zero-variance"):
         pca(X)
+    with pytest.raises(ValueError, match="n > 1"):
+        pca(X[:1])
+    X[:, 2] = 1e-170 * np.arange(40)  # it varies, but its std underflows to 0
+    with pytest.raises(ValueError, match="zero-variance"):
+        pca(X)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=6000),
+    st.floats(min_value=-1e12, max_value=1e12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_constant_columns_calls_a_column_of_one_value_constant(n, value, seed):
+    """The std of a column of one float value is often rounding noise above
+    0: the analyses kept such a column as varying, and pca then refused it."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([rng.standard_normal(n), np.full(n, value), rng.standard_normal(n)])
+    assert stats.constant_columns(X).tolist() == [n == 1, True, n == 1]
+    if n > 1:
+        with pytest.raises(ValueError, match="zero-variance"):
+            pca(X)
+        assert pca(X[:, ::2]).components.shape == (2, 2)
 
 
 # ------------------------------------------------------------------------ pcr
