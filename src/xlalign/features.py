@@ -102,11 +102,14 @@ def _unit_counts(text: str, unit: str) -> Counter:
     raise ValueError(f"unknown overlap unit {unit!r}")
 
 
-def _counts_jaccard(count_a: Counter, count_b: Counter, unit: str) -> float:
-    """Weighted Jaccard overlap of two texts' ``_unit_counts``: the ratio of
-    summed per-element minimum counts to summed maximum counts."""
-    if not count_a or not count_b:
-        raise ValueError(f"text empty after {unit} segmentation")
+def _counts_jaccard(counts: Mapping[str, Counter], lang_a: str, lang_b: str, unit: str) -> float:
+    """Weighted Jaccard overlap of two languages' ``_unit_counts``: the ratio of
+    summed per-element minimum counts to summed maximum counts. A language
+    whose text has no ``unit`` is refused by name, ``lang_a`` first."""
+    for lang in (lang_a, lang_b):
+        if not counts[lang]:
+            raise ValueError(f"language {lang!r}: text empty after {unit} segmentation")
+    count_a, count_b = counts[lang_a], counts[lang_b]
     intersection = sum(min(count_a[e], count_b[e]) for e in count_a.keys() & count_b.keys())
     union = sum(max(count_a[e], count_b[e]) for e in count_a.keys() | count_b.keys())
     return intersection / union
@@ -189,7 +192,7 @@ def _pair_features_from_counts(
     def overlap(counts: Mapping[str, Counter] | None, unit: str) -> float | None:
         if counts is None or ma.lang not in counts or mb.lang not in counts:
             return None
-        return _counts_jaccard(counts[ma.lang], counts[mb.lang], unit)
+        return _counts_jaccard(counts, ma.lang, mb.lang, unit)
 
     def distance(kind: str) -> float | None:
         va = ma.typo_vectors.get(kind)

@@ -8,12 +8,12 @@ written with sorted keys, so identical configs and inputs produce
 byte-identical files. Every run setting comes from the config alone, and a
 language reads one embedding file per document directory.
 
-Every analysis sees the values the CSVs hold: ``make_analysis_dataset`` and
-``run_zero_shot_analysis`` take each metric and feature as ``_as_written``
-rounds it. So ``report``'s analysis files equal those of ``analyze`` and
-``zero-shot`` run on its own ``metrics.csv`` and ``features.csv``, and they
-change with the BLAS thread count only where a metric's 12th significant
-digit does.
+Every analysis reads the values the CSVs hold: ``report`` analyzes its
+``metrics.csv`` and ``features.csv`` as read back, as ``analyze`` and
+``zero-shot`` do, so its analysis files are theirs. They change with the BLAS
+thread count only where a metric's 12th significant digit does.
+``make_analysis_dataset`` also rounds each value with ``_as_written``, so that
+rows held in memory (``perfbench/replay.py``) give the dataset their CSVs give.
 """
 
 from __future__ import annotations
@@ -588,6 +588,17 @@ class AnalysisDataset:
         }
 
 
+def _check_complete_pair(rows: Sequence[Mapping[str, float | None]]) -> None:
+    """Refuse feature rows that hold no complete pair, naming each feature
+    that no row has; an empty list is a features table with no pairs."""
+    if not rows:
+        raise ValueError("the features table has no pairs")
+    if all(any(row[name] is None for name in feats.FEATURE_NAMES) for row in rows):
+        absent = [name for name in feats.FEATURE_NAMES if all(row[name] is None for row in rows)]
+        message = "every pair has at least one missing feature"
+        raise ValueError(f"{message}; no pair has {', '.join(absent)}" if absent else message)
+
+
 def make_analysis_dataset(
     features_map: Mapping[tuple[str, str], Mapping[str, float | None]],
     metrics_map: Mapping[tuple[str, str], AlignmentMetrics],
@@ -597,14 +608,16 @@ def make_analysis_dataset(
 
     Every value enters the design matrix and the DVs as ``_as_written`` gives
     it, the value its ``features.csv`` or ``metrics.csv`` cell reads back as.
-    So the rows ``report`` holds in memory and the rows ``analyze`` reads from
-    those CSVs give the same dataset, bit for bit."""
+    Only ``perfbench/replay.py`` needs that: it passes rows held in memory and
+    must write ``analyze``'s bytes (``tests/test_bench_replay.py``). ROADMAP
+    item 2 retires the replay, and the rounding with it."""
     for kind, table in (("metrics", metrics_map), ("features", features_map)):
         if not table:
             raise ValueError(f"the {kind} table has no pairs")
     common = sorted(set(features_map) & set(metrics_map))
     if not common:
         raise ValueError("no pairs shared between features and metrics")
+    _check_complete_pair([features_map[pair] for pair in common])
     kept: list[tuple[str, str]] = []
     rows: list[list[float]] = []
     for pair in common:
@@ -614,8 +627,6 @@ def make_analysis_dataset(
             continue
         kept.append(pair)
         rows.append([_as_written(v) for v in values])
-    if not kept:
-        raise ValueError("every pair has at least one missing feature")
     X = np.array(rows, dtype=np.float64)
     dvs = {
         name: np.array([_as_written(getattr(metrics_map[p], name)) for p in kept],
@@ -939,20 +950,8 @@ def run_zero_shot_analysis(
     (plus Tukey for word order). Double case: pairs whose members both lack
     training data; features are correlated with metrics over those pairs.
     An empty partition is reported as skipped rather than an error.
-
-    Metrics and features are first taken as ``_as_written`` gives them, as
-    ``make_analysis_dataset`` takes them, so rows held in memory and rows
-    read from the CSVs written from them give the same report.
+    Metrics and features are taken as given, unrounded.
     """
-    metrics_map = {
-        pair: AlignmentMetrics(**{name: _as_written(v) for name, v in m.as_dict().items()})
-        for pair, m in metrics_map.items()
-    }
-    if features_map is not None:
-        features_map = {
-            pair: {name: _as_written(v) for name, v in row.items()}
-            for pair, row in features_map.items()
-        }
     report: dict = {"mode": "zero_shot"}
     known_pairs = {pair: m for pair, m in metrics_map.items() if set(pair) <= table.keys()}
     report["n_pairs_unknown_language"] = len(metrics_map) - len(known_pairs)
@@ -1110,11 +1109,12 @@ def _check_zero_shot_families(table: Mapping[str, LanguageMeta], langs: Iterable
 
 
 def run_report(config_path: str | Path) -> int:
-    """Full pipeline: parse the config file, read every input, sweep metrics,
-    derive features, run analyses, write everything under ``out``. Returns the
-    exit code (0 ok, 2 when some languages or pairs were skipped). A fatal
-    error is recorded under ``fatal`` in ``run_summary.json`` and re-raised;
-    a file that cannot be read or names no ``out`` leaves no summary.
+    """Full pipeline: parse the config file, read every input and build the
+    feature table, sweep metrics, write both CSVs under ``out`` and analyze
+    them as read back. Returns the exit code (0 ok, 2 when some languages or
+    pairs were skipped). A fatal error is recorded under ``fatal`` in
+    ``run_summary.json`` and re-raised; a file that cannot be read or names
+    no ``out`` leaves no summary.
 
     Every file name a run can write under ``out`` is deleted first, so no
     file of an earlier run stays beside this run's."""
@@ -1155,31 +1155,39 @@ def run_report(config_path: str | Path) -> int:
             raise ValueError(f"{len(matrices)} of {n_langs} languages loaded; a pair needs two")
         if "zero_shot" in config.analyses:
             _check_zero_shot_families(table, matrices)
+        if table is not None:
+            # every pair of the loaded languages the table lists, as if each pair succeeds
+            features_map = build_pair_feature_table(
+                table, char_texts, token_texts, sorted(matrices.keys() & table.keys()))
+            if any(mode in ANALYSES for mode in config.analyses):
+                _check_complete_pair([vec.as_dict() for vec in features_map.values()])
 
         stage = {"stage": "sweep", "mode": None}
         _sweep_pairs(config, sweep, matrices)
         write_metrics_csv(sweep.rows, out / "metrics.csv")
 
         stage = {"stage": "features", "mode": None}
-        feature_rows: dict = {}
         if table is not None:
-            langs = sorted({lang for pair in sweep.rows for lang in pair} & set(table))
-            features_map = build_pair_feature_table(table, char_texts, token_texts, langs)
-            write_features_csv(features_map, out / "features.csv")
-            feature_rows = {pair: vec.as_dict() for pair, vec in features_map.items()}
+            kept = {lang for pair in sweep.rows for lang in pair}
+            write_features_csv({pair: vec for pair, vec in features_map.items() if set(pair) <= kept},
+                               out / "features.csv")
 
-        dataset = None  # built at the first mode that needs it, shared by the rest
+        # shared by every mode; each needs the language table, so both CSVs exist
+        metrics_map = feature_rows = dataset = None
         for mode in dict.fromkeys(config.analyses):
             stage = {"stage": "analysis", "mode": mode}
+            if metrics_map is None:
+                metrics_map = read_metrics_csv(out / "metrics.csv")
+                feature_rows = read_features_csv(out / "features.csv")
             if mode == "zero_shot":
                 write_zero_shot_report(
-                    run_zero_shot_analysis(sweep.rows, table, feature_rows or None),
+                    run_zero_shot_analysis(metrics_map, table, feature_rows),
                     out / "analysis_zero_shot.json",
                     out / "plot_zero_shot_groups.csv",
                 )
             else:
                 if dataset is None:
-                    dataset = make_analysis_dataset(feature_rows, sweep.rows)
+                    dataset = make_analysis_dataset(feature_rows, metrics_map)
                 write_json(run_analysis(mode, dataset, config.folds, config.seed),
                            out / f"analysis_{mode}.json")
             analyses.append(mode)
@@ -1227,88 +1235,75 @@ _ANOVA_ENTRY_SCHEMA = {
     "required": ["f_stat", "p_value", "eta_p2", "df_effect", "df_error"],
 }
 
-# written by AnalysisDataset.report only when nonzero
-_ONE_TABLE_COUNTS = {name: {"type": "integer", "minimum": 1}
-                     for name in ("n_metrics_only", "n_features_only")}
+def _dataset_schema(mode: str, required: Sequence[str], **properties) -> dict:
+    """The schema of a dataset mode's report: the header ``AnalysisDataset.report``
+    writes, with ``folds`` and ``seed`` exactly where ``ANALYSES`` seeds the
+    mode, then the mode's own ``required`` fields and ``properties``."""
+    seeded = {"folds": {"type": "integer", "minimum": 2},
+              "seed": {"type": "integer", "minimum": 0}} if ANALYSES[mode][1] else {}
+    count = {"type": "integer", "minimum": 1}
+    return {
+        "type": "object",
+        "required": ["mode", "n_used", "n_dropped", *seeded, *required],
+        "properties": {
+            "mode": {"const": mode},
+            "n_used": count,
+            "n_dropped": {"type": "integer", "minimum": 0},
+            # written only when nonzero
+            "n_metrics_only": count,
+            "n_features_only": count,
+            **seeded,
+            **properties,
+        },
+    }
+
 
 REPORT_SCHEMAS: dict[str, dict] = {
-    "corr": {
-        "type": "object",
-        "required": ["mode", "n_pairs", "n_used", "n_dropped", "pearson",
-                      "semipartial_vs_combined_sentences"],
-        "properties": {
-            "mode": {"const": "corr"},
-            "n_pairs": {"type": "integer"},
-            "n_used": {"type": "integer"},
-            "n_dropped": {"type": "integer"},
-            "pearson": {"type": "object"},
-            "semipartial_vs_combined_sentences": {"type": "object"},
-            **_ONE_TABLE_COUNTS,
-        },
-    },
-    "search": {
-        "type": "object",
-        "required": ["mode", "n_used", "folds", "seed", "n_models_per_dv", "per_dv", "tallies"],
-        "properties": {
-            "mode": {"const": "search"},
-            "n_models_per_dv": {"const": 8191},
-            "per_dv": {"type": "object"},
-            "tallies": {"type": "object"},
-            **_ONE_TABLE_COUNTS,
-        },
-    },
-    "ablate": {
-        "type": "object",
-        "required": ["mode", "n_used", "folds", "seed", "per_dv", "average_rank", "ranking"],
-        "properties": {
-            "mode": {"const": "ablate"},
-            "per_dv": {"type": "object"},
-            "average_rank": {"type": "object"},
-            "ranking": {"type": "array", "items": {"type": "string"}},
-            **_ONE_TABLE_COUNTS,
-        },
-    },
-    "anova": {
-        "type": "object",
-        "required": ["mode", "n_used", "factors"],
-        "properties": {
-            "mode": {"const": "anova"},
-            "factors": {"type": "object"},
-            **_ONE_TABLE_COUNTS,
-        },
-    },
-    "ancova": {
-        "type": "object",
-        "required": ["mode", "covariates", "n_used", "factors"],
-        "properties": {
-            "mode": {"const": "ancova"},
-            "covariates": {"type": "array", "items": {"type": "string"}},
-            "factors": {"type": "object"},
-            **_ONE_TABLE_COUNTS,
-        },
-    },
-    "pca": {
-        "type": "object",
-        "required": ["mode", "n_used", "explained_variance",
-                      "explained_variance_ratio", "loadings"],
-        "properties": {
-            "mode": {"const": "pca"},
-            "explained_variance": {"type": "array", "items": {"type": "number"}},
-            "explained_variance_ratio": {"type": "array", "items": {"type": "number"}},
-            "loadings": {"type": "object"},
-            **_ONE_TABLE_COUNTS,
-        },
-    },
-    "pcr": {
-        "type": "object",
-        "required": ["mode", "n_used", "folds", "seed", "per_dv", "average_best_components"],
-        "properties": {
-            "mode": {"const": "pcr"},
-            "per_dv": {"type": "object"},
-            "average_best_components": {"type": "number"},
-            **_ONE_TABLE_COUNTS,
-        },
-    },
+    "corr": _dataset_schema(
+        "corr",
+        ["n_pairs", "pearson", "semipartial_vs_combined_sentences"],
+        n_pairs={"type": "integer"},
+        pearson={"type": "object"},
+        semipartial_vs_combined_sentences={"type": "object"},
+    ),
+    "search": _dataset_schema(
+        "search",
+        ["n_models_per_dv", "per_dv", "tallies"],
+        n_models_per_dv={"const": 8191},
+        per_dv={"type": "object"},
+        tallies={"type": "object"},
+    ),
+    "ablate": _dataset_schema(
+        "ablate",
+        ["per_dv", "average_rank", "ranking"],
+        per_dv={"type": "object"},
+        average_rank={"type": "object"},
+        ranking={"type": "array", "items": {"type": "string"}},
+    ),
+    "anova": _dataset_schema(
+        "anova",
+        ["factors"],
+        factors={"type": "object"},
+    ),
+    "ancova": _dataset_schema(
+        "ancova",
+        ["covariates", "factors"],
+        covariates={"type": "array", "items": {"type": "string"}},
+        factors={"type": "object"},
+    ),
+    "pca": _dataset_schema(
+        "pca",
+        ["explained_variance", "explained_variance_ratio", "loadings"],
+        explained_variance={"type": "array", "items": {"type": "number"}},
+        explained_variance_ratio={"type": "array", "items": {"type": "number"}},
+        loadings={"type": "object"},
+    ),
+    "pcr": _dataset_schema(
+        "pcr",
+        ["per_dv", "average_best_components"],
+        per_dv={"type": "object"},
+        average_best_components={"type": "number"},
+    ),
     "zero_shot": {
         "type": "object",
         "required": ["mode", "simple", "double"],

@@ -58,8 +58,11 @@ def test_jaccard_nfc_normalization():
 
 
 def test_jaccard_errors():
-    with pytest.raises(ValueError, match="empty after"):
+    # the message names the language and the unit
+    with pytest.raises(ValueError, match="^language 'aaa': text empty after char segmentation$"):
         jaccard("   ", "abc", "char")
+    with pytest.raises(ValueError, match="^language 'bbb': text empty after token segmentation$"):
+        jaccard("abc", " \t", "token")
     with pytest.raises(ValueError, match="unknown overlap unit"):
         _unit_counts("a", "word")
 
@@ -107,8 +110,9 @@ def test_char_counts_match_the_generator_on_every_space():
     assert not any(c.isspace() for c in ours)
 
 
-def ref_multiset_jaccard(a, b, unit):
-    # frozen copy of the two-text implementation
+def ref_multiset_jaccard(a, b, unit, langs):
+    # frozen copy of the two-text implementation; an empty text's error
+    # names its language, one of ``langs``
     if unit == "char":
         items_a = [c for c in unicodedata.normalize("NFC", a) if not c.isspace()]
         items_b = [c for c in unicodedata.normalize("NFC", b) if not c.isspace()]
@@ -117,8 +121,9 @@ def ref_multiset_jaccard(a, b, unit):
         items_b = b.split()
     else:
         raise ValueError(f"unknown overlap unit {unit!r}")
-    if not items_a or not items_b:
-        raise ValueError(f"text empty after {unit} segmentation")
+    for lang, items in zip(langs, (items_a, items_b)):
+        if not items:
+            raise ValueError(f"language {lang!r}: text empty after {unit} segmentation")
     count_a = Counter(items_a)
     count_b = Counter(items_b)
     intersection = sum(min(count_a[e], count_b[e]) for e in count_a.keys() & count_b.keys())
@@ -153,7 +158,7 @@ def test_pair_table_overlaps_equal_two_text_jaccard(char_texts, token_texts):
         out = {}
         for a, b in itertools.combinations(LANGS, 2):
             out[(a, b)] = tuple(
-                ref_multiset_jaccard(texts[a], texts[b], unit)
+                ref_multiset_jaccard(texts[a], texts[b], unit, (a, b))
                 if a in texts and b in texts else None
                 for texts, unit in ((token_texts, "token"), (char_texts, "char"))
             )

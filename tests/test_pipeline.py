@@ -991,6 +991,16 @@ def test_zero_shot_planted_word_order_effect():
     assert entry["tukey"][0]["p_value"] < 0.05
 
 
+def test_zero_shot_takes_metrics_unrounded():
+    """The group means used to come from each metric rounded to 12
+    significant digits, as its ``metrics.csv`` cell holds it."""
+    table = {lang: LanguageMeta(lang=lang, family="F", subfamily="S", train_sentences=0)
+             for lang in ("a", "b")}
+    f1 = 0.1234567890123456
+    report = run_zero_shot_analysis({("a", "b"): synthetic_metrics(f1)}, table)
+    assert report["simple"]["group_means"]["family"]["F"]["f1"] == f1
+
+
 # ------------------------------------------------------------------- compare
 
 def test_compare_identity_and_direction():
@@ -1221,6 +1231,58 @@ def test_cli_report_refuses_a_repeated_table_column_before_the_sweep(
     assert align.calls == 0 and not (results / "metrics.csv").exists()
 
 
+def test_cli_report_refuses_a_feature_table_with_no_complete_pair_before_the_sweep(
+    workspace, capsys, monkeypatch
+):
+    """A table without the four typology vectors used to run the whole sweep
+    and write both CSVs, then exit 1 at stage ``analysis``."""
+    table = workspace["root"] / "languages.tsv"
+    table.write_text("".join("\t".join(line.split("\t")[:6]) + "\n"
+                             for line in table.read_text().splitlines()))
+    align = _CallCounter(pipeline.align_pair)
+    monkeypatch.setattr(pipeline, "align_pair", align)
+    assert main(["report", "--config", str(workspace["config"])]) == 1
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    assert summary["fatal"] == {
+        "stage": "preflight", "mode": None,
+        "error": "every pair has at least one missing feature; no pair has syntactic_dist,"
+                 " phonological_dist, inventory_dist, geographic_dist",
+    }
+    assert capsys.readouterr().err == f"xlalign: error: {summary['fatal']['error']}\n"
+    assert align.calls == 0
+    assert sorted(p.name for p in results.iterdir()) == ["run_summary.json"]
+    # zero_shot analyzes no joined dataset, so a zero_shot-only run still sweeps
+    _edit_config(workspace["config"], "analyses = corr, anova, ancova, pca, zero_shot",
+                 "analyses = zero_shot")
+    assert main(["report", "--config", str(workspace["config"])]) == 0
+    assert align.calls > 0
+    assert json.loads((results / "run_summary.json").read_text())["analyses"] == ["zero_shot"]
+
+
+def test_cli_features_and_report_name_the_language_of_a_blank_text(
+    workspace, tmp_path, capsys, monkeypatch
+):
+    """A text with no character used to fail with ``text empty after char
+    segmentation``, naming no language, and ``report`` only after the sweep."""
+    root = workspace["root"]
+    text = root / "texts" / "matthew" / "eng.tsv"
+    text.write_text("".join(line.split("\t")[0] + "\t \n" for line in text.read_text().splitlines()))
+    message = "language 'eng': text empty after char segmentation"
+    out = tmp_path / "features.csv"
+    assert main(["features", "--languages", str(root / "languages.tsv"),
+                 "--char-corpus", str(root / "texts" / "matthew"),
+                 "--token-corpus", str(root / "texts" / "john"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"xlalign: error: {message}\n" and not out.exists()
+    align = _CallCounter(pipeline.align_pair)
+    monkeypatch.setattr(pipeline, "align_pair", align)
+    assert main(["report", "--config", str(workspace["config"])]) == 1
+    assert capsys.readouterr().err == f"xlalign: error: {message}\n"
+    summary = json.loads((root / "results" / "run_summary.json").read_text())
+    assert summary["fatal"] == {"stage": "preflight", "mode": None, "error": message}
+    assert align.calls == 0
+
+
 @pytest.mark.parametrize("command", ["metrics", "mine"])
 def test_cli_pair_commands_refuse_a_dimension_mismatch(workspace, tmp_path, capsys, command):
     deu = workspace["root"] / "emb" / "matthew" / "deu.xemb"
@@ -1361,6 +1423,13 @@ def test_cli_analyze_every_mode(analysis_csvs, mode):
     report = json.loads(out.read_text())
     _validate(report, mode)
     assert report["n_used"] == 45
+    # every mode's schema requires the header AnalysisDataset.report writes,
+    # and folds and seed exactly where the mode takes them
+    schema = REPORT_SCHEMAS[mode]
+    with pytest.raises(jsonschema.ValidationError, match="'n_dropped' is a required property"):
+        jsonschema.validate({k: v for k, v in report.items() if k != "n_dropped"}, schema)
+    seeded = ANALYSES[mode][1]
+    assert [key in schema["required"] for key in ("folds", "seed")] == [seeded, seeded]
 
 
 def test_cli_analyze_counts_the_pairs_only_one_table_holds(analysis_dataset, tmp_path):
