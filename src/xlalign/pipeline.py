@@ -174,11 +174,13 @@ def _read_config_file(path: Path) -> dict[str, str]:
 def _config_from_raw(path: Path, raw: Mapping[str, str]) -> RunConfig:
     """``RunConfig`` from the keys present; each value is parsed by its field's
     annotation. Lists are comma-separated, paths are relative to the config
-    file, and an empty optional path is unset."""
+    file, and an empty path is unset: an optional one keeps its default, and
+    an empty ``out`` is a missing one."""
     known = {f.name: f for f in fields(RunConfig)}
     unknown = set(raw) - set(known)
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
+    raw = {key: value for key, value in raw.items() if value or not known[key].type.startswith("Path")}
     missing = [name for name, f in known.items() if f.default is MISSING and name not in raw]
     if missing:
         raise ValueError(f"{path}: missing {', '.join(map(repr, missing))}")
@@ -189,7 +191,7 @@ def _config_from_raw(path: Path, raw: Mapping[str, str]) -> RunConfig:
             items = tuple(v.strip() for v in value.split(",") if v.strip())
             return tuple(path.parent / v for v in items) if "Path" in kind else items
         if "Path" in kind:
-            return path.parent / value if value or kind == "Path" else None
+            return path.parent / value
         if "int" in kind:
             try:
                 return int(value)
@@ -588,15 +590,18 @@ class AnalysisDataset:
         }
 
 
-def _check_complete_pair(rows: Sequence[Mapping[str, float | None]]) -> None:
-    """Refuse feature rows that hold no complete pair, naming each feature
-    that no row has; an empty list is a features table with no pairs."""
+def _check_complete_pair(rows: Sequence[Mapping[str, float | None]]) -> int:
+    """The count of complete pairs among feature rows; refuse rows that hold
+    none, naming each feature that no row has (an empty list is a features
+    table with no pairs)."""
     if not rows:
         raise ValueError("the features table has no pairs")
-    if all(any(row[name] is None for name in feats.FEATURE_NAMES) for row in rows):
+    complete = sum(all(row[name] is not None for name in feats.FEATURE_NAMES) for row in rows)
+    if not complete:
         absent = [name for name in feats.FEATURE_NAMES if all(row[name] is None for row in rows)]
         message = "every pair has at least one missing feature"
         raise ValueError(f"{message}; no pair has {', '.join(absent)}" if absent else message)
+    return complete
 
 
 def make_analysis_dataset(
@@ -712,14 +717,11 @@ def analyze_search(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
 
 
 def analyze_ablate(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
-    per_dv = {}
-    for metric, y in dataset.dvs.items():
-        result = stats.ablation_single_step(dataset.X, y, feats.FEATURE_NAMES, folds=folds, seed=seed)
-        per_dv[metric] = {
-            "baseline_adj_r2": result.baseline_adj_r2,
-            "delta_adj_r2": dict(result.deltas),
-            "rank": dict(result.ranks),
-        }
+    per_dv = {
+        metric: {"baseline_adj_r2": r.baseline_adj_r2, "delta_adj_r2": r.deltas, "rank": r.ranks}
+        for metric, r in stats.ablation_single_step(
+            dataset.X, dataset.dvs, feats.FEATURE_NAMES, folds=folds, seed=seed).items()
+    }
     # the ranks are integers, so each sum is exact in any order
     average_rank = {name: sum(entry["rank"][name] for entry in per_dv.values()) / len(per_dv)
                     for name in feats.FEATURE_NAMES}
@@ -840,13 +842,11 @@ def analyze_pcr(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
     names, X, constant = _varying_columns(dataset)
     if len(names) < 1:
         raise ValueError("no varying features; PCR not meaningful")
-    per_dv = {}
-    for metric, y in dataset.dvs.items():
-        result = stats.pcr(X, y, folds=folds, seed=seed)
-        per_dv[metric] = {
-            "adj_r2_by_components": [float(v) for v in result.adj_r2_by_components],
-            "best_components": result.best_components,
-        }
+    per_dv = {
+        metric: {"adj_r2_by_components": list(r.adj_r2_by_components),
+                 "best_components": r.best_components}
+        for metric, r in stats.pcr(X, dataset.dvs, folds=folds, seed=seed).items()
+    }
     return dataset.report(
         "pcr",
         constant_features=constant,
@@ -882,10 +882,28 @@ def _check_analysis_settings(modes: Iterable[str], folds: int, seed: int | None)
         raise ValueError(f"seed is required for mode {seeded[0]!r}")
 
 
+def _check_pair_count(modes: Iterable[str], folds: int, n: int, held_by: str) -> None:
+    """Refuse ``n`` complete pairs when a mode of ``modes`` needs more; the
+    message ends in ``held_by`` and ``n`` ("the feature table has 3"). A
+    cross-validated fit takes ``stats.cv_min_rows`` pairs: on all features
+    for ``search`` and ``ablate``, on at least one component for ``pcr``;
+    ``pca`` takes 2."""
+    k = len(feats.FEATURE_NAMES)
+    every_feature = (stats.cv_min_rows(k, folds), f" ({k} features + 2, and 2 per fold at folds = {folds})")
+    needs = {"search": every_feature, "ablate": every_feature, "pca": (2, ""),
+             "pcr": (stats.cv_min_rows(1, folds), f" (2 per fold at folds = {folds})")}
+    for mode in modes:
+        need, why = needs.get(mode, (0, ""))
+        if n < need:
+            raise ValueError(f"mode {mode!r} needs at least {need} complete pairs{why}; {held_by} {n}")
+
+
 def run_analysis(mode: str, dataset: AnalysisDataset, folds: int, seed: int | None) -> dict:
-    """Run one dataset analysis mode from ``ANALYSES``, checking its settings first."""
+    """Run one dataset analysis mode from ``ANALYSES``, checking its settings
+    and its pair count first."""
     analyze, seeded = ANALYSES[mode]
     _check_analysis_settings([mode], folds, seed)
+    _check_pair_count([mode], folds, dataset.n_used, "the two tables share")
     return analyze(dataset, folds, seed) if seeded else analyze(dataset)
 
 
@@ -1120,7 +1138,7 @@ def run_report(config_path: str | Path) -> int:
     file of an earlier run stays beside this run's."""
     path = Path(config_path)
     raw = _read_config_file(path)
-    out = path.parent / raw["out"] if "out" in raw else None
+    out = path.parent / raw["out"] if raw.get("out") else None  # an empty out is a missing one
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         for name in ("run_summary.json", "metrics.csv", "features.csv", "plot_zero_shot_groups.csv",
@@ -1160,7 +1178,9 @@ def run_report(config_path: str | Path) -> int:
             features_map = build_pair_feature_table(
                 table, char_texts, token_texts, sorted(matrices.keys() & table.keys()))
             if any(mode in ANALYSES for mode in config.analyses):
-                _check_complete_pair([vec.as_dict() for vec in features_map.values()])
+                # no sweep can keep more complete pairs than the table holds
+                n_complete = _check_complete_pair([vec.as_dict() for vec in features_map.values()])
+                _check_pair_count(config.analyses, config.folds, n_complete, "the feature table has")
 
         stage = {"stage": "sweep", "mode": None}
         _sweep_pairs(config, sweep, matrices)

@@ -5,9 +5,10 @@ Cross-validated fits shuffle once with a seeded generator, score the held-out
 fold of each split with plain r-squared, average the fold scores, and apply
 the adjusted-r-squared penalty a single time with the total sample size and
 the model's predictor count. One engine, ``_FoldGrams``, scores every such fit
-(search, ablation, PCR) from Gram blocks of the z-scored design, which leaves
-adjusted r-squared unchanged and keeps raw count columns well conditioned; a
-rank-deficient model gets its minimum-norm fit. Scores within ``_TIE_TOL`` of
+(search, ablation, PCR), for all dependent variables in one pass and from
+Gram blocks of the z-scored design, which leaves adjusted r-squared
+unchanged and keeps raw count columns well conditioned; a rank-deficient
+model gets its minimum-norm fit. Scores within ``_TIE_TOL`` of
 the best tie and go to the earlier candidate (smaller subset, lower feature
 index, fewer components). All seeded procedures are reproducible bit-for-bit
 for a fixed seed and input.
@@ -118,11 +119,15 @@ def adjusted_r2(r2: float, n: int, k: int) -> float:
     return 1.0 - (1.0 - r2) * (n - 1) / (n - k - 1)
 
 
+def cv_min_rows(k: int, folds: int) -> int:
+    """The fewest rows a cross-validated fit on ``k`` features takes: k + 2,
+    as adjusted r-squared needs n > k + 1, and 2 per fold."""
+    return max(k + 2, 2 * folds)
+
+
 def _cv_folds(n: int, folds: int, seed: int) -> list[np.ndarray]:
     if folds < 2:
         raise ValueError("need at least 2 folds")
-    if n < 2 * folds:
-        raise ValueError(f"need n >= 2*folds, got n={n}, folds={folds}")
     rng = np.random.default_rng(seed)
     return np.array_split(rng.permutation(n), folds)
 
@@ -138,12 +143,12 @@ class _FoldGrams:
     every dependent variable as one right-hand side: a feature subset costs
     one small least-squares solve per fold, whatever n is."""
 
-    def __init__(self, X, Y, folds: int, seed: int):
+    def __init__(self, X, dvs: Mapping[str, np.ndarray], folds: int, seed: int):
         X = np.asarray(X, dtype=np.float64)
         n, k = X.shape
-        Y = np.column_stack([np.asarray(Y, dtype=np.float64)])
-        if n <= k + 1:
-            raise ValueError(f"need n > k + 1, got n={n}, k={k}")
+        Y = np.column_stack([np.asarray(y, dtype=np.float64) for y in dvs.values()])
+        if n < cv_min_rows(k, folds):
+            raise ValueError(f"need n >= 2*folds and n >= k + 2, got n={n}, k={k}, folds={folds}")
         if Y.shape[0] != n:
             raise ValueError(f"{Y.shape[0]} target values for {n} rows")
         centered = X - X.mean(axis=0)
@@ -165,19 +170,23 @@ class _FoldGrams:
         self.constant_te = sst == 0.0
         self.sst = np.where(self.constant_te, 1.0, sst)
 
-    def score(self, features: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-        """Adjusted cross-validated r2 of every dependent variable for the
-        model on the given columns of X, and whether each fold's fit had full
-        rank (a rank-deficient fold uses the minimum-norm solution)."""
-        cols = np.concatenate([[0], np.asarray(features, dtype=np.intp) + 1])
-        block = (slice(None), cols[:, None], cols)
-        fits = [np.linalg.lstsq(g, c, rcond=None) for g, c in zip(self.g_tr[block], self.c_tr[:, cols])]
-        beta = np.stack([fit[0] for fit in fits])
-        full_rank = np.array([fit[2] == cols.size for fit in fits])
-        sse = self.yy_te + (beta * (self.g_te[block] @ beta - 2.0 * self.c_te[:, cols])).sum(axis=1)
-        sse = np.maximum(sse, 0.0)
-        fold_r2 = np.where(self.constant_te, sse < 1e-24, 1.0 - sse / self.sst)
-        return adjusted_r2(fold_r2.mean(axis=0), self.n, cols.size - 1), full_rank
+    def scores(self, subsets: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """Adjusted cross-validated r2 of each subset's model (rows) for every
+        dependent variable (columns), and whether every fold's fit of each
+        subset had full rank (a rank-deficient fold uses its minimum-norm fit)."""
+        table = np.empty((len(subsets), self.c_tr.shape[2]))
+        full_rank = np.empty(len(subsets), dtype=bool)
+        for row, features in enumerate(subsets):
+            cols = np.concatenate([[0], np.asarray(features, dtype=np.intp) + 1])
+            block = (slice(None), cols[:, None], cols)
+            fits = [np.linalg.lstsq(g, c, rcond=None) for g, c in zip(self.g_tr[block], self.c_tr[:, cols])]
+            beta = np.stack([fit[0] for fit in fits])
+            sse = self.yy_te + (beta * (self.g_te[block] @ beta - 2.0 * self.c_te[:, cols])).sum(axis=1)
+            sse = np.maximum(sse, 0.0)
+            fold_r2 = np.where(self.constant_te, sse < 1e-24, 1.0 - sse / self.sst)
+            table[row] = adjusted_r2(fold_r2.mean(axis=0), self.n, cols.size - 1)
+            full_rank[row] = all(fit[2] == cols.size for fit in fits)
+        return table, full_rank
 
 
 def _feature_names(names: Sequence[str] | None, k: int) -> tuple[str, ...]:
@@ -204,16 +213,10 @@ def feature_search_report(
     X = np.asarray(X, dtype=np.float64)
     k = X.shape[1]
     names = _feature_names(feature_names, k)
-    grams = _FoldGrams(X, np.column_stack(list(dvs.values())), folds, seed)
     subsets = [s for size in range(1, k + 1) for s in itertools.combinations(range(k), size)]
-    scores = np.full((len(subsets), len(dvs)), -np.inf)
-    n_skipped = 0
-    for row, subset in zip(scores, subsets):
-        adj, full_rank = grams.score(subset)
-        if full_rank.all():
-            row[:] = adj
-        else:
-            n_skipped += 1
+    scores, full_rank = _FoldGrams(X, dvs, folds, seed).scores(subsets)
+    scores[~full_rank] = -np.inf
+    n_skipped = int(np.count_nonzero(~full_rank))
     if n_skipped == len(subsets):
         raise ValueError("every feature subset was rank deficient")
     best = [_first_best(column) for column in scores.T]
@@ -227,9 +230,10 @@ def feature_search_report(
 
 
 def ablation_single_step(
-    X, y, feature_names: Sequence[str] | None = None, folds: int = 10, seed: int = 0
-) -> AblationResult:
-    """Drop each feature from the full model once and record the fit change.
+    X, dvs, feature_names: Sequence[str] | None = None, folds: int = 10, seed: int = 0
+) -> dict[str, AblationResult]:
+    """Drop each feature from the full model once and record the fit change,
+    for every dependent variable of ``dvs`` (name to values) in one pass.
 
     ``deltas[f]`` is baseline minus the ablated fit, so features whose removal
     hurts most score highest. Rank 1 goes to the largest delta; deltas within
@@ -239,17 +243,17 @@ def ablation_single_step(
     X = np.asarray(X, dtype=np.float64)
     k = X.shape[1]
     names = _feature_names(feature_names, k)
-    grams = _FoldGrams(X, y, folds, seed)
-    baseline = float(grams.score(range(k))[0][0])
-    deltas = {
-        name: baseline - float(grams.score([j for j in range(k) if j != i])[0][0])
-        for i, name in enumerate(names)
-    }
-    remaining, ranks = list(range(k)), {}
-    while remaining:
-        i = remaining.pop(_first_best([deltas[names[j]] for j in remaining]))
-        ranks[names[i]] = len(ranks) + 1
-    return AblationResult(baseline_adj_r2=baseline, deltas=deltas, ranks=ranks)
+    subsets = [range(k), *([j for j in range(k) if j != i] for i in range(k))]
+    scores = _FoldGrams(X, dvs, folds, seed).scores(subsets)[0]
+    results = {}
+    for dv, (baseline, *ablated) in zip(dvs, scores.T.tolist()):
+        deltas = {name: baseline - score for name, score in zip(names, ablated)}
+        remaining, ranks = list(range(k)), {}
+        while remaining:
+            i = remaining.pop(_first_best([deltas[names[j]] for j in remaining]))
+            ranks[names[i]] = len(ranks) + 1
+        results[dv] = AblationResult(baseline_adj_r2=baseline, deltas=deltas, ranks=ranks)
+    return results
 
 
 def _as_groups(groups: Sequence) -> list[np.ndarray]:
@@ -423,11 +427,13 @@ def pca(X) -> PCAResult:
     )
 
 
-def pcr(X, y, *, folds: int = 10, seed: int = 0) -> PCRResult:
-    """Principal component regression: cross-validated adjusted r2 for models
-    on the first 1, 2, ..., all standardized components; best_components is
-    the first count within ``_TIE_TOL`` of the best score."""
-    scores = pca(X).scores
-    grams = _FoldGrams(scores, y, folds, seed)
-    values = tuple(float(grams.score(range(j))[0][0]) for j in range(1, scores.shape[1] + 1))
-    return PCRResult(adj_r2_by_components=values, best_components=_first_best(values) + 1)
+def pcr(X, dvs, *, folds: int = 10, seed: int = 0) -> dict[str, PCRResult]:
+    """Principal component regression of every dependent variable of ``dvs``
+    in one pass: cross-validated adjusted r2 for models on the first 1, 2, ..., all
+    standardized components; best_components is the first count within
+    ``_TIE_TOL`` of the best score."""
+    components = pca(X).scores
+    prefixes = [range(j) for j in range(1, components.shape[1] + 1)]
+    scores = _FoldGrams(components, dvs, folds, seed).scores(prefixes)[0]
+    return {dv: PCRResult(adj_r2_by_components=tuple(values), best_components=_first_best(values) + 1)
+            for dv, values in zip(dvs, scores.T.tolist())}

@@ -53,16 +53,103 @@ def bottleneck_brute_force(deaths_a, deaths_b) -> float:
 
 def count_scored_models(monkeypatch) -> list:
     """A list that gets the feature subset of every model the cross-validation
-    engine scores from now on (``stats._FoldGrams.score`` is patched)."""
+    engine scores from now on (``stats._FoldGrams.scores`` is patched)."""
     scored = []
-    score = stats._FoldGrams.score
+    scores = stats._FoldGrams.scores
 
-    def counted(self, features):
-        scored.append(features)
-        return score(self, features)
+    def counted(self, subsets):
+        scored.extend(subsets)
+        return scores(self, subsets)
 
-    monkeypatch.setattr(stats._FoldGrams, "score", counted)
+    monkeypatch.setattr(stats._FoldGrams, "scores", counted)
     return scored
+
+
+class PerMetricFoldGrams:
+    """The cross-validation engine as it was when ablation and PCR built one
+    per dependent variable, with the same arithmetic, kept as the reference
+    for the one-pass engine: its single right-hand side rounds differently
+    from the stacked one, by the last bits only."""
+
+    def __init__(self, X, Y, folds: int, seed: int):
+        X = np.asarray(X, dtype=np.float64)
+        n, k = X.shape
+        Y = np.column_stack([np.asarray(Y, dtype=np.float64)])
+        if n <= k + 1:
+            raise ValueError(f"need n > k + 1, got n={n}, k={k}")
+        if Y.shape[0] != n:
+            raise ValueError(f"{Y.shape[0]} target values for {n} rows")
+        centered = X - X.mean(axis=0)
+        scale = centered.std(axis=0, ddof=1)
+        flat = scale <= n * np.finfo(np.float64).eps * np.abs(X).max(initial=0.0)
+        aug = np.hstack([np.ones((n, 1)), centered / np.where(flat, 1.0, scale)])
+        Y = Y - Y.mean(axis=0)
+        self.n = n
+        blocks = []
+        for test_idx in stats._cv_folds(n, folds, seed):
+            a_tr, y_tr = np.delete(aug, test_idx, axis=0), np.delete(Y, test_idx, axis=0)
+            a_te, y_te = aug[test_idx], Y[test_idx]
+            blocks.append((a_tr.T @ a_tr, a_tr.T @ y_tr, a_te.T @ a_te, a_te.T @ y_te,
+                           (y_te**2).sum(axis=0), ((y_te - y_te.mean(axis=0)) ** 2).sum(axis=0)))
+        self.g_tr, self.c_tr, self.g_te, self.c_te, self.yy_te, sst = map(np.stack, zip(*blocks))
+        self.constant_te = sst == 0.0
+        self.sst = np.where(self.constant_te, 1.0, sst)
+
+    def score(self, features) -> float:
+        cols = np.concatenate([[0], np.asarray(features, dtype=np.intp) + 1])
+        block = (slice(None), cols[:, None], cols)
+        fits = [np.linalg.lstsq(g, c, rcond=None) for g, c in zip(self.g_tr[block], self.c_tr[:, cols])]
+        beta = np.stack([fit[0] for fit in fits])
+        sse = self.yy_te + (beta * (self.g_te[block] @ beta - 2.0 * self.c_te[:, cols])).sum(axis=1)
+        sse = np.maximum(sse, 0.0)
+        fold_r2 = np.where(self.constant_te, sse < 1e-24, 1.0 - sse / self.sst)
+        return float(stats.adjusted_r2(fold_r2.mean(axis=0), self.n, cols.size - 1)[0])
+
+
+def per_metric_ablation(X, dvs, names, folds, seed) -> dict[str, stats.AblationResult]:
+    """Single-step ablation with one engine, and one fold split, per metric."""
+    k = X.shape[1]
+    results = {}
+    for dv, y in dvs.items():
+        grams = PerMetricFoldGrams(X, y, folds, seed)
+        baseline = grams.score(range(k))
+        deltas = {name: baseline - grams.score([j for j in range(k) if j != i])
+                  for i, name in enumerate(names)}
+        remaining, ranks = list(range(k)), {}
+        while remaining:
+            i = remaining.pop(stats._first_best([deltas[names[j]] for j in remaining]))
+            ranks[names[i]] = len(ranks) + 1
+        results[dv] = stats.AblationResult(baseline_adj_r2=baseline, deltas=deltas, ranks=ranks)
+    return results
+
+
+def per_metric_pcr(X, dvs, folds, seed) -> dict[str, stats.PCRResult]:
+    """PCR with one PCA, one engine and one fold split per metric."""
+    results = {}
+    for dv, y in dvs.items():
+        scores = stats.pca(X).scores
+        grams = PerMetricFoldGrams(scores, y, folds, seed)
+        values = tuple(grams.score(range(j)) for j in range(1, scores.shape[1] + 1))
+        results[dv] = stats.PCRResult(adj_r2_by_components=values,
+                                      best_components=stats._first_best(values) + 1)
+    return results
+
+
+def assert_close_json(ours, reference, tol: float) -> None:
+    """``ours`` has the keys, order and non-float values of ``reference``,
+    and each float is within ``tol`` of the reference's."""
+    if isinstance(reference, float):
+        assert isinstance(ours, float) and abs(ours - reference) <= tol, (ours, reference)
+    elif isinstance(reference, dict):
+        assert list(ours) == list(reference)
+        for key in reference:
+            assert_close_json(ours[key], reference[key], tol)
+    elif isinstance(reference, (list, tuple)):
+        assert type(ours) is type(reference) and len(ours) == len(reference)
+        for a, b in zip(ours, reference):
+            assert_close_json(a, b, tol)
+    else:
+        assert type(ours) is type(reference) and ours == reference, (ours, reference)
 
 
 def write_language_table(path: Path, rows: list[dict]) -> Path:

@@ -151,7 +151,7 @@ def test_feature_search_protocol(monkeypatch):
         if sweep_seconds is None:
             sweep_seconds = time.monotonic() - start
         assert len(scored) == 8191
-        ablation = stats.ablation_single_step(X, y, folds=10, seed=seed)
+        ablation = stats.ablation_single_step(X, {"y": y}, folds=10, seed=seed)["y"]
         top_two = set(sorted(ablation.ranks, key=ablation.ranks.get)[:2])
         if {"f0", "f1"} <= set(search.per_dv_best["y"]) and top_two == {"f0", "f1"}:
             successes += 1

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import xlalign as xa
-from xlalign import pipeline, special
+from xlalign import pipeline, special, stats
 from xlalign.cli import _COMMANDS, _build_parser, main
 from xlalign.corpus import LanguageMeta, WordOrder
 from xlalign.pipeline import (
@@ -48,7 +48,9 @@ from xlalign.pipeline import (
 )
 
 import conftest
-from conftest import build_workspace, count_scored_models
+from conftest import (
+    assert_close_json, build_workspace, count_scored_models, per_metric_ablation, per_metric_pcr,
+)
 
 
 def synthetic_metrics(value: float = 0.5) -> AlignmentMetrics:
@@ -202,7 +204,7 @@ def test_text_readers_ignore_a_leading_byte_order_mark(tmp_path, reader):
 
 def test_config_parses_each_key_by_its_field(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("embeddings = e1, e2,\nout = \nlanguages = l.tsv\nseed = 3\nworkers = 2\n"
+    cfg.write_text("embeddings = e1, e2,\nout = .\nlanguages = l.tsv\nseed = 3\nworkers = 2\n"
                    "corpus = t/matthew\nchar_doc = matthew\nanalyses = corr , anova\n")
     assert load_config(cfg) == RunConfig(
         embeddings=(tmp_path / "e1", tmp_path / "e2"), out=tmp_path, languages=tmp_path / "l.tsv",
@@ -211,6 +213,10 @@ def test_config_parses_each_key_by_its_field(tmp_path):
     )
     cfg.write_text("embeddings = e\nout = results\nlanguages = \n")  # an empty path is unset
     assert load_config(cfg) == RunConfig(embeddings=(tmp_path / "e",), out=tmp_path / "results")
+    # so an empty out is a missing one; it used to name the config file's directory
+    cfg.write_text("embeddings = e\nout = \n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(cfg))}: missing 'out'$"):
+        load_config(cfg)
 
 
 def test_config_refuses_corpus_directories_with_one_name(workspace):
@@ -826,11 +832,27 @@ def test_analyze_search_and_ablate(analysis_dataset, monkeypatch):
     assert len(scored) == report["n_models_per_dv"]
     assert set(report["tallies"]) == set(xa.FEATURE_NAMES)
 
+    scored.clear()
     ablate = analyze_ablate(dataset, folds=3, seed=5)
     _validate(ablate, "ablate")
+    # the full model and the 13 leave-one-out models, each scored once for every metric
+    assert len(scored) == 14
     assert len(ablate["ranking"]) == 13
     for metric in METRIC_NAMES:
         assert sorted(ablate["per_dv"][metric]["rank"].values()) == list(range(1, 14))
+
+
+def test_analyze_ablate_and_pcr_match_the_per_metric_loop(analysis_dataset, monkeypatch):
+    """One engine for every metric against the loop it replaced, which built
+    an engine (and for pcr a PCA) per metric: the ranks, the ranking and the
+    best component counts agree exactly, and every float within 1e-14."""
+    dataset, *_ = analysis_dataset
+    settings = [(folds, seed) for folds in (3, 5) for seed in (5, 6, 7)]
+    ours = [[analyze_ablate(dataset, *s), analyze_pcr(dataset, *s)] for s in settings]
+    monkeypatch.setattr(stats, "ablation_single_step", per_metric_ablation)
+    monkeypatch.setattr(stats, "pcr", per_metric_pcr)
+    reference = [[analyze_ablate(dataset, *s), analyze_pcr(dataset, *s)] for s in settings]
+    assert_close_json(ours, reference, 1e-14)
 
 
 def test_analyze_search_reports_skipped_subsets(analysis_dataset):
@@ -1496,8 +1518,9 @@ NO_ZERO_SHOT = ("analyses = corr, anova, ancova, pca, zero_shot", "analyses = co
 
 
 @pytest.mark.parametrize("edits, stage, mode, analyses, n_pairs", [
+    # search needs at least 15 complete pairs, and the table of 4 languages has 6
     ([("analyses = corr, anova, ancova, pca, zero_shot", "analyses = corr, search")],
-     "analysis", "search", ["corr"], 6),  # search needs more than 6 pairs
+     "preflight", None, [], 0),
     ([("out = results", "char_doc = luke\nout = results")], "config", None, [], 0),
     ([("embeddings = emb/matthew, emb/john", "embeddings = ")],
      "config", None, [], 0),  # RunConfig refuses an empty list
@@ -1515,7 +1538,7 @@ NO_ZERO_SHOT = ("analyses = corr, anova, ancova, pca, zero_shot", "analyses = co
     ([("folds = 3", "folds = 1")], "config", None, [], 0),  # RunConfig refuses it
     # numpy's generators refuse a negative seed, so RunConfig does
     ([("seed = 17", "seed = -1")], "config", None, [], 0),
-], ids=["analysis", "config-char-doc", "config-no-embeddings", "config-corpus-names",
+], ids=["preflight-pair-count", "config-char-doc", "config-no-embeddings", "config-corpus-names",
         "preflight-embeddings", "preflight-corpus", "preflight-table", "preflight-k", "config-integer",
         "config-key", "config-check", "config-negative-seed"])
 def test_cli_report_fatal_error_keeps_summary(
@@ -1545,6 +1568,40 @@ def test_cli_report_fatal_error_keeps_summary(
     if stage == "config":
         assert summary["failed_languages"] == {}
         assert [summary[key] for key in ("k", "gh_max_points", "folds", "seed")] == [None] * 4
+
+
+def test_cli_refuses_too_few_complete_pairs_for_a_mode(workspace, capsys, monkeypatch):
+    """A feature table with too few complete pairs for a cross-validated mode
+    used to fail that mode only after the whole sweep, with a message about
+    the engine's row count. The preflight now refuses it, and analyze on
+    such tables gives the same message."""
+    config = workspace["config"]
+    _edit_config(config, "analyses = corr, anova, ancova, pca, zero_shot", "analyses = corr, ablate")
+    align = _CallCounter(pipeline.align_pair)
+    monkeypatch.setattr(pipeline, "align_pair", align)
+    assert main(["report", "--config", str(config)]) == 1
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    need = "needs at least 15 complete pairs (13 features + 2, and 2 per fold at folds = 3)"
+    assert summary["fatal"] == {"stage": "preflight", "mode": None,
+                                "error": f"mode 'ablate' {need}; the feature table has 6"}
+    assert align.calls == 0 and sorted(p.name for p in results.iterdir()) == ["run_summary.json"]
+    capsys.readouterr()
+
+    monkeypatch.undo()
+    _edit_config(config, "analyses = corr, ablate", "analyses = corr")
+    assert main(["report", "--config", str(config)]) == 0
+    csvs = ["--metrics", str(results / "metrics.csv"), "--features", str(results / "features.csv")]
+    for mode, folds, message in (
+        ("search", 3, f"mode 'search' {need}; the two tables share 6"),
+        ("pcr", 4, "mode 'pcr' needs at least 8 complete pairs (2 per fold at folds = 4);"
+                   " the two tables share 6"),
+    ):
+        out = workspace["root"] / f"{mode}.json"
+        assert main(["analyze", "--mode", mode, "--folds", str(folds), "--seed", "17", *csvs,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"xlalign: error: {message}\n"
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("analyses", ["analyses = corr, anova, ancova, pca, zero_shot",
@@ -1654,8 +1711,13 @@ def test_cli_report_rerun_that_fails_leaves_no_earlier_analysis(workspace, capsy
     assert capsys.readouterr().err == "xlalign: error: the metrics table has no pairs\n"
 
 
-@pytest.mark.parametrize("edit", [("out = results", ""), ("k = 4", "k 4")],
-                         ids=["no-out", "syntax"])
+@pytest.mark.parametrize("edit", [
+    ("out = results", ""),
+    ("k = 4", "k 4"),
+    # an empty out used to name the config file's directory, and the run
+    # replaced the files of an earlier run there
+    ("out = results", "out ="),
+], ids=["no-out", "syntax", "empty-out"])
 def test_cli_report_that_cannot_name_out_keeps_an_earlier_run(workspace, edit):
     config = workspace["config"]
     results = workspace["root"] / "results"
