@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--metrics", required=True, help="metrics CSV")
     p_analyze.add_argument("--mode", required=True, choices=list(pipeline.ANALYSES))
     p_analyze.add_argument("--folds", type=int, default=10)
-    seeded = [mode for mode, (_, takes_seed) in pipeline.ANALYSES.items() if takes_seed]
+    seeded = [mode for mode, row in pipeline.ANALYSES.items() if row.seeded]
     p_analyze.add_argument("--seed", type=int, help="required for " + "/".join(seeded))
     p_analyze.add_argument("--out", required=True, help="output JSON")
 

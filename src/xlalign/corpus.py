@@ -16,7 +16,8 @@ File formats:
   polysynthetic train_sentences`` plus optional vector columns ``syntax_vec``,
   ``phonology_vec``, ``inventory_vec``, ``geo_vec`` (comma-separated decimals).
 
-A UTF-8 byte-order mark at the start of a text file is ignored.
+A UTF-8 byte-order mark at the start of a text file is ignored, and a byte
+that is not UTF-8 is refused with its file and line.
 
 Matrices are held as float64 internally regardless of on-disk precision, and
 loaded objects are immutable: they can safely be shared across threads.
@@ -24,11 +25,12 @@ loaded objects are immutable: they can safely be shared across threads.
 
 from __future__ import annotations
 
+import codecs
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -193,6 +195,25 @@ class LanguageMeta:
         object.__setattr__(self, "typo_vectors", vectors)
 
 
+def _text_lines(path: Path) -> Iterator[str]:
+    """The lines of the text file ``path``, one at a time, as ``open`` with
+    ``READ_ENCODING`` reads them. A byte that is not UTF-8 is refused as
+    ``<path>:<line>: not UTF-8 text``; only then is the file read again, to
+    find the line."""
+    try:
+        with open(path, encoding=READ_ENCODING) as fh:
+            yield from fh
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            data = data[: exc.start]
+        # bytes split lines where text mode does, at \r\n, \r and \n
+        line = len((data + b".").splitlines())
+        raise ValueError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def _parse_text_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     """One pass over the lines takes off the ``#id:`` tokens, then one
     ``np.loadtxt`` call parses every value. Both round a decimal the way
@@ -200,15 +221,14 @@ def _parse_text_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...] | None]:
     kept, so the file is opened once either way."""
     # (line number, #id: value or None, rest of the line) of each nonblank line
     lines: list[tuple[int, str | None, str]] = []
-    with open(path, encoding=READ_ENCODING) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            head = line.split(None, 1)
-            if not head:
-                continue
-            if head[0].startswith("#id:"):
-                lines.append((lineno, head[0][4:], head[1] if len(head) > 1 else ""))
-            else:
-                lines.append((lineno, None, line))
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        head = line.split(None, 1)
+        if not head:
+            continue
+        if head[0].startswith("#id:"):
+            lines.append((lineno, head[0][4:], head[1] if len(head) > 1 else ""))
+        else:
+            lines.append((lineno, None, line))
     if not lines:
         raise ValueError(f"{path}: no data rows")
     ids = [row_id for _, row_id, _ in lines if row_id is not None]
@@ -281,14 +301,17 @@ def _parse_binary_matrix(path: Path) -> tuple[np.ndarray, tuple[str, ...] | None
     ids: tuple[str, ...] | None = None
     if offset < len(blob):
         parsed = []
-        for _ in range(n_rows):
+        for row in range(n_rows):
             if offset + _U32.size > len(blob):
                 raise ValueError(f"{path}: truncated id block")
             (length,) = _U32.unpack_from(blob, offset)
             offset += _U32.size
             if offset + length > len(blob):
                 raise ValueError(f"{path}: truncated id entry")
-            parsed.append(blob[offset : offset + length].decode("utf-8"))
+            try:
+                parsed.append(blob[offset : offset + length].decode("utf-8"))
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: id of row {row} is not UTF-8") from None
             offset += length
         if offset != len(blob):
             raise ValueError(f"{path}: {len(blob) - offset} trailing bytes after id block")
@@ -353,18 +376,17 @@ def load_corpus(directory: str | Path) -> Corpus:
     for path in sorted(directory.glob("*.tsv")):
         lang = path.stem
         verses: dict[str, str] = {}
-        with open(path, encoding=READ_ENCODING) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t", 1)
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{lineno}: expected 'verse_id<TAB>text'")
-                verse_id, text = parts
-                if verse_id in verses:
-                    raise ValueError(f"{path}:{lineno}: duplicate verse id {verse_id!r}")
-                verses[verse_id] = text
+        for lineno, line in enumerate(_text_lines(path), start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t", 1)
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'verse_id<TAB>text'")
+            verse_id, text = parts
+            if verse_id in verses:
+                raise ValueError(f"{path}:{lineno}: duplicate verse id {verse_id!r}")
+            verses[verse_id] = text
         if not verses:
             raise ValueError(f"{path}: document has no verses")
         documents[lang] = verses
@@ -412,9 +434,8 @@ def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:
     column named twice in the header is refused.
     """
     path = Path(path)
-    with open(path, encoding=READ_ENCODING) as fh:
-        # (line number in the file, text) of each nonblank line
-        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, start=1)]
+    # (line number in the file, text) of each nonblank line
+    lines = [(n, line.rstrip("\n")) for n, line in enumerate(_text_lines(path), start=1)]
     lines = [(n, line) for n, line in lines if line]
     if not lines:
         raise ValueError(f"{path}: empty table")

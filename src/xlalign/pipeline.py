@@ -26,7 +26,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,11 +34,11 @@ from . import features as feats
 from . import isomorphism as iso
 from . import stats
 from .corpus import (
-    READ_ENCODING,
     Corpus,
     EmbeddingMatrix,
     LanguageMeta,
     WordOrder,
+    _text_lines,
     align_pair,
     load_corpus,
     load_embeddings,
@@ -156,18 +156,17 @@ def load_config(path: str | Path) -> RunConfig:
 
 def _read_config_file(path: Path) -> dict[str, str]:
     raw: dict[str, str] = {}
-    with open(path, encoding=READ_ENCODING) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if key in raw:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            raw[key] = value.strip()
+    for lineno, line in enumerate(_text_lines(path), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if key in raw:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        raw[key] = value.strip()
     return raw
 
 
@@ -469,7 +468,7 @@ def _read_pair_csv(
     row with the wrong cell count, a language paired with itself, a pair
     already read in either order, or a cell that ``convert`` rejects is
     refused with a message that starts ``path:line:``."""
-    lines = Path(path).read_text(encoding=READ_ENCODING).splitlines()
+    lines = "".join(_text_lines(path)).splitlines()
     if not lines or lines[0] != ",".join(("lang_a", "lang_b", *names)):
         raise ValueError(f"{path}: unexpected {kind} header")
     rows = {}
@@ -857,16 +856,54 @@ def analyze_pcr(dataset: AnalysisDataset, folds: int, seed: int) -> dict:
     )
 
 
-# mode -> (analysis function, whether it takes folds and seed); ``zero_shot``
-# is the one further mode and runs on the metrics and language table instead
-ANALYSES: dict[str, tuple[Callable[..., dict], bool]] = {
-    "corr": (analyze_corr, False),
-    "search": (analyze_search, True),
-    "ablate": (analyze_ablate, True),
-    "anova": (analyze_anova, False),
-    "ancova": (analyze_ancova, False),
-    "pca": (analyze_pca, False),
-    "pcr": (analyze_pcr, True),
+class _Mode(NamedTuple):
+    """One dataset analysis mode: its function, whether it takes folds and a
+    seed, the fewest complete pairs it runs on (a seeded mode also takes 2 per
+    fold), and the schema of each field its report adds to the header, every
+    one of them required."""
+
+    analyze: Callable[..., dict]
+    seeded: bool
+    min_pairs: int
+    fields: dict[str, dict]
+
+
+# ``zero_shot``, the one further mode, reads the metrics and language table
+# instead; ``search`` and ``ablate`` fit every feature, ``pcr`` at least 1 component
+ANALYSES: dict[str, _Mode] = {
+    "corr": _Mode(analyze_corr, False, 1, {
+        "n_pairs": {"type": "integer"},
+        "pearson": {"type": "object"},
+        "semipartial_vs_combined_sentences": {"type": "object"},
+    }),
+    "search": _Mode(analyze_search, True, len(feats.FEATURE_NAMES) + 2, {
+        "n_models_per_dv": {"const": 2 ** len(feats.FEATURE_NAMES) - 1},
+        "per_dv": {"type": "object"},
+        "tallies": {"type": "object"},
+    }),
+    "ablate": _Mode(analyze_ablate, True, len(feats.FEATURE_NAMES) + 2, {
+        "per_dv": {"type": "object"},
+        "average_rank": {"type": "object"},
+        "ranking": {"type": "array", "items": {"type": "string"}},
+    }),
+    "anova": _Mode(analyze_anova, False, 1, {
+        "factors": {"type": "object"},
+    }),
+    "ancova": _Mode(analyze_ancova, False, 1, {
+        "covariates": {"type": "array", "items": {"type": "string"}},
+        "factors": {"type": "object"},
+    }),
+    "pca": _Mode(analyze_pca, False, 2, {
+        "constant_features": {"type": "array", "items": {"type": "string"}},
+        "explained_variance": {"type": "array", "items": {"type": "number"}},
+        "explained_variance_ratio": {"type": "array", "items": {"type": "number"}},
+        "loadings": {"type": "object"},
+    }),
+    "pcr": _Mode(analyze_pcr, True, 3, {
+        "constant_features": {"type": "array", "items": {"type": "string"}},
+        "per_dv": {"type": "object"},
+        "average_best_components": {"type": "number"},
+    }),
 }
 
 
@@ -877,34 +914,36 @@ def _check_analysis_settings(modes: Iterable[str], folds: int, seed: int | None)
         raise ValueError(f"folds must be >= 2, got {folds}")
     if seed is not None and seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    seeded = [mode for mode in modes if mode in ANALYSES and ANALYSES[mode][1]]
+    seeded = [mode for mode in modes if mode in ANALYSES and ANALYSES[mode].seeded]
     if seed is None and seeded:
         raise ValueError(f"seed is required for mode {seeded[0]!r}")
 
 
 def _check_pair_count(modes: Iterable[str], folds: int, n: int, held_by: str) -> None:
-    """Refuse ``n`` complete pairs when a mode of ``modes`` needs more; the
-    message ends in ``held_by`` and ``n`` ("the feature table has 3"). A
-    cross-validated fit takes ``stats.cv_min_rows`` pairs: on all features
-    for ``search`` and ``ablate``, on at least one component for ``pcr``;
-    ``pca`` takes 2."""
+    """Refuse ``n`` complete pairs when a dataset mode of ``modes`` needs more:
+    its row's ``min_pairs``, and for a seeded row ``stats.cv_min_rows`` at
+    ``folds``. The message ends in ``held_by`` and ``n`` ("the feature table
+    has 3") and says where the need comes from."""
     k = len(feats.FEATURE_NAMES)
-    every_feature = (stats.cv_min_rows(k, folds), f" ({k} features + 2, and 2 per fold at folds = {folds})")
-    needs = {"search": every_feature, "ablate": every_feature, "pca": (2, ""),
-             "pcr": (stats.cv_min_rows(1, folds), f" (2 per fold at folds = {folds})")}
-    for mode in modes:
-        need, why = needs.get(mode, (0, ""))
+    for mode in [mode for mode in modes if mode in ANALYSES]:
+        row = ANALYSES[mode]
+        need = row.min_pairs
+        why = [f"{k} features + 2"] if row.min_pairs == k + 2 else []
+        if row.seeded:
+            need = stats.cv_min_rows(row.min_pairs - 2, folds)
+            why.append(f"2 per fold at folds = {folds}")
         if n < need:
+            why = f" ({', and '.join(why)})" if why else ""
             raise ValueError(f"mode {mode!r} needs at least {need} complete pairs{why}; {held_by} {n}")
 
 
 def run_analysis(mode: str, dataset: AnalysisDataset, folds: int, seed: int | None) -> dict:
     """Run one dataset analysis mode from ``ANALYSES``, checking its settings
     and its pair count first."""
-    analyze, seeded = ANALYSES[mode]
+    row = ANALYSES[mode]
     _check_analysis_settings([mode], folds, seed)
     _check_pair_count([mode], folds, dataset.n_used, "the two tables share")
-    return analyze(dataset, folds, seed) if seeded else analyze(dataset)
+    return row.analyze(dataset, folds, seed) if row.seeded else row.analyze(dataset)
 
 
 def group_metrics_by_word_order_class(
@@ -1255,16 +1294,17 @@ _ANOVA_ENTRY_SCHEMA = {
     "required": ["f_stat", "p_value", "eta_p2", "df_effect", "df_error"],
 }
 
-def _dataset_schema(mode: str, required: Sequence[str], **properties) -> dict:
+def _dataset_schema(mode: str) -> dict:
     """The schema of a dataset mode's report: the header ``AnalysisDataset.report``
-    writes, with ``folds`` and ``seed`` exactly where ``ANALYSES`` seeds the
-    mode, then the mode's own ``required`` fields and ``properties``."""
+    writes, with ``folds`` and ``seed`` exactly where the mode's ``ANALYSES``
+    row is seeded, then the row's ``fields``, every one of them required."""
+    row = ANALYSES[mode]
     seeded = {"folds": {"type": "integer", "minimum": 2},
-              "seed": {"type": "integer", "minimum": 0}} if ANALYSES[mode][1] else {}
+              "seed": {"type": "integer", "minimum": 0}} if row.seeded else {}
     count = {"type": "integer", "minimum": 1}
     return {
         "type": "object",
-        "required": ["mode", "n_used", "n_dropped", *seeded, *required],
+        "required": ["mode", "n_used", "n_dropped", *seeded, *row.fields],
         "properties": {
             "mode": {"const": mode},
             "n_used": count,
@@ -1273,57 +1313,13 @@ def _dataset_schema(mode: str, required: Sequence[str], **properties) -> dict:
             "n_metrics_only": count,
             "n_features_only": count,
             **seeded,
-            **properties,
+            **row.fields,
         },
     }
 
 
 REPORT_SCHEMAS: dict[str, dict] = {
-    "corr": _dataset_schema(
-        "corr",
-        ["n_pairs", "pearson", "semipartial_vs_combined_sentences"],
-        n_pairs={"type": "integer"},
-        pearson={"type": "object"},
-        semipartial_vs_combined_sentences={"type": "object"},
-    ),
-    "search": _dataset_schema(
-        "search",
-        ["n_models_per_dv", "per_dv", "tallies"],
-        n_models_per_dv={"const": 8191},
-        per_dv={"type": "object"},
-        tallies={"type": "object"},
-    ),
-    "ablate": _dataset_schema(
-        "ablate",
-        ["per_dv", "average_rank", "ranking"],
-        per_dv={"type": "object"},
-        average_rank={"type": "object"},
-        ranking={"type": "array", "items": {"type": "string"}},
-    ),
-    "anova": _dataset_schema(
-        "anova",
-        ["factors"],
-        factors={"type": "object"},
-    ),
-    "ancova": _dataset_schema(
-        "ancova",
-        ["covariates", "factors"],
-        covariates={"type": "array", "items": {"type": "string"}},
-        factors={"type": "object"},
-    ),
-    "pca": _dataset_schema(
-        "pca",
-        ["explained_variance", "explained_variance_ratio", "loadings"],
-        explained_variance={"type": "array", "items": {"type": "number"}},
-        explained_variance_ratio={"type": "array", "items": {"type": "number"}},
-        loadings={"type": "object"},
-    ),
-    "pcr": _dataset_schema(
-        "pcr",
-        ["per_dv", "average_best_components"],
-        per_dv={"type": "object"},
-        average_best_components={"type": "number"},
-    ),
+    **{mode: _dataset_schema(mode) for mode in ANALYSES},
     "zero_shot": {
         "type": "object",
         "required": ["mode", "simple", "double"],

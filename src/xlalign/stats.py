@@ -430,9 +430,11 @@ def pca(X) -> PCAResult:
 def pcr(X, dvs, *, folds: int = 10, seed: int = 0) -> dict[str, PCRResult]:
     """Principal component regression of every dependent variable of ``dvs``
     in one pass: cross-validated adjusted r2 for models on the first 1, 2, ..., all
-    standardized components; best_components is the first count within
+    standardized components, or on at most n - 2 of them, as adjusted r2 needs
+    n > components + 1; best_components is the first count within
     ``_TIE_TOL`` of the best score."""
     components = pca(X).scores
+    components = components[:, : components.shape[0] - 2]
     prefixes = [range(j) for j in range(1, components.shape[1] + 1)]
     scores = _FoldGrams(components, dvs, folds, seed).scores(prefixes)[0]
     return {dv: PCRResult(adj_r2_by_components=tuple(values), best_components=_first_best(values) + 1)

@@ -202,6 +202,49 @@ def test_text_readers_ignore_a_leading_byte_order_mark(tmp_path, reader):
     assert read(path) == plain
 
 
+# every text reader, then the .xemb id decoder
+_UTF8_READERS = {
+    **_TEXT_READERS,
+    "text-matrix": ("m.txt", "1 2\n3 4\n", xa.load_embeddings),
+    "features-csv": ("f.csv", "lang_a,lang_b," + ",".join(xa.FEATURE_NAMES) + "\ndeu,eng\n",
+                     read_features_csv),
+}
+
+
+@pytest.mark.parametrize("reader", [*_UTF8_READERS, "xemb-id"])
+def test_readers_name_the_file_and_line_of_a_byte_that_is_not_utf8(tmp_path, reader):
+    """Each reader used to raise the bare UnicodeDecodeError, which names
+    neither the file nor the line ('utf-8' codec can't decode byte 0xff ...)."""
+    if reader == "xemb-id":
+        path = tmp_path / "m.xemb"
+        xa.save_embeddings(xa.EmbeddingMatrix("m", np.eye(2), ("a", "b")), path)
+        path.write_bytes(path.read_bytes()[:-1] + b"\xff")  # the last byte of row 1's id
+        expected = f"{path}: id of row 1 is not UTF-8"
+        read = xa.load_embeddings
+    else:
+        name, text, read = _UTF8_READERS[reader]
+        path = tmp_path / name
+        data = text.encode("utf-8")
+        at = data.rstrip(b"\n").rfind(b"\n") + 1  # the start of the last line
+        path.write_bytes(data[:at] + b"\xff" + data[at:])
+        line = data[:at].count(b"\n") + 1
+        expected = f"{path}:{line}: not UTF-8 text"
+    with pytest.raises(ValueError) as info:
+        read(path)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_a_byte_that_is_not_utf8_is_on_the_line_text_mode_counts(tmp_path, newline):
+    """The line is counted as the readers count lines, after a byte-order mark
+    and past the first 8 KiB, where a text file is decoded in a second chunk."""
+    path = tmp_path / "run.cfg"
+    lines = ["# padding " + "x" * 90] * 100 + ["out = results"]
+    path.write_bytes(b"\xef\xbb\xbf" + newline.join(lines).encode("utf-8") + b"\xff\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:101: not UTF-8 text$"):
+        load_config(path)
+
+
 def test_config_parses_each_key_by_its_field(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("embeddings = e1, e2,\nout = .\nlanguages = l.tsv\nseed = 3\nworkers = 2\n"
@@ -1253,6 +1296,26 @@ def test_cli_report_refuses_a_repeated_table_column_before_the_sweep(
     assert align.calls == 0 and not (results / "metrics.csv").exists()
 
 
+def test_cli_report_names_the_table_line_that_is_not_utf8_before_the_sweep(
+    workspace, capsys, monkeypatch
+):
+    """The summary's error used to be the bare decoder message, which names
+    no file: 'utf-8' codec can't decode byte 0xff in position ..."""
+    table = workspace["root"] / "languages.tsv"
+    lines = table.read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b"Germanic", b"Germ\xffanic")
+    table.write_bytes(b"\n".join(lines))
+    align = _CallCounter(pipeline.align_pair)
+    monkeypatch.setattr(pipeline, "align_pair", align)
+    assert main(["report", "--config", str(workspace["config"])]) == 1
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    assert summary["fatal"] == {"stage": "preflight", "mode": None,
+                                "error": f"{table}:3: not UTF-8 text"}
+    assert capsys.readouterr().err == f"xlalign: error: {summary['fatal']['error']}\n"
+    assert align.calls == 0 and not (results / "metrics.csv").exists()
+
+
 def test_cli_report_refuses_a_feature_table_with_no_complete_pair_before_the_sweep(
     workspace, capsys, monkeypatch
 ):
@@ -1424,7 +1487,123 @@ def test_analysis_table_drives_cli_and_schemas():
                        if isinstance(a, argparse._SubParsersAction))
     mode_arg = next(a for a in subcommands.choices["analyze"]._actions if a.dest == "mode")
     assert set(mode_arg.choices) == set(ANALYSES)
+    seed_arg = next(a for a in subcommands.choices["analyze"]._actions if a.dest == "seed")
+    assert seed_arg.help == "required for search/ablate/pcr"
     assert set(ANALYSES) | {"zero_shot"} <= set(REPORT_SCHEMAS)
+    # each dataset schema is its row's header and fields, every field required
+    for mode, row in ANALYSES.items():
+        schema = REPORT_SCHEMAS[mode]
+        header = ["mode", "n_used", "n_dropped", *(["folds", "seed"] if row.seeded else [])]
+        assert schema["required"] == [*header, *row.fields]
+        assert {name: schema["properties"][name] for name in row.fields} == row.fields
+
+
+_COUNT = {"type": "integer", "minimum": 1}
+_STRINGS = {"type": "array", "items": {"type": "string"}}
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+_SEEDED = {"folds": {"type": "integer", "minimum": 2}, "seed": {"type": "integer", "minimum": 0}}
+
+# the seven dataset schemas as written out before ANALYSES built them: each
+# mode's (seeded, required fields after the header, their properties)
+_FROZEN_DATASET_SCHEMAS = {
+    "corr": (False, ["n_pairs", "pearson", "semipartial_vs_combined_sentences"],
+             {"n_pairs": {"type": "integer"}, "pearson": {"type": "object"},
+              "semipartial_vs_combined_sentences": {"type": "object"}}),
+    "search": (True, ["n_models_per_dv", "per_dv", "tallies"],
+               {"n_models_per_dv": {"const": 8191}, "per_dv": {"type": "object"},
+                "tallies": {"type": "object"}}),
+    "ablate": (True, ["per_dv", "average_rank", "ranking"],
+               {"per_dv": {"type": "object"}, "average_rank": {"type": "object"},
+                "ranking": _STRINGS}),
+    "anova": (False, ["factors"], {"factors": {"type": "object"}}),
+    "ancova": (False, ["covariates", "factors"],
+               {"covariates": _STRINGS, "factors": {"type": "object"}}),
+    "pca": (False, ["explained_variance", "explained_variance_ratio", "loadings"],
+            {"explained_variance": _NUMBERS, "explained_variance_ratio": _NUMBERS,
+             "loadings": {"type": "object"}}),
+    "pcr": (True, ["per_dv", "average_best_components"],
+            {"per_dv": {"type": "object"}, "average_best_components": {"type": "number"}}),
+}
+
+
+def test_dataset_schemas_are_the_frozen_ones_plus_constant_features():
+    """Building the schemas from ANALYSES changed none of them, except that
+    pca and pcr now require the constant_features they always wrote."""
+    expected = {}
+    for mode, (seeded, required, properties) in _FROZEN_DATASET_SCHEMAS.items():
+        seeded = _SEEDED if seeded else {}
+        if mode in ("pca", "pcr"):
+            required = ["constant_features", *required]
+            properties = {"constant_features": _STRINGS, **properties}
+        expected[mode] = {
+            "type": "object",
+            "required": ["mode", "n_used", "n_dropped", *seeded, *required],
+            "properties": {"mode": {"const": mode}, "n_used": _COUNT,
+                           "n_dropped": {"type": "integer", "minimum": 0},
+                           "n_metrics_only": _COUNT, "n_features_only": _COUNT,
+                           **seeded, **properties},
+        }
+    assert {mode: REPORT_SCHEMAS[mode] for mode in ANALYSES} == expected
+
+
+@pytest.mark.parametrize("mode, folds, message", [
+    ("search", 2, "15 complete pairs (13 features + 2, and 2 per fold at folds = 2)"),
+    ("search", 5, "15 complete pairs (13 features + 2, and 2 per fold at folds = 5)"),
+    ("search", 10, "20 complete pairs (13 features + 2, and 2 per fold at folds = 10)"),
+    ("ablate", 2, "15 complete pairs (13 features + 2, and 2 per fold at folds = 2)"),
+    ("ablate", 5, "15 complete pairs (13 features + 2, and 2 per fold at folds = 5)"),
+    ("ablate", 10, "20 complete pairs (13 features + 2, and 2 per fold at folds = 10)"),
+    ("pcr", 2, "4 complete pairs (2 per fold at folds = 2)"),
+    ("pcr", 5, "10 complete pairs (2 per fold at folds = 5)"),
+    ("pcr", 10, "20 complete pairs (2 per fold at folds = 10)"),
+    ("pca", 2, "2 complete pairs"),
+    ("pca", 5, "2 complete pairs"),
+    ("pca", 10, "2 complete pairs"),
+])
+def test_pair_count_messages_are_the_ones_the_readme_quotes(mode, folds, message):
+    """The minimums come from the ANALYSES rows; the messages did not change."""
+    need = int(message.split()[0])
+    with pytest.raises(ValueError, match=f"^{re.escape(f'mode {mode!r} needs at least {message}')}"
+                                         "; the feature table has 1$"):
+        pipeline._check_pair_count(["corr", mode], folds, 1, "the feature table has")
+    with pytest.raises(ValueError, match=f"; the feature table has {need - 1}$"):
+        pipeline._check_pair_count([mode], folds, need - 1, "the feature table has")
+    pipeline._check_pair_count(["zero_shot", mode], folds, need, "the feature table has")
+
+
+def test_every_mode_writes_the_fields_its_schema_requires(analysis_dataset):
+    """pca and pcr wrote constant_features, which neither schema named."""
+    dataset, *_ = analysis_dataset
+    for mode in ANALYSES:
+        report = pipeline.run_analysis(mode, dataset, 3, 5)
+        required = REPORT_SCHEMAS[mode]["required"]
+        assert len(set(required)) == len(required)
+        assert set(report) - {"n_metrics_only", "n_features_only"} == set(required), mode
+
+
+@pytest.mark.parametrize("mode", list(ANALYSES))
+def test_a_mode_runs_on_every_pair_count_its_minimum_allows(mode):
+    """pcr used to pass the check and then fail below (varying features + 2)
+    pairs (need n >= 2*folds and n >= k + 2, got n=6, k=6, folds=3): it
+    scored every component count. It now scores at most n - 2 components."""
+    k = len(xa.FEATURE_NAMES)
+    binary = [name in pipeline.ANOVA_FACTORS for name in xa.FEATURE_NAMES]
+    for folds in range(2, 6):
+        for n in range(1, 17):
+            try:
+                pipeline._check_pair_count([mode], folds, n, "the table has")
+            except ValueError:
+                continue
+            rng = np.random.default_rng([folds, n])
+            X = np.where(binary, rng.integers(0, 2, (n, k)), rng.uniform(0.0, 1.0, (n, k)))
+            dvs = {name: rng.uniform(1.0, 2.0, n) for name in METRIC_NAMES}
+            dataset = pipeline.AnalysisDataset(X=X, dvs=dvs, n_common=n, n_used=n)
+            report = pipeline.run_analysis(mode, dataset, folds, 3)
+            _validate(report, mode)
+            if mode == "pcr":
+                varying = k - len(report["constant_features"])
+                assert all(len(entry["adj_r2_by_components"]) == min(varying, n - 2)
+                           for entry in report["per_dv"].values())
 
 
 @pytest.fixture(scope="module")
