@@ -415,15 +415,6 @@ def align_pair(ea: EmbeddingMatrix, eb: EmbeddingMatrix) -> BitextPair:
     return BitextPair(mat_a=ea, mat_b=eb, gold=gold)
 
 
-def _parse_bool(token: str, context: str) -> bool:
-    lowered = token.strip().lower()
-    if lowered in ("true", "1"):
-        return True
-    if lowered in ("false", "0"):
-        return False
-    raise ValueError(f"{context}: malformed boolean {token!r}")
-
-
 def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:
     """Parse the language-metadata TSV into a ``lang -> LanguageMeta`` map.
 
@@ -448,61 +439,56 @@ def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:
             raise ValueError(f"{path}: unknown column {col!r}")
         if header.count(col) > 1:
             raise ValueError(f"{path}: column {col!r} appears more than once")
-    col_of = {name: header.index(name) for name in header}
 
     table: dict[str, LanguageMeta] = {}
     vector_dims: dict[str, int] = {}
     for lineno, line in lines[1:]:
+        where = f"{path}:{lineno}"
         cells = line.split("\t")
-        if len(cells) < len(header):
-            cells += [""] * (len(header) - len(cells))
-        elif len(cells) > len(header):
-            raise ValueError(f"{path}:{lineno}: {len(cells)} cells for {len(header)} columns")
-        lang = cells[col_of["lang"]].strip()
+        if len(cells) > len(header):
+            raise ValueError(f"{where}: {len(cells)} cells for {len(header)} columns")
+        # column name -> stripped cell; a short row's missing cells read as empty
+        row = {col: cells[i].strip() if i < len(cells) else "" for i, col in enumerate(header)}
+        lang = row["lang"]
         if not lang:
-            raise ValueError(f"{path}:{lineno}: empty language code")
+            raise ValueError(f"{where}: empty language code")
         if lang in table:
-            raise ValueError(f"{path}:{lineno}: duplicate language {lang!r}")
+            raise ValueError(f"{where}: duplicate language {lang!r}")
         for column in ("family", "subfamily", "train_sentences"):
-            if not cells[col_of[column]].strip():
-                raise ValueError(f"{path}:{lineno}: empty {column}")
-        order_token = cells[col_of["word_order"]].strip()
-        if not order_token:
-            word_order = WordOrder.UNKNOWN
-        else:
-            try:
-                word_order = WordOrder(order_token)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: invalid word order {order_token!r}") from None
+            if not row[column]:
+                raise ValueError(f"{where}: empty {column}")
         try:
-            train = int(cells[col_of["train_sentences"]])
+            word_order = WordOrder(row["word_order"] or WordOrder.UNKNOWN)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed train_sentences") from None
+            raise ValueError(f"{where}: invalid word order {row['word_order']!r}") from None
+        try:
+            train = int(row["train_sentences"])
+        except ValueError:
+            raise ValueError(f"{where}: malformed train_sentences") from None
         if train < 0:
-            raise ValueError(f"{path}:{lineno}: negative train_sentences")
+            raise ValueError(f"{where}: negative train_sentences")
         vectors: dict[str, np.ndarray] = {}
         for column, kind in VECTOR_COLUMNS.items():
-            if column not in col_of:
-                continue
-            cell = cells[col_of[column]].strip()
-            if not cell:
+            if not row.get(column):
                 continue
             try:
-                vec = np.array([float(t) for t in cell.split(",")], dtype=np.float64)
+                vec = np.array([float(t) for t in row[column].split(",")], dtype=np.float64)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed {column}") from None
-            if kind in vector_dims and vector_dims[kind] != vec.size:
-                raise ValueError(
-                    f"{path}:{lineno}: {column} has {vec.size} entries, expected {vector_dims[kind]}"
-                )
-            vector_dims.setdefault(kind, vec.size)
+                raise ValueError(f"{where}: malformed {column}") from None
+            expected = vector_dims.setdefault(kind, vec.size)
+            if vec.size != expected:
+                raise ValueError(f"{where}: {column} has {vec.size} entries, expected {expected}")
             vectors[kind] = vec
+        polysynthetic = {"true": True, "1": True, "false": False, "0": False}.get(
+            row["polysynthetic"].lower())
+        if polysynthetic is None:
+            raise ValueError(f"{where}: malformed boolean {row['polysynthetic']!r}")
         table[lang] = LanguageMeta(
             lang=lang,
-            family=cells[col_of["family"]].strip(),
-            subfamily=cells[col_of["subfamily"]].strip(),
+            family=row["family"],
+            subfamily=row["subfamily"],
             word_order=word_order,
-            polysynthetic=_parse_bool(cells[col_of["polysynthetic"]], f"{path}:{lineno}"),
+            polysynthetic=polysynthetic,
             train_sentences=train,
             typo_vectors=vectors,
         )

@@ -110,9 +110,8 @@ def _counts_jaccard(counts: Mapping[str, Counter], lang_a: str, lang_b: str, uni
         if not counts[lang]:
             raise ValueError(f"language {lang!r}: text empty after {unit} segmentation")
     count_a, count_b = counts[lang_a], counts[lang_b]
-    intersection = sum(min(count_a[e], count_b[e]) for e in count_a.keys() & count_b.keys())
-    union = sum(max(count_a[e], count_b[e]) for e in count_a.keys() | count_b.keys())
-    return intersection / union
+    # a Counter's & and | keep each element's minimum and maximum count
+    return sum((count_a & count_b).values()) / sum((count_a | count_b).values())
 
 
 def _unit_counts_by_language(
@@ -132,6 +131,18 @@ def typological_distance(va, vb) -> float:
     if va.shape != vb.shape:
         raise ValueError(f"vector dimension mismatch: {va.shape} vs {vb.shape}")
     return 1.0 - cosine(va, vb)
+
+
+def _check_typology_vectors(metas: Iterable[LanguageMeta]) -> None:
+    """Refuse a typology vector that no cosine distance can use, naming its
+    language and kind: one with a non-finite entry, or one whose norm is 0
+    as ``knn.cosine`` tests it (so a norm that underflows counts too)."""
+    for meta in metas:
+        for kind, vec in meta.typo_vectors.items():
+            if not np.isfinite(vec).all():
+                raise ValueError(f"language {meta.lang!r}: {kind} vector has a non-finite entry")
+            if np.linalg.norm(vec) == 0.0:
+                raise ValueError(f"language {meta.lang!r}: {kind} vector has zero norm")
 
 
 def training_aggregates(table: Mapping[str, LanguageMeta]) -> dict[str, TrainingCounts]:

@@ -550,6 +550,7 @@ def build_pair_feature_table(
     missing = [lang for lang in langs if lang not in table]
     if missing:
         raise ValueError(f"languages missing from table: {missing}")
+    feats._check_typology_vectors(table[lang] for lang in langs)
     char_counts = feats._unit_counts_by_language(char_texts, "char", langs)
     token_counts = feats._unit_counts_by_language(token_texts, "token", langs)
     return {
@@ -1166,12 +1167,12 @@ def _check_zero_shot_families(table: Mapping[str, LanguageMeta], langs: Iterable
 
 
 def run_report(config_path: str | Path) -> int:
-    """Full pipeline: parse the config file, read every input and build the
-    feature table, sweep metrics, write both CSVs under ``out`` and analyze
-    them as read back. Returns the exit code (0 ok, 2 when some languages or
-    pairs were skipped). A fatal error is recorded under ``fatal`` in
-    ``run_summary.json`` and re-raised; a file that cannot be read or names
-    no ``out`` leaves no summary.
+    """Full pipeline: parse the config file, read every input, build the
+    feature table and write ``features.csv``, sweep metrics and write
+    ``metrics.csv``, then analyze both CSVs as read back. Returns the exit
+    code (0 ok, 2 when some languages or pairs were skipped). A fatal error
+    is recorded under ``fatal`` in ``run_summary.json`` and re-raised; a
+    file that cannot be read or names no ``out`` leaves no summary.
 
     Every file name a run can write under ``out`` is deleted first, so no
     file of an earlier run stays beside this run's."""
@@ -1220,16 +1221,11 @@ def run_report(config_path: str | Path) -> int:
                 # no sweep can keep more complete pairs than the table holds
                 n_complete = _check_complete_pair([vec.as_dict() for vec in features_map.values()])
                 _check_pair_count(config.analyses, config.folds, n_complete, "the feature table has")
+            write_features_csv(features_map, out / "features.csv")
 
         stage = {"stage": "sweep", "mode": None}
         _sweep_pairs(config, sweep, matrices)
         write_metrics_csv(sweep.rows, out / "metrics.csv")
-
-        stage = {"stage": "features", "mode": None}
-        if table is not None:
-            kept = {lang for pair in sweep.rows for lang in pair}
-            write_features_csv({pair: vec for pair, vec in features_map.items() if set(pair) <= kept},
-                               out / "features.csv")
 
         # shared by every mode; each needs the language table, so both CSVs exist
         metrics_map = feature_rows = dataset = None

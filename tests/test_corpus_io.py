@@ -257,28 +257,65 @@ def test_language_table_parse(tmp_path):
     assert table["fra"].train_sentences == 5000 and table["fra"].typo_vectors == {}
 
 
+_VECTOR_HEADER = "lang\tfamily\tsubfamily\tword_order\tpolysynthetic\ttrain_sentences\tsyntax_vec\tgeo_vec"
+_DEU_ROW = "deu\tf\ts\tSOV\tfalse\t10\t0.1,0.2\t1,2,3"
+_DEU = ("f", "s", "SOV", False, 10, {"syntax": [0.1, 0.2], "geography": [1.0, 2.0, 3.0]})
+
+
 @pytest.mark.parametrize(
-    "row, message",
+    "rows, expected",
     [
-        ("xxx\tf\ts\tXYZ\tfalse\t10", "invalid word order"),
-        ("xxx\tf\ts\tSVO\tmaybe\t10", "malformed boolean"),
-        ("xxx\tf\ts\tSVO\tfalse\t-5", "negative train_sentences"),
-        ("xxx\tf\ts\tSVO\tfalse\tmany", "malformed train_sentences"),
-        ("\tf\ts\tSVO\tfalse\t10", "empty language code"),
-        ("xxx\t\ts\tSVO\tfalse\t10", "empty family"),
-        ("xxx\tf\t \tSVO\tfalse\t10", "empty subfamily"),
-        ("xxx\tf\ts\tSVO\tfalse\t", "empty train_sentences"),
-        ("xxx\tf\ts\tSVO\tfalse", "empty train_sentences"),  # short: the count reads empty
-        ("xxx\tf\ts\tSVO\tfalse\t10\t0.1,x", "malformed syntax_vec"),
-        ("xxx\tf\ts\tSVO\tfalse\t10\t0.1\textra", "8 cells for 7 columns"),
+        # a str is the message after "<path>:", a dict the parsed table
+        (["xxx\tf\ts\tXYZ\tfalse\t10"], "2: invalid word order 'XYZ'"),
+        (["xxx\tf\ts\tSVO\tmaybe\t10"], "2: malformed boolean 'maybe'"),
+        # quoted stripped, as the word order is
+        (["xxx\tf\ts\tSVO\t maybe \t10"], "2: malformed boolean 'maybe'"),
+        (["xxx\tf\ts\tSVO\tfalse\t-5"], "2: negative train_sentences"),
+        (["xxx\tf\ts\tSVO\tfalse\tmany"], "2: malformed train_sentences"),
+        (["\tf\ts\tSVO\tfalse\t10"], "2: empty language code"),
+        (["xxx\t\ts\tSVO\tfalse\t10"], "2: empty family"),
+        (["xxx\tf\t \tSVO\tfalse\t10"], "2: empty subfamily"),
+        (["xxx\tf\ts\tSVO\tfalse\t"], "2: empty train_sentences"),
+        (["xxx\tf\ts\tSVO\tfalse"], "2: empty train_sentences"),
+        (["xxx\tf\ts\tSVO\tfalse\t10\t0.1,x"], "2: malformed syntax_vec"),
+        (["xxx\tf\ts\tSVO\tfalse\t10\t0.1\t1\textra"], "2: 9 cells for 8 columns"),
+        # the checks run in one order: width, lang, duplicate, empty cells,
+        # word order, count, vectors, boolean
+        ([_DEU_ROW, "deu\tf\ts\tXYZ\tmaybe\tmany\t0.1,x"], "3: duplicate language 'deu'"),
+        (["\tf\t\tXYZ\tmaybe\t-1\t0.1,x"], "2: empty language code"),
+        (["xxx\tf\t\tXYZ\tmaybe\t-1\t0.1,x"], "2: empty subfamily"),
+        (["xxx\tf\ts\tXYZ\tmaybe\tmany\t0.1,x"], "2: invalid word order 'XYZ'"),
+        (["xxx\tf\ts\tSVO\tmaybe\tmany\t0.1,x"], "2: malformed train_sentences"),
+        (["xxx\tf\ts\tSVO\tmaybe\t-1\t0.1,x"], "2: negative train_sentences"),
+        (["xxx\tf\ts\tSVO\tmaybe\t1\t0.1,x\t1,y"], "2: malformed syntax_vec"),
+        (["xxx\tf\ts\tSVO\tmaybe\t1\t0.1\t1,y"], "2: malformed geo_vec"),
+        ([_DEU_ROW, "b\tf\ts\tSVO\tnope\t1\t0.1,0.2,0.3"], "3: syntax_vec has 3 entries, expected 2"),
+        ([_DEU_ROW, "b\tf\ts\tSVO\tnope\t1\t0.1,0.2\t4,5"], "3: geo_vec has 2 entries, expected 3"),
+        (["", _DEU_ROW, "", "xxx\tf\ts\tXYZ\tfalse\t10"], "5: invalid word order 'XYZ'"),
+        # every cell is stripped
+        ([" deu \t f \t s \t SOV \t FALSE \t 10 \t 0.1, 0.2 \t 1 ,2,3 "], {"deu": _DEU}),
+        (["xxx\tf\ts\tUNKNOWN\t1\t0", "yyy\tf\ts\t\tTrue\t+7", "zzz\tf\ts\tOSV\t0\t1_0"],
+         {"xxx": ("f", "s", "UNKNOWN", True, 0, {}), "yyy": ("f", "s", "UNKNOWN", True, 7, {}),
+          "zzz": ("f", "s", "OSV", False, 10, {})}),
+        # a short row's missing cells read as empty
+        ([_DEU_ROW, "fra\tf\ts\tSVO\tfalse\t5000", "ita\tf\ts\tSVO\t0\t5\t0.3,0.4"],
+         {"deu": _DEU, "fra": ("f", "s", "SVO", False, 5000, {}),
+          "ita": ("f", "s", "SVO", False, 5, {"syntax": [0.3, 0.4]})}),
     ],
 )
-def test_language_table_bad_rows(tmp_path, row, message):
+def test_language_table_rows_parse_or_fail_with_file_and_line(tmp_path, rows, expected):
     path = tmp_path / "langs.tsv"
-    path.write_text("lang\tfamily\tsubfamily\tword_order\tpolysynthetic\ttrain_sentences\tsyntax_vec\n"
-                    + row + "\n")
-    with pytest.raises(ValueError, match=message):
-        load_language_table(path)
+    path.write_text("\n".join([_VECTOR_HEADER, *rows]) + "\n")
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as err:
+            load_language_table(path)
+        assert str(err.value) == f"{path}:{expected}"
+    else:
+        table = load_language_table(path)
+        assert all(meta.lang == lang for lang, meta in table.items())
+        assert {lang: (meta.family, meta.subfamily, meta.word_order.value, meta.polysynthetic,
+                       meta.train_sentences, {k: v.tolist() for k, v in meta.typo_vectors.items()})
+                for lang, meta in table.items()} == expected
 
 
 def test_language_table_errors_name_the_file_line(tmp_path):

@@ -126,19 +126,22 @@ def test_readme_config_example_loads(tmp_path):
 
 
 def test_readme_library_use_runs(tmp_path, monkeypatch, capsys):
-    """The README's Library use block runs as written, on two saved matrices."""
+    """The README's Library use block runs as written, on two saved matrices
+    whose verse sets differ, and prints the metrics ``report`` computes."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
     assert len(blocks) == 1
     rng = np.random.default_rng(3)
-    deu = rng.standard_normal((12, 8))
-    eng = deu + 0.1 * rng.standard_normal(deu.shape)
-    xa.save_embeddings(xa.EmbeddingMatrix("deu", deu), tmp_path / "deu.xemb")
-    xa.save_embeddings(xa.EmbeddingMatrix("eng", eng), tmp_path / "eng.xemb")
+    verses = rng.standard_normal((16, 8))
+    ids = [f"v{i:02d}" for i in range(16)]
+    deu, eng = verses[:12], verses[4:] + 0.1 * rng.standard_normal((12, 8))
+    xa.save_embeddings(xa.EmbeddingMatrix("deu", deu, ids[:12]), tmp_path / "deu.xemb")
+    xa.save_embeddings(xa.EmbeddingMatrix("eng", eng, ids[4:]), tmp_path / "eng.xemb")
     monkeypatch.chdir(tmp_path)
     exec(blocks[0], {})
     printed = [float(value) for value in capsys.readouterr().out.split()]
-    assert len(printed) == 5 and all(np.isfinite(printed))
+    metrics = compute_pair_metrics(xa.load_embeddings("deu.xemb"), xa.load_embeddings("eng.xemb"))
+    assert printed == list(metrics.as_dict().values())
 
 
 def test_readme_cli_lines_parse():
@@ -1366,6 +1369,76 @@ def test_cli_features_and_report_name_the_language_of_a_blank_text(
     summary = json.loads((root / "results" / "run_summary.json").read_text())
     assert summary["fatal"] == {"stage": "preflight", "mode": None, "error": message}
     assert align.calls == 0
+
+
+@pytest.mark.parametrize(
+    "cell, problem",
+    [
+        ("0,0,0,0", "zero norm"),
+        ("1e-200,1e-200,0,0", "zero norm"),  # the norm underflows, as in knn.cosine
+        ("0.5,nan,0.5,0.5", "a non-finite entry"),
+        ("0.5,0.5,-inf,0.5", "a non-finite entry"),
+    ],
+)
+def test_cli_features_and_report_name_the_language_of_an_unusable_vector(
+    workspace, tmp_path, capsys, monkeypatch, cell, problem
+):
+    """A zero syntax vector used to fail with ``cosine undefined for
+    zero-norm vector`` and a nan one with ``syntactic_dist outside [0, 2]``,
+    naming neither the language nor the vector."""
+    root = workspace["root"]
+    table = root / "languages.tsv"
+    lines = [line.split("\t") for line in table.read_text().splitlines()]
+    assert lines[1][0] == "deu" and lines[0][6] == "syntax_vec"
+    lines[1][6] = cell
+    table.write_text("".join("\t".join(line) + "\n" for line in lines))
+    message = f"language 'deu': syntax vector has {problem}"
+    out = tmp_path / "features.csv"
+    assert main(["features", "--languages", str(table),
+                 "--char-corpus", str(root / "texts" / "matthew"),
+                 "--token-corpus", str(root / "texts" / "john"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"xlalign: error: {message}\n" and not out.exists()
+    align = _CallCounter(pipeline.align_pair)
+    monkeypatch.setattr(pipeline, "align_pair", align)
+    assert main(["report", "--config", str(workspace["config"])]) == 1
+    assert capsys.readouterr().err == f"xlalign: error: {message}\n"
+    results = root / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    assert summary["fatal"] == {"stage": "preflight", "mode": None, "error": message}
+    assert align.calls == 0
+    assert sorted(p.name for p in results.iterdir()) == ["run_summary.json"]
+    # zero-shot and compare compute no distance, so they read such a table
+    metrics = tmp_path / "metrics.csv"
+    pairs = itertools.combinations(workspace["langs"], 2)
+    write_metrics_csv({pair: synthetic_metrics() for pair in pairs}, metrics)
+    assert main(["zero-shot", "--metrics", str(metrics), "--languages", str(table),
+                 "--out", str(tmp_path / "zs.json")]) == 0
+    assert main(["compare", "--a", str(metrics), "--b", str(metrics), "--languages", str(table),
+                 "--out", str(tmp_path / "cmp.json")]) == 0
+
+
+def test_cli_report_writes_the_feature_table_of_a_language_that_loses_every_pair(workspace):
+    """The preflight writes ``features.csv`` for every pair of the loaded
+    languages the table lists, as ``features`` does, even for ``quc`` whose
+    John verses no other language has. Its pairs used to be left out, as
+    those of a language whose pairs all failed."""
+    root = workspace["root"]
+    quc = root / "emb" / "john" / "quc.xemb"
+    matrix = xa.load_embeddings(quc)
+    ids = [f"QUC_{i:02d}" for i in range(matrix.n_rows)]
+    xa.save_embeddings(xa.EmbeddingMatrix("quc", matrix.data, ids), quc)
+    assert main(["report", "--config", str(workspace["config"])]) == 2
+    results = root / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    assert list(summary["failed_pairs"]) == ["deu/quc", "eng/quc", "fra/quc"]
+    assert summary["languages"] == ["deu", "eng", "fra"]
+    features = root / "features.csv"
+    assert main(["features", "--languages", str(root / "languages.tsv"),
+                 "--char-corpus", str(root / "texts" / "matthew"),
+                 "--token-corpus", str(root / "texts" / "john"), "--out", str(features)]) == 0
+    assert (results / "features.csv").read_bytes() == features.read_bytes()
+    corr = json.loads((results / "analysis_corr.json").read_text())
+    assert (corr["n_used"], corr["n_features_only"]) == (3, 3)
 
 
 @pytest.mark.parametrize("command", ["metrics", "mine"])
