@@ -110,18 +110,6 @@ class EmbeddingMatrix:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "ids", ids)
 
-    def _take_rows(self, rows: Sequence[int]) -> EmbeddingMatrix:
-        """The matrix of the distinct, nonempty row indices ``rows``, in that
-        order. Rows of a valid matrix pass every check of the constructor, so
-        this takes one copy (the fancy index) and runs none of them."""
-        sub = object.__new__(EmbeddingMatrix)
-        data = self.data[list(rows)]
-        data.flags.writeable = False
-        object.__setattr__(sub, "lang", self.lang)
-        object.__setattr__(sub, "data", data)
-        object.__setattr__(sub, "ids", tuple(self.ids[i] for i in rows))
-        return sub
-
     @property
     def n_rows(self) -> int:
         return self.data.shape[0]
@@ -174,7 +162,8 @@ class Corpus:
 
 @dataclass(frozen=True)
 class LanguageMeta:
-    """Per-language metadata: phylogeny, typology, and training-data counts."""
+    """Per-language metadata: phylogeny, typology, and training-data counts.
+    ``typo_vectors`` is keyed by the kinds of ``VECTOR_COLUMNS``."""
 
     lang: str
     family: str
@@ -189,6 +178,9 @@ class LanguageMeta:
             raise ValueError(f"negative train_sentences for {self.lang!r}")
         vectors = {}
         for kind, vec in self.typo_vectors.items():
+            if kind not in VECTOR_COLUMNS.values():
+                raise ValueError(f"unknown typology kind {kind!r} for {self.lang!r}"
+                                 f" (the kinds are {', '.join(VECTOR_COLUMNS.values())})")
             arr = np.array(vec, dtype=np.float64)
             arr.flags.writeable = False
             vectors[kind] = arr

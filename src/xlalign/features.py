@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -21,16 +21,6 @@ from .knn import cosine
 # the training-data counts and the agreement flags, whose cells read 0 or 1
 COUNT_FEATURES = ("combined_sentences", "combined_in_family", "combined_in_subfamily")
 BINARY_FEATURES = ("same_family", "same_subfamily", "same_word_order", "same_polysynthesis")
-FEATURE_NAMES = (
-    *COUNT_FEATURES,
-    *BINARY_FEATURES,
-    "token_overlap",
-    "char_overlap",
-    "syntactic_dist",
-    "phonological_dist",
-    "inventory_dist",
-    "geographic_dist",
-)
 
 _DIST_FIELDS = {
     "syntax": "syntactic_dist",
@@ -86,6 +76,9 @@ class PairFeatureVector:
         return {name: getattr(self, name) for name in FEATURE_NAMES}
 
 
+FEATURE_NAMES = tuple(f.name for f in fields(PairFeatureVector))
+
+
 def _unit_counts(text: str, unit: str) -> Counter:
     """The multiset of ``unit`` items of ``text`` that ``_counts_jaccard`` compares:
     ``unit="char"`` counts Unicode code points of the NFC-normalized text,
@@ -135,14 +128,24 @@ def typological_distance(va, vb) -> float:
 
 def _check_typology_vectors(metas: Iterable[LanguageMeta]) -> None:
     """Refuse a typology vector that no cosine distance can use, naming its
-    language and kind: one with a non-finite entry, or one whose norm is 0
-    as ``knn.cosine`` tests it (so a norm that underflows counts too)."""
+    language and kind: one with a non-finite entry, one whose norm is 0 as
+    ``knn.cosine`` tests it (so a norm that underflows counts too), or one
+    whose squared norm overflows. Two vectors with finite squared norms have
+    a finite product of norms and, by Cauchy-Schwarz, a dot product none of
+    whose partial sums overflows, so ``knn.cosine`` is finite on them."""
     for meta in metas:
         for kind, vec in meta.typo_vectors.items():
-            if not np.isfinite(vec).all():
-                raise ValueError(f"language {meta.lang!r}: {kind} vector has a non-finite entry")
-            if np.linalg.norm(vec) == 0.0:
-                raise ValueError(f"language {meta.lang!r}: {kind} vector has zero norm")
+            # the square of the norm knn.cosine takes, without numpy's overflow warning
+            with np.errstate(over="ignore"):
+                squared_norm = np.dot(vec, vec)
+            problem = (
+                "a non-finite entry" if not np.isfinite(vec).all()
+                else "zero norm" if squared_norm == 0.0
+                else "a squared norm that overflows" if not np.isfinite(squared_norm)
+                else None
+            )
+            if problem:
+                raise ValueError(f"language {meta.lang!r}: {kind} vector has {problem}")
 
 
 def training_aggregates(table: Mapping[str, LanguageMeta]) -> dict[str, TrainingCounts]:
@@ -205,13 +208,6 @@ def _pair_features_from_counts(
             return None
         return _counts_jaccard(counts, ma.lang, mb.lang, unit)
 
-    def distance(kind: str) -> float | None:
-        va = ma.typo_vectors.get(kind)
-        vb = mb.typo_vectors.get(kind)
-        if va is None or vb is None:
-            return None
-        return typological_distance(va, vb)
-
     same_word_order = int(
         ma.word_order != WordOrder.UNKNOWN
         and mb.word_order != WordOrder.UNKNOWN
@@ -227,8 +223,7 @@ def _pair_features_from_counts(
         same_polysynthesis=int(ma.polysynthetic == mb.polysynthetic),
         token_overlap=overlap(token_counts, "token"),
         char_overlap=overlap(char_counts, "char"),
-        syntactic_dist=distance("syntax"),
-        phonological_dist=distance("phonology"),
-        inventory_dist=distance("inventory"),
-        geographic_dist=distance("geography"),
+        **{name: typological_distance(ma.typo_vectors[kind], mb.typo_vectors[kind])
+           if kind in ma.typo_vectors and kind in mb.typo_vectors else None
+           for kind, name in _DIST_FIELDS.items()},
     )

@@ -46,8 +46,6 @@ from .corpus import (
 )
 from .mining import _PairTables, retrieval_f1
 
-METRIC_NAMES = ("f1", "avg_margin", "svg", "econd_hm", "gh")
-
 ANOVA_FACTORS = feats.BINARY_FEATURES
 ANCOVA_FACTORS = ("same_word_order", "same_polysynthesis")
 ANCOVA_COVARIATES = feats.COUNT_FEATURES
@@ -98,6 +96,9 @@ class AlignmentMetrics:
 
     def as_dict(self) -> dict[str, float]:
         return {name: float(getattr(self, name)) for name in METRIC_NAMES}
+
+
+METRIC_NAMES = tuple(f.name for f in fields(AlignmentMetrics))
 
 
 @dataclass(frozen=True)
@@ -214,6 +215,12 @@ def _side(m: EmbeddingMatrix, gh_max_points: int) -> _Side:
     return iso.singular_values(m), iso.persistence_diagram_0d(m, gh_max_points)
 
 
+def _rows_side(m: EmbeddingMatrix, rows: Sequence[int], gh_max_points: int) -> _Side:
+    """``_side`` of the matrix of ``m``'s rows ``rows``, in that order."""
+    sub = EmbeddingMatrix(m.lang, m.data[list(rows)], tuple(m.ids[i] for i in rows))
+    return _side(sub, gh_max_points)
+
+
 def _pair_metrics(
     mat_a: EmbeddingMatrix,
     mat_b: EmbeddingMatrix,
@@ -245,9 +252,7 @@ def compute_pair_metrics(
     act as distractors); the isomorphism measures are computed on the
     row-aligned submatrices.
     """
-    return _pair_metrics(
-        mat_a, mat_b, k, lambda mat, rows: _side(mat._take_rows(rows), gh_max_points)
-    )
+    return _pair_metrics(mat_a, mat_b, k, lambda mat, rows: _rows_side(mat, rows, gh_max_points))
 
 
 def _metric_means(members: Iterable[AlignmentMetrics]) -> dict[str, float]:
@@ -350,7 +355,7 @@ def _sweep_pairs(
 
     def side(d: int, mat: EmbeddingMatrix, rows: tuple[int, ...]) -> _Side:
         if rows != tuple(range(mat.n_rows)):
-            return _side(mat._take_rows(rows), gh)
+            return _rows_side(mat, rows, gh)
         new = Future()
         with lock:
             entry = entries.setdefault((d, mat.lang), new)
@@ -591,11 +596,8 @@ class AnalysisDataset:
 
 
 def _check_complete_pair(rows: Sequence[Mapping[str, float | None]]) -> int:
-    """The count of complete pairs among feature rows; refuse rows that hold
-    none, naming each feature that no row has (an empty list is a features
-    table with no pairs)."""
-    if not rows:
-        raise ValueError("the features table has no pairs")
+    """The count of complete pairs among feature rows, at least one; refuse
+    nonempty rows that hold none, naming each feature that no row has."""
     complete = sum(all(row[name] is not None for name in feats.FEATURE_NAMES) for row in rows)
     if not complete:
         absent = [name for name in feats.FEATURE_NAMES if all(row[name] is None for row in rows)]
@@ -1132,7 +1134,9 @@ def write_json(obj: dict, path: str | Path) -> None:
 
 
 def write_plot_csv(rows: Sequence[tuple], header: Sequence[str], path: str | Path) -> None:
-    """Plain x/y/group plot data for external plotting tools."""
+    """A plot-data CSV for external plotting tools: ``header``, then ``rows``.
+    Its one use is ``plot_zero_shot_groups.csv``, whose header is
+    ``factor,level,metric,mean``."""
     _write_table(rows, header, path)
 
 
@@ -1214,10 +1218,14 @@ def run_report(config_path: str | Path) -> int:
         if "zero_shot" in config.analyses:
             _check_zero_shot_families(table, matrices)
         if table is not None:
+            listed = sorted(matrices.keys() & table.keys())
             # every pair of the loaded languages the table lists, as if each pair succeeds
-            features_map = build_pair_feature_table(
-                table, char_texts, token_texts, sorted(matrices.keys() & table.keys()))
+            features_map = build_pair_feature_table(table, char_texts, token_texts, listed)
             if any(mode in ANALYSES for mode in config.analyses):
+                if len(listed) < 2:
+                    names = f" ({', '.join(listed)})" if listed else ""
+                    raise ValueError(f"{config.languages} lists {len(listed)} of the"
+                                     f" {len(matrices)} loaded languages{names}; a pair needs two")
                 # no sweep can keep more complete pairs than the table holds
                 n_complete = _check_complete_pair([vec.as_dict() for vec in features_map.values()])
                 _check_pair_count(config.analyses, config.folds, n_complete, "the feature table has")

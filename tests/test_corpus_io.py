@@ -5,7 +5,9 @@ import pytest
 
 from xlalign.corpus import (
     BitextPair,
+    Corpus,
     EmbeddingMatrix,
+    LanguageMeta,
     WordOrder,
     _parse_binary_matrix,
     align_pair,
@@ -200,6 +202,8 @@ def test_load_corpus_errors(tmp_path):
     empty.mkdir()
     with pytest.raises(ValueError, match="no .tsv"):
         load_corpus(empty)
+    with pytest.raises(ValueError, match="^document 'deu' has no verses$"):
+        Corpus("c", {"eng": {"1": "a"}, "deu": {}})
 
 
 def test_align_pair_intersection():
@@ -235,6 +239,21 @@ def test_bitext_pair_invariants():
         BitextPair(a, a, ((2, 2), (0, 0)))
     with pytest.raises(ValueError, match="different verse ids"):
         BitextPair(a, a, ((0, 1),))
+    wide = EmbeddingMatrix("w", np.eye(3, 4), ("x", "y", "z"))
+    with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
+        BitextPair(a, wide, ((0, 0),))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"train_sentences": -1}, "negative train_sentences for 'deu'"),
+    # a misspelled kind used to be accepted, and every distance of it read as missing
+    ({"typo_vectors": {"syntx": [0.1, 0.2]}},
+     "unknown typology kind 'syntx' for 'deu' (the kinds are syntax, phonology, inventory,"
+     " geography)"),
+], ids=["negative-train", "unknown-kind"])
+def test_language_meta_refuses(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LanguageMeta("deu", "IE", "Germanic", **kwargs)
 
 
 def test_language_table_parse(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import unicodedata
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -186,6 +187,27 @@ def test_typological_distance_cases():
         typological_distance([1, 0], [1, 0, 0])
     with pytest.raises(ValueError, match="zero-norm"):
         typological_distance([0, 0], [1, 0])
+
+
+def test_pair_table_distances_stay_finite_below_the_overflow():
+    """Vectors whose squared norms are finite, however large, give exact
+    distances and no floating-point warning."""
+    v = [9e153, 9e153]
+    table = {lang: meta(lang, vectors={"syntax": vec})
+             for lang, vec in (("a", v), ("b", v), ("c", [-9e153, 9e153]), ("d", [-9e153, -9e153]))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = build_pair_feature_table(table)
+    assert {pair: row.syntactic_dist for pair, row in rows.items()} == {
+        ("a", "b"): 0.0, ("a", "c"): 1.0, ("a", "d"): 2.0,
+        ("b", "c"): 1.0, ("b", "d"): 2.0, ("c", "d"): 1.0,
+    }
+
+
+def test_pair_table_refuses_a_language_missing_from_the_table():
+    table = {"a": meta("a"), "b": meta("b")}
+    with pytest.raises(ValueError, match=r"^languages missing from table: \['zzz'\]$"):
+        build_pair_feature_table(table, languages=["a", "zzz"])
 
 
 def test_training_aggregates():

@@ -122,12 +122,16 @@ def test_econd_hm_cases():
     assert econd_hm(ortho, ortho) == 1.0
     assert condition_harmonic_mean(2.0, 2.0) == 2.0
     assert condition_harmonic_mean(1.0, 3.0) == 1.5
+    with pytest.raises(ValueError, match="condition numbers must be positive"):
+        condition_harmonic_mean(0.0, 1.0)
 
 
 def test_mst_hand_case():
     # collinear points at mutual distances 1, 2, 3: MST keeps edges {1, 2}
     dist = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]])
     assert sorted(mst_edge_weights(dist).tolist()) == [1.0, 2.0]
+    with pytest.raises(ValueError, match="distance matrix must be square"):
+        mst_edge_weights(dist[:2])
 
 
 def test_mst_matches_single_linkage_oracle():

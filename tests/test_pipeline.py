@@ -1378,14 +1378,18 @@ def test_cli_features_and_report_name_the_language_of_a_blank_text(
         ("1e-200,1e-200,0,0", "zero norm"),  # the norm underflows, as in knn.cosine
         ("0.5,nan,0.5,0.5", "a non-finite entry"),
         ("0.5,0.5,-inf,0.5", "a non-finite entry"),
+        # the squared norm overflows; at 1e154 each square is finite and only their sum is not
+        ("1e154,1e154,0,0", "a squared norm that overflows"),
+        ("1e200,1e200,1e200,1e200", "a squared norm that overflows"),
     ],
 )
 def test_cli_features_and_report_name_the_language_of_an_unusable_vector(
     workspace, tmp_path, capsys, monkeypatch, cell, problem
 ):
     """A zero syntax vector used to fail with ``cosine undefined for
-    zero-norm vector`` and a nan one with ``syntactic_dist outside [0, 2]``,
-    naming neither the language nor the vector."""
+    zero-norm vector``, and a nan one or one whose squared norm overflows
+    with ``syntactic_dist outside [0, 2]``, naming neither the language nor
+    the vector."""
     root = workspace["root"]
     table = root / "languages.tsv"
     lines = [line.split("\t") for line in table.read_text().splitlines()]
@@ -1900,6 +1904,30 @@ def test_cli_report_stops_at_preflight_when_fewer_than_two_languages_load(
     assert summary["failed_languages"] == dict.fromkeys(("deu", "eng", "fra"), missing)
     assert (summary["n_pairs"], summary["languages"], summary["analyses"]) == (0, [], [])
     assert align.calls == 0 and not (results / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("listed", [("deu",), ()], ids=["one", "none"])
+def test_cli_report_names_a_table_that_lists_fewer_than_two_loaded_languages(
+    workspace, capsys, monkeypatch, listed
+):
+    """Such a table used to stop the run with ``the features table has no
+    pairs``, naming neither the table nor its languages."""
+    table = workspace["root"] / "languages.tsv"
+    lines = table.read_text().splitlines(keepends=True)
+    kept = [line for line in lines[1:] if line.split("\t")[0] in listed]
+    unloaded = lines[1].replace("deu\t", "zzz\t", 1)  # a table row no embedding file has
+    table.write_text("".join([lines[0], *kept, unloaded]))
+    align = _CallCounter(pipeline.align_pair)
+    monkeypatch.setattr(pipeline, "align_pair", align)
+    assert main(["report", "--config", str(workspace["config"])]) == 1
+    names = f" ({', '.join(listed)})" if listed else ""
+    message = f"{table} lists {len(listed)} of the 4 loaded languages{names}; a pair needs two"
+    assert capsys.readouterr().err == f"xlalign: error: {message}\n"
+    results = workspace["root"] / "results"
+    summary = json.loads((results / "run_summary.json").read_text())
+    assert summary["fatal"] == {"stage": "preflight", "mode": None, "error": message}
+    assert align.calls == 0
+    assert sorted(p.name for p in results.iterdir()) == ["run_summary.json"]
 
 
 @pytest.mark.parametrize("edit", [

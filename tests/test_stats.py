@@ -312,6 +312,11 @@ def test_search_report_tallies():
     assert all(best for best in report.per_dv_best.values())
     assert sum(report.tallies.values()) == sum(len(v) for v in report.per_dv_best.values())
     assert report.tallies["a"] == 2
+    with pytest.raises(ValueError, match="^3 names for 4 features$"):
+        feature_search_report(X, dvs, ["a", "b", "c"], folds=5, seed=13)
+    # a design of constant columns leaves no subset to score
+    with pytest.raises(ValueError, match="^every feature subset was rank deficient$"):
+        feature_search_report(np.ones((200, 4)), dvs, folds=5, seed=13)
 
 
 # ------------------------------------------------------------------- ablation
