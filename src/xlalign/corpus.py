@@ -71,9 +71,9 @@ class EmbeddingMatrix:
     """A language-tagged matrix of sentence embeddings with row IDs.
 
     Rows are validated on construction: every row must be finite with a
-    nonzero computed norm, IDs must be unique, and the matrix must have at
-    least one row and at least two columns. ``ids`` defaults to
-    ``"0" .. "n_rows-1"`` when omitted.
+    nonzero computed norm and a finite sum of squares, IDs must be unique,
+    and the matrix must have at least one row and at least two columns.
+    ``ids`` defaults to ``"0" .. "n_rows-1"`` when omitted.
     """
 
     lang: str
@@ -94,13 +94,19 @@ class EmbeddingMatrix:
         # knn.unit_rows rejects a row whose norm is 0, which includes tiny
         # nonzero entries whose squares underflow. A sum of squares is 0
         # exactly when every square is, in any summation order, so this is
-        # the same test without a matrix-sized temporary.
-        zero_rows = np.flatnonzero(np.einsum("ij,ij->i", data, data) == 0.0)
+        # the same test without a matrix-sized temporary. A row whose sum of
+        # squares overflows would normalize to zeros.
+        squares = np.einsum("ij,ij->i", data, data)
+        zero_rows = np.flatnonzero(squares == 0.0)
         if zero_rows.size:
             raise ValueError(
                 f"all-zero embedding row(s) {zero_rows[:5].tolist()} for {self.lang!r}"
                 " (a row whose norm underflows to 0 counts as zero)"
             )
+        huge_rows = np.flatnonzero(np.isinf(squares))
+        if huge_rows.size:
+            raise ValueError(f"embedding row(s) {huge_rows[:5].tolist()} for {self.lang!r}"
+                             " have a squared norm that overflows")
         ids = tuple(self.ids) if self.ids else tuple(str(i) for i in range(n_rows))
         if len(ids) != n_rows:
             raise ValueError(f"{len(ids)} ids for {n_rows} rows")
@@ -325,8 +331,8 @@ def load_embeddings(path: str | Path, *, lang: str | None = None) -> EmbeddingMa
 
     Raises:
         ValueError: On malformed content, dimension mismatches, NaN/Inf
-            entries, all-zero rows (or rows whose norm underflows to 0),
-            or duplicate IDs. Each of these messages names the file.
+            entries, rows whose norm is 0 (or underflows to 0) or whose
+            squared norm overflows, or duplicate IDs. Each names the file.
     """
     path = Path(path)
     parse = _parse_binary_matrix if path.suffix == ".xemb" else _parse_text_matrix

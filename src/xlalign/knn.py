@@ -1,13 +1,12 @@
 """Exact cosine k-nearest-neighbor search.
 
-Rows are unit-normalized once per matrix so cosine reduces to a dot product,
-and similarities are computed with a blocked matrix multiply. Each block's
-top k is a partial selection: ``np.partition`` finds every row's k-th largest
-similarity, and only the entries at or above it (ties included) are sorted,
-so a row of m targets costs O(m) plus a sort of about k survivors instead of
-a full sort. Results are exact and deterministic: ties are broken toward the
-lower target index, so any parallel schedule over query rows yields the same
-output.
+Rows are unit-normalized so cosine reduces to a dot product, and one matrix
+product gives every cosine (``mining`` reads both directions of a pair from
+one such matrix). Each row's top k is a partial selection: ``np.partition``
+finds its k-th largest similarity, and only the entries at or above it (ties
+included) are sorted, so a row of m targets costs O(m) plus a sort of about
+k survivors instead of a full sort. Results are exact and deterministic:
+ties are broken toward the lower target index.
 """
 
 from __future__ import annotations
@@ -38,15 +37,21 @@ class NeighborList:
 
 
 def cosine(u, v) -> float:
-    """Cosine similarity of two nonzero vectors, clipped to [-1, 1]."""
+    """Cosine similarity of two nonzero vectors, clipped to [-1, 1]. A vector
+    whose squared norm is not finite is refused, as its norm would read as
+    infinite; by Cauchy-Schwarz, finite squared norms bound the dot product."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    # the squared norms np.linalg.norm takes, without numpy's overflow warning
+    with np.errstate(over="ignore"):
+        squared = np.dot(u, u), np.dot(v, v)
+    if not np.isfinite(squared).all():
+        raise ValueError("cosine undefined for a vector whose squared norm is not finite")
+    if 0.0 in squared:
         raise ValueError("cosine undefined for zero-norm vector")
+    nu, nv = np.sqrt(squared)
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
@@ -72,21 +77,6 @@ def _topk_block(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cols[pick], vals[pick]
 
 
-def _knn_topk(
-    queries_unit: np.ndarray, targets_unit: np.ndarray, k: int, block_size: int = 512
-) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k over prenormalized rows: (indices, cosines), each n_queries x k."""
-    n = queries_unit.shape[0]
-    idx = np.empty((n, k), dtype=np.int64)
-    sim = np.empty((n, k), dtype=np.float64)
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        block = queries_unit[start:stop] @ targets_unit.T
-        np.clip(block, -1.0, 1.0, out=block)
-        idx[start:stop], sim[start:stop] = _topk_block(block, k)
-    return idx, sim
-
-
 def knn_search(queries: EmbeddingMatrix, targets: EmbeddingMatrix, k: int) -> list[NeighborList]:
     """For each query row, the ``k`` targets with highest cosine similarity.
 
@@ -97,7 +87,8 @@ def knn_search(queries: EmbeddingMatrix, targets: EmbeddingMatrix, k: int) -> li
         raise ValueError(f"dimension mismatch: {queries.dim} vs {targets.dim}")
     if not 1 <= k <= targets.n_rows:
         raise ValueError(f"k={k} out of range [1, {targets.n_rows}]")
-    idx, sim = _knn_topk(unit_rows(queries.data), unit_rows(targets.data), k)
+    cos = np.clip(unit_rows(queries.data) @ unit_rows(targets.data).T, -1.0, 1.0)
+    idx, sim = _topk_block(cos, k)
     return [
         NeighborList(query_index=q, neighbors=tuple(zip(idx[q].tolist(), sim[q].tolist())))
         for q in range(queries.n_rows)

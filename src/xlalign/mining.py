@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .corpus import BitextPair, EmbeddingMatrix
-from .knn import _knn_topk, unit_rows
+from .knn import _topk_block, unit_rows
 
 _DENOM_FLOOR = 1e-12
 
@@ -61,7 +61,8 @@ def _margins(k: int, cos: np.ndarray, denom: np.ndarray) -> np.ndarray:
 
 
 class _PairTables:
-    """Unit rows, a->b and b->a top-k tables and their row sums for a pair (a, b)."""
+    """One clipped cosine matrix for a pair (a, b), so the a->b and b->a top-k
+    tables (its rows and its columns) and the gold cosines read the same bits."""
 
     def __init__(self, a: EmbeddingMatrix, b: EmbeddingMatrix, k: int):
         if a.dim != b.dim:
@@ -69,8 +70,8 @@ class _PairTables:
         if not 1 <= k <= min(a.n_rows, b.n_rows):
             raise ValueError(f"k={k} out of range [1, {min(a.n_rows, b.n_rows)}]")
         self.k = k
-        self.unit = (unit_rows(a.data), unit_rows(b.data))
-        self.topk = (_knn_topk(*self.unit, k), _knn_topk(*self.unit[::-1], k))
+        self.cos = np.clip(unit_rows(a.data) @ unit_rows(b.data).T, -1.0, 1.0)
+        self.topk = (_topk_block(self.cos, k), _topk_block(self.cos.T, k))
         self.sums = tuple(sim.sum(axis=1) for _, sim in self.topk)
 
     def mine(self, side: int) -> list[tuple[int, int, float]]:
@@ -88,9 +89,8 @@ class _PairTables:
 
     def average_margin(self, gold: Sequence[tuple[int, int]]) -> float:
         rows_a, rows_b = np.array(gold).T
-        # one BLAS dot per gold pair: einsum or a row-wise sum rounds differently
-        cos = np.clip([self.unit[0][i] @ self.unit[1][j] for i, j in gold], -1.0, 1.0)
-        return float(np.mean(_margins(self.k, cos, self.sums[0][rows_a] + self.sums[1][rows_b])))
+        denom = self.sums[0][rows_a] + self.sums[1][rows_b]
+        return float(np.mean(_margins(self.k, self.cos[rows_a, rows_b], denom)))
 
 
 def mine_intersection(a: EmbeddingMatrix, b: EmbeddingMatrix, k: int) -> MinedAlignment:

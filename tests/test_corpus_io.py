@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,23 @@ def test_nan_and_zero_rows_rejected(tmp_path):
         with pytest.raises(ValueError, match="all-zero") as excinfo:
             load_embeddings(path)
         assert str(excinfo.value).startswith(f"{path}: ")
+
+
+def test_rows_whose_squared_norm_overflows_rejected(tmp_path):
+    # such a row used to load, and unit_rows turned it into zeros
+    data = np.random.default_rng(12).standard_normal((30, 8))
+    data[5] *= 1e160
+    data[17] = 1e160
+    path = tmp_path / "m.txt"
+    path.write_text("".join(" ".join(repr(v) for v in row) + "\n" for row in data.tolist()))
+    message = f"{path}: embedding row(s) [5, 17] for 'm' have a squared norm that overflows"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_embeddings(path)
+        data[5] /= 1e160
+        data[17] = 9e153 / np.sqrt(8)  # squares summing just below the overflow
+        EmbeddingMatrix("m", data)
 
 
 def test_zero_norm_rows_rejected_exactly_when_unit_rows_fails():

@@ -187,6 +187,8 @@ def test_typological_distance_cases():
         typological_distance([1, 0], [1, 0, 0])
     with pytest.raises(ValueError, match="zero-norm"):
         typological_distance([0, 0], [1, 0])
+    with pytest.raises(ValueError, match="squared norm is not finite"):
+        typological_distance([1e200, 1e200], [1.0, 2.0])  # used to return 1.0, not about 0.051
 
 
 def test_pair_table_distances_stay_finite_below_the_overflow():

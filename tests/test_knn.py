@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from xlalign.corpus import EmbeddingMatrix
-from xlalign.knn import NeighborList, _knn_topk, _topk_block, cosine, knn_search, unit_rows
+from xlalign.knn import NeighborList, _topk_block, cosine, knn_search, unit_rows
+from xlalign.mining import _PairTables
 
 from conftest import knn_sort_oracle
 
@@ -20,6 +22,27 @@ def test_cosine_errors():
         cosine([0, 0], [1, 0])
     with pytest.raises(ValueError, match="shape mismatch"):
         cosine([1, 0], [1, 0, 0])
+    # a squared norm that overflows used to read as an infinite norm (a cosine
+    # of 0, or NaN), after numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u, v in (([1e200, 1e200], [1.0, 2.0]), ([1.0, 2.0], [1e200, 1e200]),
+                     ([1e200, 1e200], [1e200, 2e200]), ([math.nan, 1.0], [1.0, 1.0])):
+            with pytest.raises(ValueError, match="squared norm is not finite"):
+                cosine(u, v)
+        # entries whose squares sum to just below the overflow
+        assert cosine([9e153, 9e153], [1.0, 1.0]) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_cosine_keeps_the_bits_of_the_norm_formula():
+    # the overflow check must not move the bits of a finite cosine
+    rng = np.random.default_rng(4)
+    for _ in range(500):
+        dim = int(rng.integers(2, 40))
+        u = rng.standard_normal(dim) * 10.0 ** rng.integers(-150, 150)
+        v = rng.standard_normal(dim)
+        expected = np.clip(np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v)), -1.0, 1.0)
+        assert cosine(u, v) == float(expected)
 
 
 def test_neighbor_list_invariants():
@@ -112,16 +135,6 @@ def _argsort_topk_block(sims, k):
     return order, np.take_along_axis(sims, order, axis=1)
 
 
-def _argsort_knn_topk(queries_unit, targets_unit, k, block_size):
-    idx, sim = [], []
-    for start in range(0, queries_unit.shape[0], block_size):
-        block = np.clip(queries_unit[start:start + block_size] @ targets_unit.T, -1.0, 1.0)
-        block_idx, block_sim = _argsort_topk_block(block, k)
-        idx.append(block_idx)
-        sim.append(block_sim)
-    return np.concatenate(idx), np.concatenate(sim)
-
-
 def _similarity_blocks(m):
     rng = np.random.default_rng(31)
     yield "random", rng.uniform(-1.0, 1.0, (40, m))
@@ -146,8 +159,8 @@ def test_topk_block_matches_stable_argsort(k):
         assert np.array_equal(got[1].view(np.int64), expected[1].view(np.int64)), name
 
 
-@pytest.mark.parametrize("k", [1, 4, 16, 28, 29])
-def test_knn_topk_matches_stable_argsort_across_blocks(k):
+@pytest.mark.parametrize("k", [1, 4, 16, 22, 23])
+def test_pair_tables_match_stable_argsort(k):
     rng = np.random.default_rng(7)
     for rounded in (False, True):
         q = rng.standard_normal((23, 6))
@@ -157,8 +170,10 @@ def test_knn_topk_matches_stable_argsort_across_blocks(k):
             q, t = np.round(q), np.round(t)
             q[(q == 0).all(axis=1), 0] = 1.0
             t[(t == 0).all(axis=1), 0] = 1.0
-        q, t = unit_rows(q), unit_rows(t)
-        got = _knn_topk(q, t, k, block_size=5)
-        expected = _argsort_knn_topk(q, t, k, block_size=5)
-        assert np.array_equal(got[0], expected[0])
-        assert np.array_equal(got[1], expected[1])
+        tables = _PairTables(EmbeddingMatrix("q", q), EmbeddingMatrix("t", t), k)
+        cos = np.clip(unit_rows(q) @ unit_rows(t).T, -1.0, 1.0)
+        assert np.array_equal(tables.cos, cos)
+        for got, sims in zip(tables.topk, (cos, cos.T)):
+            expected = _argsort_topk_block(sims, k)
+            assert np.array_equal(got[0], expected[0])
+            assert np.array_equal(got[1], expected[1])

@@ -6,7 +6,7 @@ import pytest
 import xlalign as xa
 from xlalign import isomorphism as iso
 from xlalign import mining
-from xlalign.knn import NeighborList, _knn_topk, cosine, unit_rows
+from xlalign.knn import NeighborList, _topk_block, cosine, unit_rows
 from xlalign.mining import MinedAlignment, average_margin, mine_intersection, retrieval_f1
 from xlalign.pipeline import compute_pair_metrics
 
@@ -234,11 +234,44 @@ def test_exact_copy_intersection_f1_is_one():
     assert retrieval_f1(mined, pair.gold).f1 == 1.0
 
 
+def test_both_tables_read_the_same_cosines():
+    # paper-shaped: Matthew's and John's verse counts by 768 dimensions; two
+    # matrix products, one per direction, round some shared cosines apart
+    rng = np.random.default_rng(0)
+    meaning = rng.standard_normal((1071, 768))
+    a = xa.EmbeddingMatrix("a", meaning + 0.8 * rng.standard_normal((1071, 768)))
+    b = xa.EmbeddingMatrix("b", meaning[:879] + 0.8 * rng.standard_normal((879, 768)))
+    (fwd_idx, fwd_cos), (bwd_idx, bwd_cos) = mining._PairTables(a, b, 4).topk
+    forward = {(i, j): c for i, row in enumerate(fwd_idx.tolist())
+               for j, c in zip(row, fwd_cos[i].tolist())}
+    backward = {(i, j): c for j, row in enumerate(bwd_idx.tolist())
+                for i, c in zip(row, bwd_cos[j].tolist())}
+    shared = forward.keys() & backward.keys()
+    assert len(shared) > 2000
+    assert [p for p in sorted(shared) if forward[p] != backward[p]] == []
+
+
 # --------------------------------------------- differential: one pair kernel
 # The per-direction path the pair kernel replaced, kept as the reference:
-# every mining call searched both directions again, backward mining re-mined
-# from scratch, average margin searched a third time and checked each gold
-# denominator, and svg and econd_hm each took their own two SVDs.
+# every mining call searched both directions again, each search with its own
+# blocked matrix product, backward mining re-mined from scratch, average
+# margin searched a third time, took one dot per gold pair and checked each
+# gold denominator, and svg and econd_hm each took their own two SVDs.
+
+
+def _knn_topk(
+    queries_unit: np.ndarray, targets_unit: np.ndarray, k: int, block_size: int = 512
+) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k over prenormalized rows: (indices, cosines), each n_queries x k."""
+    n = queries_unit.shape[0]
+    idx = np.empty((n, k), dtype=np.int64)
+    sim = np.empty((n, k), dtype=np.float64)
+    for start in range(0, n, block_size):
+        stop = min(start + block_size, n)
+        block = queries_unit[start:stop] @ targets_unit.T
+        np.clip(block, -1.0, 1.0, out=block)
+        idx[start:stop], sim[start:stop] = _topk_block(block, k)
+    return idx, sim
 
 
 def _ref_mine_arrays(src_unit, tgt_unit, k):
@@ -363,19 +396,19 @@ def test_pair_kernel_matches_reference_path(make, k):
 
 
 def test_pair_metrics_search_and_decompose_once(monkeypatch):
-    calls = {"knn": 0, "svd": 0}
-    knn, svd = mining._knn_topk, np.linalg.svd
+    calls = {"topk": 0, "svd": 0}
+    topk, svd = mining._topk_block, np.linalg.svd
 
-    def counted_knn(*args, **kwargs):
-        calls["knn"] += 1
-        return knn(*args, **kwargs)
+    def counted_topk(*args, **kwargs):
+        calls["topk"] += 1
+        return topk(*args, **kwargs)
 
     def counted_svd(*args, **kwargs):
         calls["svd"] += 1
         return svd(*args, **kwargs)
 
-    monkeypatch.setattr(mining, "_knn_topk", counted_knn)
+    monkeypatch.setattr(mining, "_topk_block", counted_topk)
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     a, b = _random_pair()
     compute_pair_metrics(a, b, k=4, gh_max_points=20)
-    assert calls == {"knn": 2, "svd": 2}
+    assert calls == {"topk": 2, "svd": 2}

@@ -1277,6 +1277,25 @@ def test_cli_report_skips_a_language_with_two_embedding_files(workspace, monkeyp
     assert summary["n_pairs"] == 3 and seen and not any("fra" in pair for pair in seen)
 
 
+def test_cli_report_skips_a_language_with_a_row_whose_squared_norm_overflows(workspace):
+    """Such a row used to load and normalize to zeros, and its pairs ran
+    with wrong metrics."""
+    john = workspace["root"] / "emb" / "john"
+    fra = xa.load_embeddings(john / "fra.xemb")
+    data = fra.data.copy()
+    data[5] *= 1e160
+    (john / "fra.xemb").unlink()
+    text = john / "fra.txt"
+    text.write_text("".join(" ".join(["#id:" + vid] + [repr(v) for v in row]) + "\n"
+                            for vid, row in zip(fra.ids, data.tolist())))
+    assert main(["report", "--config", str(workspace["config"])]) == 2
+    summary = json.loads((workspace["root"] / "results" / "run_summary.json").read_text())
+    assert summary["failed_languages"] == {
+        "fra": f"{text}: embedding row(s) [5] for 'fra' have a squared norm that overflows"
+    }
+    assert summary["failed_pairs"] == {}
+
+
 def test_cli_report_refuses_a_repeated_table_column_before_the_sweep(
     workspace, capsys, monkeypatch
 ):
