@@ -142,12 +142,14 @@ class BitextPair:
         if self.mat_a.dim != self.mat_b.dim:
             raise ValueError(f"dimension mismatch: {self.mat_a.dim} vs {self.mat_b.dim}")
         gold = tuple((int(i), int(j)) for i, j in self.gold)
+        rows_a, rows_b = self.mat_a.n_rows, self.mat_b.n_rows
+        ids_a, ids_b = self.mat_a.ids, self.mat_b.ids
         for i, j in gold:
-            if not (0 <= i < self.mat_a.n_rows and 0 <= j < self.mat_b.n_rows):
+            if not (0 <= i < rows_a and 0 <= j < rows_b):
                 raise ValueError(f"gold pair ({i}, {j}) out of range")
-            if self.mat_a.ids[i] != self.mat_b.ids[j]:
+            if ids_a[i] != ids_b[j]:
                 raise ValueError(f"gold pair ({i}, {j}) links different verse ids")
-        gold_ids = [self.mat_a.ids[i] for i, _ in gold]
+        gold_ids = [ids_a[i] for i, _ in gold]
         if gold_ids != sorted(gold_ids):
             raise ValueError("gold pairs must be sorted by verse id")
         object.__setattr__(self, "gold", gold)

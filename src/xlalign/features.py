@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .corpus import LanguageMeta, WordOrder
-from .knn import cosine
+from .knn import _squared_norm, cosine
 
 # the training-data counts and the agreement flags, whose cells read 0 or 1
 COUNT_FEATURES = ("combined_sentences", "combined_in_family", "combined_in_subfamily")
@@ -135,15 +135,7 @@ def _check_typology_vectors(metas: Iterable[LanguageMeta]) -> None:
     whose partial sums overflows, so ``knn.cosine`` is finite on them."""
     for meta in metas:
         for kind, vec in meta.typo_vectors.items():
-            # the square of the norm knn.cosine takes, without numpy's overflow warning
-            with np.errstate(over="ignore"):
-                squared_norm = np.dot(vec, vec)
-            problem = (
-                "a non-finite entry" if not np.isfinite(vec).all()
-                else "zero norm" if squared_norm == 0.0
-                else "a squared norm that overflows" if not np.isfinite(squared_norm)
-                else None
-            )
+            _, problem = _squared_norm(vec)
             if problem:
                 raise ValueError(f"language {meta.lang!r}: {kind} vector has {problem}")
 

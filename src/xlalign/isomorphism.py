@@ -6,6 +6,11 @@ The persistence construction reads off single-linkage merge heights: rows are
 unit-normalized, pairwise Euclidean distances computed, and the diagram is the
 multiset {(0, w)} over the n-1 edge weights of the Euclidean minimum spanning
 tree (the one essential, infinite bar is dropped).
+
+Every birth is 0, so the bottleneck distance has a closed form, linear in the
+lengths of the two sorted death lists: the minimum over matched counts p of
+the larger of the largest gap between the p largest deaths of each side,
+paired in order, and half the largest unmatched death of each side.
 """
 
 from __future__ import annotations
@@ -161,53 +166,26 @@ def persistence_diagram_0d(m: EmbeddingMatrix, max_points: int = 500) -> Persist
     return PersistenceDiagram(deaths=tuple(mst_edge_weights(np.sqrt(sq)).tolist()))
 
 
-def _saturates(mandatory: np.ndarray, partners: np.ndarray, t: float) -> bool:
-    # greedy matching of sorted points into sorted partners within distance t;
-    # optimal because all windows share the same width
-    ptr = 0
-    n = partners.size
-    for m in mandatory:
-        while ptr < n and (m - partners[ptr]) > t:
-            ptr += 1
-        if ptr < n and abs(partners[ptr] - m) <= t:
-            ptr += 1
-        else:
-            return False
-    return True
-
-
-def _feasible(a: np.ndarray, b: np.ndarray, t: float) -> bool:
-    # Points with death > 2t cannot take the diagonal (cost death/2) and must
-    # match a real point on the other side. By the Mendelsohn-Dulmage theorem
-    # the two one-sided saturating matchings can always be merged, so checking
-    # each side separately decides perfect-matching feasibility.
-    return _saturates(a[a > 2.0 * t], b, t) and _saturates(b[b > 2.0 * t], a, t)
-
-
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
     """Bottleneck distance between two finite diagrams with all births at 0.
 
     Minimum over partial matchings of the maximum L-infinity cost, where a
-    point (0, d) may match the diagonal at cost d/2. The optimum is always an
-    element of the candidate cost set {0} + {|d_i - d_j|} + {d/2}, so a binary
-    search over that set with matching-feasibility tests is exact.
+    point (0, d) may match the diagonal at cost d/2. Some optimal matching
+    sends only the smallest deaths of each side to the diagonal (an unmatched
+    death above a matched one can take its place, or both it and the partner
+    go to the diagonal, at no greater cost), and two sorted sets of equal size
+    match best in order. So the distance is the minimum over p matched pairs
+    of the larger of the largest gap between the p largest deaths of each
+    side, paired in order, and half the largest unmatched death of each side.
+    Every term is a float of the candidate set {0} + {|d_i - d_j|} + {d/2}.
     """
     a = np.asarray(d1.deaths, dtype=np.float64)
     b = np.asarray(d2.deaths, dtype=np.float64)
-    if a.size == 0 and b.size == 0:
-        return 0.0
-    parts = [np.zeros(1), a * 0.5, b * 0.5]
-    if a.size and b.size:
-        parts.append(np.abs(a[:, None] - b[None, :]).ravel())
-    candidates = np.unique(np.concatenate(parts))
-    lo, hi = 0, candidates.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _feasible(a, b, float(candidates[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(candidates[lo])
+    q = min(a.size, b.size)
+    p = np.arange(q + 1)  # matched pairs: the p largest deaths of each side, in order
+    matched = np.maximum.accumulate(np.append(0.0, np.abs(a[::-1][:q] - b[::-1][:q])))
+    diagonal = np.maximum(np.append(0.0, a)[a.size - p], np.append(0.0, b)[b.size - p]) * 0.5
+    return float(np.min(np.maximum(matched, diagonal)))
 
 
 def gh_distance(a: EmbeddingMatrix, b: EmbeddingMatrix, max_points: int = 500) -> float:

@@ -36,6 +36,22 @@ class NeighborList:
             raise ValueError("cosine outside [-1, 1]")
 
 
+def _squared_norm(vec: np.ndarray) -> tuple[np.float64, str | None]:
+    """A vector's squared norm, as ``np.linalg.norm`` takes it (without
+    numpy's overflow warning), and what keeps the norm from serving a cosine:
+    "a non-finite entry", "zero norm" (a norm that underflows counts), "a
+    squared norm that overflows", or None."""
+    with np.errstate(over="ignore"):
+        squared = np.dot(vec, vec)
+    problem = (
+        "a non-finite entry" if not np.isfinite(vec).all()
+        else "zero norm" if squared == 0.0
+        else "a squared norm that overflows" if not np.isfinite(squared)
+        else None
+    )
+    return squared, problem
+
+
 def cosine(u, v) -> float:
     """Cosine similarity of two nonzero vectors, clipped to [-1, 1]. A vector
     whose squared norm is not finite is refused, as its norm would read as
@@ -44,15 +60,13 @@ def cosine(u, v) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape or u.ndim != 1:
         raise ValueError(f"shape mismatch: {u.shape} vs {v.shape}")
-    # the squared norms np.linalg.norm takes, without numpy's overflow warning
-    with np.errstate(over="ignore"):
-        squared = np.dot(u, u), np.dot(v, v)
-    if not np.isfinite(squared).all():
+    (su, pu), (sv, pv) = _squared_norm(u), _squared_norm(v)
+    # a non-finite entry and an overflow both leave a squared norm that is not finite
+    if {pu, pv} - {None, "zero norm"}:
         raise ValueError("cosine undefined for a vector whose squared norm is not finite")
-    if 0.0 in squared:
+    if "zero norm" in (pu, pv):
         raise ValueError("cosine undefined for zero-norm vector")
-    nu, nv = np.sqrt(squared)
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    return float(np.clip(np.dot(u, v) / (np.sqrt(su) * np.sqrt(sv)), -1.0, 1.0))
 
 
 def unit_rows(data: np.ndarray) -> np.ndarray:

@@ -189,6 +189,15 @@ def test_bottleneck_matches_brute_force():
         b = tuple(float(v) for v in rng.uniform(0.0, 3.0, n2))
         fast = bottleneck_distance(PersistenceDiagram(a), PersistenceDiagram(b))
         assert fast == bottleneck_brute_force(sorted(a), sorted(b))
+    # deaths on a 0.5 grid, zeros and cross-side duplicates among them, so
+    # halves and gaps tie
+    for _ in range(200):
+        n1 = int(rng.integers(0, 4))
+        n2 = int(rng.integers(0, 7 - n1))
+        a = tuple(0.5 * float(v) for v in rng.integers(0, 5, n1))
+        b = tuple(0.5 * float(v) for v in rng.integers(0, 5, n2))
+        fast = bottleneck_distance(PersistenceDiagram(a), PersistenceDiagram(b))
+        assert fast == bottleneck_brute_force(sorted(a), sorted(b))
 
 
 def test_bottleneck_symmetry_and_triangle():
@@ -203,6 +212,86 @@ def test_bottleneck_symmetry_and_triangle():
         d02 = bottleneck_distance(diagrams[0], diagrams[2])
         assert d01 == bottleneck_distance(diagrams[1], diagrams[0])
         assert d02 <= d01 + d12 + 1e-9
+
+
+# ------------------------------------ differential: candidate binary search
+# The search the closed form replaced, kept verbatim as the reference: a
+# binary search over every candidate cost, each step a greedy matching test.
+
+
+def _saturates(mandatory: np.ndarray, partners: np.ndarray, t: float) -> bool:
+    # greedy matching of sorted points into sorted partners within distance t;
+    # optimal because all windows share the same width
+    ptr = 0
+    n = partners.size
+    for m in mandatory:
+        while ptr < n and (m - partners[ptr]) > t:
+            ptr += 1
+        if ptr < n and abs(partners[ptr] - m) <= t:
+            ptr += 1
+        else:
+            return False
+    return True
+
+
+def _feasible(a: np.ndarray, b: np.ndarray, t: float) -> bool:
+    # Points with death > 2t cannot take the diagonal (cost death/2) and must
+    # match a real point on the other side. By the Mendelsohn-Dulmage theorem
+    # the two one-sided saturating matchings can always be merged, so checking
+    # each side separately decides perfect-matching feasibility.
+    return _saturates(a[a > 2.0 * t], b, t) and _saturates(b[b > 2.0 * t], a, t)
+
+
+def _ref_bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
+    a = np.asarray(d1.deaths, dtype=np.float64)
+    b = np.asarray(d2.deaths, dtype=np.float64)
+    if a.size == 0 and b.size == 0:
+        return 0.0
+    parts = [np.zeros(1), a * 0.5, b * 0.5]
+    if a.size and b.size:
+        parts.append(np.abs(a[:, None] - b[None, :]).ravel())
+    candidates = np.unique(np.concatenate(parts))
+    lo, hi = 0, candidates.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _feasible(a, b, float(candidates[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
+
+
+def _diagram_pairs():
+    rng = np.random.default_rng(12)
+    empty = PersistenceDiagram(())
+    yield empty, empty
+    for deaths in ((0.0,), (2.0,), (0.0, 0.0, 1.5), (0.1, 0.7, 0.7, 3.0)):
+        yield empty, PersistenceDiagram(deaths)
+    # unequal sizes, from one point against many up to 500
+    for n1, n2 in ((1, 9), (3, 40), (17, 250), (120, 500)):
+        yield (PersistenceDiagram(tuple(rng.uniform(0.0, 2.0, n1))),
+               PersistenceDiagram(tuple(rng.uniform(0.0, 2.0, n2))))
+    # grid-valued deaths: zeros, duplicates within and across sides, tied halves and gaps
+    for step in (0.1, 0.25, 0.5):
+        for _ in range(60):
+            n1, n2 = (int(n) for n in rng.integers(0, 30, 2))
+            yield (PersistenceDiagram(tuple(step * rng.integers(0, 12, n1))),
+                   PersistenceDiagram(tuple(step * rng.integers(0, 12, n2))))
+    # diagrams of random clouds of at least 500 rows (499 deaths), the second
+    # with duplicated rows, so many deaths are 0
+    for n_rows in (500, 520):
+        for _ in range(3):
+            data = rng.standard_normal((n_rows, 16))
+            dup = rng.standard_normal((n_rows, 16))
+            dup[n_rows // 2:] = dup[rng.integers(0, n_rows // 2, n_rows - n_rows // 2)]
+            yield (persistence_diagram_0d(EmbeddingMatrix("a", data), n_rows),
+                   persistence_diagram_0d(EmbeddingMatrix("b", dup), n_rows))
+
+
+def test_bottleneck_matches_candidate_search_reference():
+    for d1, d2 in _diagram_pairs():
+        assert bottleneck_distance(d1, d2) == _ref_bottleneck_distance(d1, d2)
+        assert bottleneck_distance(d2, d1) == _ref_bottleneck_distance(d2, d1)
 
 
 def test_gh_identity_rotation_permutation():
