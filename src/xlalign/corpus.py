@@ -346,8 +346,8 @@ def load_embeddings(path: str | Path, *, lang: str | None = None) -> EmbeddingMa
 
 
 def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
-    """Write ``matrix`` with its IDs to ``path``: the binary format for a
-    ``.xemb`` suffix, the text format for any other suffix."""
+    """Write ``matrix`` with its IDs to ``path``: binary for a ``.xemb`` suffix,
+    else text, which refuses an ID that is empty or holds whitespace."""
     path = Path(path)
     if path.suffix == ".xemb":
         parts = [_HEADER.pack(XEMB_MAGIC, XEMB_VERSION, matrix.n_rows, matrix.dim)]
@@ -357,6 +357,9 @@ def save_embeddings(matrix: EmbeddingMatrix, path: str | Path) -> None:
             parts.append(_U32.pack(len(raw)) + raw)
         path.write_bytes(b"".join(parts))
     else:
+        for row, row_id in enumerate(matrix.ids):  # the loader splits at str.isspace()
+            if row_id.split() != [row_id]:
+                raise ValueError(f"{path}: id {row_id!r} of row {row} is empty or holds whitespace")
         with open(path, "w", encoding="utf-8") as fh:
             for row_id, row in zip(matrix.ids, matrix.data):
                 values = " ".join(f"{v:.17g}" for v in row)

@@ -103,8 +103,9 @@ def _counts_jaccard(counts: Mapping[str, Counter], lang_a: str, lang_b: str, uni
         if not counts[lang]:
             raise ValueError(f"language {lang!r}: text empty after {unit} segmentation")
     count_a, count_b = counts[lang_a], counts[lang_b]
-    # a Counter's & and | keep each element's minimum and maximum count
-    return sum((count_a & count_b).values()) / sum((count_a | count_b).values())
+    # & keeps each element's minimum count; the maxima sum to the totals less the minima
+    shared = sum((count_a & count_b).values())
+    return shared / (count_a.total() + count_b.total() - shared)
 
 
 def _unit_counts_by_language(

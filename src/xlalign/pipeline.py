@@ -210,15 +210,10 @@ def worker_count(requested: int) -> int:
 _Side = tuple[iso.SingularSpectrum, iso.PersistenceDiagram]
 
 
-def _side(m: EmbeddingMatrix, gh_max_points: int) -> _Side:
-    """The spectrum and the diagram one side of a pair contributes."""
-    return iso.singular_values(m), iso.persistence_diagram_0d(m, gh_max_points)
-
-
 def _rows_side(m: EmbeddingMatrix, rows: Sequence[int], gh_max_points: int) -> _Side:
-    """``_side`` of the matrix of ``m``'s rows ``rows``, in that order."""
+    """The spectrum and the diagram of ``m``'s rows ``rows``, in that order."""
     sub = EmbeddingMatrix(m.lang, m.data[list(rows)], tuple(m.ids[i] for i in rows))
-    return _side(sub, gh_max_points)
+    return iso.singular_values(sub), iso.persistence_diagram_0d(sub, gh_max_points)
 
 
 def _pair_metrics(
@@ -294,14 +289,13 @@ def run_pair_metrics(config: RunConfig) -> SweepResult:
     the sweep.
 
     The files are loaded before the pair loop, but there is no per-language
-    stage that computes spectra or diagrams. A pair side whose gold rows are
-    all of its matrix's rows, in file order, reads its spectrum and
-    persistence diagram from one entry per (document, language), which the
-    first pair that needs it computes from the whole matrix; later pairs wait
-    for it. Any other side computes them from its own gold rows, as
-    ``compute_pair_metrics`` does, so the metrics are identical either way.
-    A failing entry is computed once, and every pair that needs it fails with
-    its error.
+    stage that computes spectra or diagrams. Every side's spectrum and
+    persistence diagram are those of its gold rows, as in
+    ``compute_pair_metrics``. A side whose partner holds every verse id of its
+    language, in any file order, reads them from one entry per (document,
+    language), which the first pair that needs it computes; later pairs wait
+    for it. A failing entry is computed once, and every pair that needs it
+    fails with its error.
     """
     per_dir_files = [_embedding_files(d) for d in config.embeddings]
     return _sweep_pairs(config, *_load_sweep_languages(config, per_dir_files))
@@ -354,14 +348,16 @@ def _sweep_pairs(
     lock = threading.Lock()
 
     def side(d: int, mat: EmbeddingMatrix, rows: tuple[int, ...]) -> _Side:
-        if rows != tuple(range(mat.n_rows)):
+        # gold rows ascend by unique verse id, so every side that holds all of
+        # its matrix's rows holds them in one order, whatever the partner
+        if len(rows) != mat.n_rows:
             return _rows_side(mat, rows, gh)
         new = Future()
         with lock:
             entry = entries.setdefault((d, mat.lang), new)
         if entry is new:
             try:
-                new.set_result(_side(mat, gh))
+                new.set_result(_rows_side(mat, rows, gh))
             except BaseException as exc:  # every later side re-raises it too
                 new.set_exception(exc)
                 raise

@@ -5,12 +5,13 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xlalign.corpus import LanguageMeta, WordOrder
 from xlalign.features import (
     FEATURE_NAMES,
     PairFeatureVector,
+    _counts_jaccard,
     _unit_counts,
     pair_features,
     training_aggregates,
@@ -76,6 +77,27 @@ def test_jaccard_bounds_and_identity(a, b):
     assert jaccard(a, a, "char") == 1.0
     if value == 1.0:
         assert sorted(a) == sorted(b)
+
+
+def ref_counts_jaccard(count_a, count_b):
+    # frozen copy of the union-Counter form it replaced
+    return sum((count_a & count_b).values()) / sum((count_a | count_b).values())
+
+
+counts_st = st.dictionaries(
+    st.sampled_from("abcdef"), st.integers(1, 2**64), min_size=1
+).map(Counter)
+
+
+@settings(max_examples=300, deadline=None)
+@example(Counter("ab"), Counter("cd"))  # disjoint
+@example(Counter("aab"), Counter("aab"))  # identical
+@example(Counter("a"), Counter("a"))  # one element each
+@example(Counter("a"), Counter("aab"))
+@given(counts_st, counts_st)
+def test_counts_jaccard_equals_the_union_counter_form(count_a, count_b):
+    counts = {"aaa": count_a, "bbb": count_b}
+    assert _counts_jaccard(counts, "aaa", "bbb", "char") == ref_counts_jaccard(count_a, count_b)
 
 
 def _ref_char_counts(text):

@@ -535,12 +535,19 @@ def _count_isometry_calls(monkeypatch) -> tuple[_CallCounter, _CallCounter]:
 
 
 def test_run_pair_metrics_isolates_a_failing_language_spectrum(workspace, monkeypatch):
+    # rev: eng's verses in reverse file order, whose second document fails
+    for doc in ("matthew", "john"):
+        eng = xa.load_embeddings(workspace["root"] / "emb" / doc / "eng.xemb")
+        xa.save_embeddings(xa.EmbeddingMatrix("rev", eng.data[::-1], eng.ids[::-1]),
+                           workspace["root"] / "emb" / doc / "rev.xemb")
     singular_values = pipeline.iso.singular_values
     attempts = []
 
     def failing(m):
-        if m.lang == "quc":
-            attempts.append(m.lang)
+        doc = m.ids[0][:3]  # MAT_ or JOH_
+        if m.lang in ("quc", "rev"):
+            attempts.append((m.lang, doc))
+        if m.lang == "quc" or (m.lang, doc) == ("rev", "JOH"):
             raise np.linalg.LinAlgError("SVD did not converge")
         return singular_values(m)
 
@@ -549,11 +556,14 @@ def test_run_pair_metrics_isolates_a_failing_language_spectrum(workspace, monkey
     for workers in (1, 2):
         attempts.clear()
         sweep = run_pair_metrics(dataclasses.replace(config, workers=workers))
-        # quc's whole matrix is every pair's quc side: its first document is
-        # attempted once, and its three pairs all fail with that error
-        assert len(attempts) == 1
+        # every partner holds all of quc's and rev's verses, so each of their
+        # spectra is attempted once per document it is reached in: quc fails
+        # at its first document, rev at its second, and all their pairs fail
+        assert sorted(attempts) == [("quc", "MAT"), ("rev", "JOH"), ("rev", "MAT")]
         assert sweep.failed_pairs == {
-            pair: "SVD did not converge" for pair in [("deu", "quc"), ("eng", "quc"), ("fra", "quc")]
+            pair: "SVD did not converge"
+            for pair in [("deu", "quc"), ("deu", "rev"), ("eng", "quc"), ("eng", "rev"),
+                         ("fra", "quc"), ("fra", "rev"), ("quc", "rev")]
         }
         assert len(sweep.rows) == 3
 
@@ -628,10 +638,10 @@ def test_run_pair_metrics_matches_public_pair_metrics(tmp_path, monkeypatch, wor
     assert (svd.calls, diagram.calls) == (2 * 11, 2 * 11)
 
 
-def test_run_pair_metrics_bypasses_a_permuted_language(tmp_path, monkeypatch):
+def test_run_pair_metrics_shares_a_permuted_language(tmp_path, monkeypatch):
     config = _mixed_coverage_workspace(tmp_path)
-    # full1's verses in another file order: the partners have all of them,
-    # but its gold rows are not its rows in order, so it never reuses
+    # full1's verses in another file order: against full1 and full2 its gold
+    # rows are all of its rows, in verse-id order, so those sides share one entry
     rng = np.random.default_rng(5)
     for directory in config.embeddings:
         full = xa.load_embeddings(directory / "full1.xemb")
@@ -644,10 +654,38 @@ def test_run_pair_metrics_bypasses_a_permuted_language(tmp_path, monkeypatch):
     sweep = run_pair_metrics(config)
     assert not sweep.partial
     assert sweep.rows == expected
-    # per document, one whole-matrix entry each for full1, full2 and part,
-    # and 13 sides of the ten pairs from their own gold rows: every perm side
-    # among them
-    assert (svd.calls, diagram.calls) == (2 * 16, 2 * 16)
+    # per document, one all-verses entry each for full1, full2, part and
+    # perm, and 11 sides of the ten pairs from their own gold rows: perm's
+    # against part and ragged among them
+    assert (svd.calls, diagram.calls) == (2 * 15, 2 * 15)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_pair_metrics_shares_sides_of_matrices_without_ids(tmp_path, monkeypatch, workers):
+    """Files without ids get ``"0"`` .. ``"n-1"``, which sort as strings
+    (``"10"`` before ``"2"``), so no gold order is the file order; every
+    partner still holds every id, so each language takes one entry."""
+    rng = np.random.default_rng(9)
+    dirs = []
+    for doc in ("matthew", "john"):
+        base = rng.standard_normal((14, 6))
+        emb = tmp_path / doc
+        emb.mkdir()
+        for lang in ("deu", "eng", "fra"):
+            matrix = xa.EmbeddingMatrix(lang, base + 0.1 * rng.standard_normal(base.shape))
+            path = emb / f"{lang}.xemb"
+            xa.save_embeddings(matrix, path)
+            # keep the header and the float32 values, drop the id block
+            path.write_bytes(path.read_bytes()[: xa.corpus._HEADER.size + 4 * matrix.data.size])
+        dirs.append(emb)
+    config = RunConfig(embeddings=tuple(dirs), out=tmp_path / "out", k=3, gh_max_points=10,
+                       workers=workers)
+    expected = _public_path_rows(config)
+    svd, diagram = _count_isometry_calls(monkeypatch)
+    sweep = run_pair_metrics(config)
+    assert not sweep.partial
+    assert sweep.rows == expected
+    assert (svd.calls, diagram.calls) == (3 * 2, 3 * 2)  # languages x documents
 
 
 def test_run_pair_metrics_decomposes_once_per_language(workspace, monkeypatch):

@@ -6,6 +6,7 @@ asserted on their own: ``_`` digit separators and non-ASCII digits are
 errors, and a byte-order mark at the start of the file is ignored."""
 
 import math
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -246,4 +247,28 @@ def test_saved_matrix_round_trips_bitwise(tmp_path):
     save_embeddings(matrix, tmp_path / "deu.txt")
     back = load_embeddings(tmp_path / "deu.txt")
     assert back.ids == matrix.ids
+    assert back.data.view(np.int64).tobytes() == matrix.data.view(np.int64).tobytes()
+
+
+@pytest.mark.parametrize("bad", ["a b", "", "a\nb", "a\x1cb", "\u2028"])
+def test_text_save_refuses_an_id_the_loader_cannot_read(tmp_path, bad):
+    """The text loader splits at whitespace: ``a b`` read back as a bad
+    float, ``a\\nb`` as two lines and an empty id as ``empty row id``. The
+    refusal names the row and leaves no file; ``.xemb`` holds any id."""
+    matrix = EmbeddingMatrix("deu", np.eye(2), ("c", bad))
+    path = tmp_path / "t.txt"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: id {bad!r} of row 1 ")):
+        save_embeddings(matrix, path)
+    assert not path.exists()
+    save_embeddings(matrix, tmp_path / "t.xemb")
+    assert load_embeddings(tmp_path / "t.xemb").ids == matrix.ids
+
+
+def test_saved_text_ids_with_hash_or_non_ascii_letters_round_trip_bitwise(tmp_path):
+    rng = np.random.default_rng(11)
+    ids = ("#", "a#b", "#id:x", "Ωμέγα", "日本", "e\u0301")
+    matrix = EmbeddingMatrix("deu", rng.standard_normal((len(ids), 4)), ids)
+    save_embeddings(matrix, tmp_path / "deu.txt")
+    back = load_embeddings(tmp_path / "deu.txt")
+    assert back.ids == ids
     assert back.data.view(np.int64).tobytes() == matrix.data.view(np.int64).tobytes()
