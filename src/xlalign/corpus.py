@@ -129,30 +129,28 @@ class EmbeddingMatrix:
 class BitextPair:
     """Two embedding matrices plus the gold row alignment between them.
 
-    ``gold`` is the identity over the shared verse IDs, listed in ascending
-    (lexicographic) ID order. Rows outside the intersection stay in the
-    matrices and act as distractors during mining.
+    ``gold`` is computed from the verse IDs and cannot be supplied: it is the
+    identity over the IDs both matrices hold, as ``(row_a, row_b)`` pairs in
+    ascending (lexicographic) ID order. Rows outside the intersection stay in
+    the matrices and act as distractors during mining.
+
+    Raises:
+        ValueError: If the dimensionalities differ or no verse ID is shared.
     """
 
     mat_a: EmbeddingMatrix
     mat_b: EmbeddingMatrix
-    gold: tuple[tuple[int, int], ...]
+    gold: tuple[tuple[int, int], ...] = field(init=False)
 
     def __post_init__(self):
-        if self.mat_a.dim != self.mat_b.dim:
-            raise ValueError(f"dimension mismatch: {self.mat_a.dim} vs {self.mat_b.dim}")
-        gold = tuple((int(i), int(j)) for i, j in self.gold)
-        rows_a, rows_b = self.mat_a.n_rows, self.mat_b.n_rows
-        ids_a, ids_b = self.mat_a.ids, self.mat_b.ids
-        for i, j in gold:
-            if not (0 <= i < rows_a and 0 <= j < rows_b):
-                raise ValueError(f"gold pair ({i}, {j}) out of range")
-            if ids_a[i] != ids_b[j]:
-                raise ValueError(f"gold pair ({i}, {j}) links different verse ids")
-        gold_ids = [ids_a[i] for i, _ in gold]
-        if gold_ids != sorted(gold_ids):
-            raise ValueError("gold pairs must be sorted by verse id")
-        object.__setattr__(self, "gold", gold)
+        a, b = self.mat_a, self.mat_b
+        if a.dim != b.dim:
+            raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        index_b = {vid: j for j, vid in enumerate(b.ids)}
+        shared = sorted((vid, i) for i, vid in enumerate(a.ids) if vid in index_b)
+        if not shared:
+            raise ValueError(f"no shared verse ids between {a.lang!r} and {b.lang!r}")
+        object.__setattr__(self, "gold", tuple((i, index_b[vid]) for vid, i in shared))
 
 
 @dataclass(frozen=True)
@@ -399,23 +397,9 @@ def load_corpus(directory: str | Path) -> Corpus:
 
 
 def align_pair(ea: EmbeddingMatrix, eb: EmbeddingMatrix) -> BitextPair:
-    """Build the gold identity alignment over the shared verse IDs of two matrices.
-
-    Rows whose IDs appear on only one side are kept in the matrices (they act
-    as distractors in mining) but get no gold pair.
-
-    Raises:
-        ValueError: If the dimensionalities differ or no verse ID is shared.
-    """
-    if ea.dim != eb.dim:
-        raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
-    index_a = {vid: i for i, vid in enumerate(ea.ids)}
-    index_b = {vid: j for j, vid in enumerate(eb.ids)}
-    shared = sorted(set(index_a) & set(index_b))
-    if not shared:
-        raise ValueError(f"no shared verse ids between {ea.lang!r} and {eb.lang!r}")
-    gold = tuple((index_a[vid], index_b[vid]) for vid in shared)
-    return BitextPair(mat_a=ea, mat_b=eb, gold=gold)
+    """``BitextPair(ea, eb)``: the pair computes its gold alignment from the
+    verse IDs (it cannot be supplied), and raises as ``BitextPair`` does."""
+    return BitextPair(ea, eb)
 
 
 def load_language_table(path: str | Path) -> dict[str, LanguageMeta]:

@@ -12,6 +12,7 @@ the retrieved alignment, which is scored as F1 against a gold alignment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -34,7 +35,7 @@ class MinedAlignment:
             raise ValueError("duplicate source row in mined pairs")
         if len({b for _, b, _ in self.pairs}) != len(self.pairs):
             raise ValueError("duplicate target row in mined pairs")
-        if not all(np.isfinite(s) for _, _, s in self.pairs):
+        if not all(math.isfinite(s) for _, _, s in self.pairs):
             raise ValueError("non-finite margin score")
 
     def pair_set(self) -> set[tuple[int, int]]:
@@ -124,6 +125,4 @@ def average_margin(pair: BitextPair, k: int) -> float:
     Neighbor sums for each side are computed against the full opposite
     matrix, so non-gold rows influence the normalization as distractors.
     """
-    if not pair.gold:
-        raise ValueError("gold alignment is empty")
     return _PairTables(pair.mat_a, pair.mat_b, k).average_margin(pair.gold)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from xlalign.corpus import (
     BitextPair,
@@ -251,15 +252,59 @@ def test_align_pair_symmetric():
 
 def test_bitext_pair_invariants():
     a = EmbeddingMatrix("a", np.eye(3), ("x", "y", "z"))
-    with pytest.raises(ValueError, match="out of range"):
-        BitextPair(a, a, ((0, 5),))
-    with pytest.raises(ValueError, match="sorted"):
-        BitextPair(a, a, ((2, 2), (0, 0)))
-    with pytest.raises(ValueError, match="different verse ids"):
-        BitextPair(a, a, ((0, 1),))
     wide = EmbeddingMatrix("w", np.eye(3, 4), ("x", "y", "z"))
     with pytest.raises(ValueError, match="^dimension mismatch: 3 vs 4$"):
-        BitextPair(a, wide, ((0, 0),))
+        BitextPair(a, wide)
+    other = EmbeddingMatrix("o", np.eye(3), ("u", "v", "w"))
+    with pytest.raises(ValueError, match="^no shared verse ids between 'a' and 'o'$"):
+        BitextPair(a, other)
+
+
+def _reference_align_pair(ea, eb):
+    # frozen copy of the gold alignment `align_pair` computed before the pair
+    # derived its own
+    if ea.dim != eb.dim:
+        raise ValueError(f"dimension mismatch: {ea.dim} vs {eb.dim}")
+    index_a = {vid: i for i, vid in enumerate(ea.ids)}
+    index_b = {vid: j for j, vid in enumerate(eb.ids)}
+    shared = sorted(set(index_a) & set(index_b))
+    if not shared:
+        raise ValueError(f"no shared verse ids between {ea.lang!r} and {eb.lang!r}")
+    gold = tuple((index_a[vid], index_b[vid]) for vid in shared)
+    return gold
+
+
+# one side of a pair: its ids in file order, drawn in any order and from a
+# small alphabet with non-ASCII letters so that sides overlap in part; or a
+# row count n > 10, whose matrix gets the default ids "0" ... "n-1", where
+# "10" sorts before "2"
+_PAIR_SIDES = st.one_of(
+    st.lists(st.one_of(st.text(alphabet="ab1é", min_size=1, max_size=2),
+                       st.integers(0, 29).map(str)),
+             min_size=1, max_size=20, unique=True).map(tuple),
+    st.integers(11, 30),
+)
+
+
+def _side_matrix(lang, side):
+    ids = () if isinstance(side, int) else side
+    return EmbeddingMatrix(lang, np.ones((len(ids) or side, 2)), ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(side_a=_PAIR_SIDES, side_b=_PAIR_SIDES)
+@example(side_a=("a", "b"), side_b=("é", "1"))
+@example(side_a=12, side_b=("11", "3", "x", "10", "2"))
+@example(side_a=("ß", "é", "a"), side_b=("a", "ß"))
+def test_bitext_pair_gold_equals_the_reference_alignment(side_a, side_b):
+    a, b = _side_matrix("a", side_a), _side_matrix("b", side_b)
+    try:
+        expected = _reference_align_pair(a, b)
+    except ValueError as error:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+            align_pair(a, b)
+    else:
+        assert align_pair(a, b).gold == expected
 
 
 @pytest.mark.parametrize("kwargs, message", [
