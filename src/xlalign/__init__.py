@@ -39,7 +39,7 @@ from .isomorphism import (
     singular_values,
     svg,
 )
-from .knn import NeighborList, cosine, knn_search
+from .knn import cosine, knn_search
 from .mining import (
     MinedAlignment,
     RetrievalScore,

@@ -29,14 +29,14 @@ _ABS_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SingularSpectrum:
-    """Singular values sorted descending, all non-negative."""
+    """Singular values sorted descending, all finite and non-negative."""
 
     values: tuple[float, ...]
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
-        if any(v < 0 for v in vals):
-            raise ValueError("singular values must be non-negative")
+        if any(not math.isfinite(v) or v < 0 for v in vals):
+            raise ValueError("singular values must be finite and non-negative")
         top = max(vals, default=0.0)
         for v1, v2 in zip(vals, vals[1:]):
             if v2 > v1 + 1e-9 * max(top, 1.0):
@@ -107,9 +107,9 @@ def effective_condition_number(s: SingularSpectrum) -> float:
 
 
 def condition_harmonic_mean(ka: float, kb: float) -> float:
-    """Harmonic mean of two condition numbers."""
-    if ka <= 0 or kb <= 0:
-        raise ValueError("condition numbers must be positive")
+    """Harmonic mean of two finite, positive condition numbers."""
+    if not (0 < ka < math.inf and 0 < kb < math.inf):
+        raise ValueError("condition numbers must be positive and finite")
     return 2.0 * ka * kb / (ka + kb)
 
 

@@ -5,35 +5,16 @@ product gives every cosine (``mining`` reads both directions of a pair from
 one such matrix). Each row's top k is a partial selection: ``np.partition``
 finds its k-th largest similarity, and only the entries at or above it (ties
 included) are sorted, so a row of m targets costs O(m) plus a sort of about
-k survivors instead of a full sort. Results are exact and deterministic:
-ties are broken toward the lower target index.
+k survivors instead of a full sort. A top-k table is an (n, k) array of target
+indices and one of their cosines, each row exact, descending and deterministic:
+ties go to the lower target index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import EmbeddingMatrix
-
-
-@dataclass(frozen=True)
-class NeighborList:
-    """The k nearest targets of one query row, sorted by cosine descending."""
-
-    query_index: int
-    neighbors: tuple[tuple[int, float], ...]
-
-    def __post_init__(self):
-        cosines = [c for _, c in self.neighbors]
-        if any(c2 > c1 + 1e-9 for c1, c2 in zip(cosines, cosines[1:])):
-            raise ValueError("neighbors must be sorted by cosine descending")
-        indices = [t for t, _ in self.neighbors]
-        if len(set(indices)) != len(indices):
-            raise ValueError("duplicate target index in neighbor list")
-        if any(abs(c) > 1.0 + 1e-9 for c in cosines):
-            raise ValueError("cosine outside [-1, 1]")
 
 
 def _squared_norm(vec: np.ndarray) -> tuple[np.float64, str | None]:
@@ -91,8 +72,10 @@ def _topk_block(sims: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return cols[pick], vals[pick]
 
 
-def knn_search(queries: EmbeddingMatrix, targets: EmbeddingMatrix, k: int) -> list[NeighborList]:
-    """For each query row, the ``k`` targets with highest cosine similarity.
+def knn_search(queries: EmbeddingMatrix, targets: EmbeddingMatrix, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each query row, the ``k`` targets with highest cosine similarity:
+    an (n_queries, k) array of target indices and one of their cosines,
+    clipped to [-1, 1], each row sorted by cosine descending.
 
     Ties break toward the lower target index. Requires
     ``1 <= k <= targets.n_rows`` and equal dimensionalities.
@@ -101,9 +84,4 @@ def knn_search(queries: EmbeddingMatrix, targets: EmbeddingMatrix, k: int) -> li
         raise ValueError(f"dimension mismatch: {queries.dim} vs {targets.dim}")
     if not 1 <= k <= targets.n_rows:
         raise ValueError(f"k={k} out of range [1, {targets.n_rows}]")
-    cos = np.clip(unit_rows(queries.data) @ unit_rows(targets.data).T, -1.0, 1.0)
-    idx, sim = _topk_block(cos, k)
-    return [
-        NeighborList(query_index=q, neighbors=tuple(zip(idx[q].tolist(), sim[q].tolist())))
-        for q in range(queries.n_rows)
-    ]
+    return _topk_block(np.clip(unit_rows(queries.data) @ unit_rows(targets.data).T, -1.0, 1.0), k)

@@ -11,7 +11,8 @@ unchanged and keeps raw count columns well conditioned; a rank-deficient
 model gets its minimum-norm fit. Scores within ``_TIE_TOL`` of
 the best tie and go to the earlier candidate (smaller subset, lower feature
 index, fewer components). All seeded procedures are reproducible bit-for-bit
-for a fixed seed and input.
+for a fixed seed and input. A sum that overflows (of squares, a z-scoring
+scale, a fold Gram block) raises ``ValueError`` instead of giving a statistic.
 """
 
 from __future__ import annotations
@@ -88,6 +89,13 @@ class PCRResult:
     best_components: int
 
 
+def _finite(what: str, value):
+    """``value``, refused when any entry is not finite, as only overflow leaves one."""
+    if not np.isfinite(value).all():
+        raise ValueError(f"{what} overflows float64")
+    return value
+
+
 def pearson(x, y) -> float:
     """Sample Pearson correlation of two equal-length vectors (n >= 3)."""
     x = np.asarray(x, dtype=np.float64)
@@ -96,9 +104,10 @@ def pearson(x, y) -> float:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.size < 3:
         raise ValueError("pearson needs at least 3 observations")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = x - x.mean()
+        yc = y - y.mean()
+        denom = _finite("pearson denominator", math.sqrt(float(xc @ xc) * float(yc @ yc)))
     if denom == 0.0:
         raise ValueError("zero variance in pearson input")
     return float(np.clip(float(xc @ yc) / denom, -1.0, 1.0))
@@ -151,22 +160,25 @@ class _FoldGrams:
             raise ValueError(f"need n >= 2*folds and n >= k + 2, got n={n}, k={k}, folds={folds}")
         if Y.shape[0] != n:
             raise ValueError(f"{Y.shape[0]} target values for {n} rows")
-        centered = X - X.mean(axis=0)
-        scale = centered.std(axis=0, ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            centered = X - X.mean(axis=0)
+            scale = _finite("a feature column's z-scoring scale", centered.std(axis=0, ddof=1))
         # a spread at the rounding level of the design's largest entry (a
         # constant column, a null principal component) is not scaled up, so
         # least squares still sees that column as rank deficient
         flat = scale <= n * np.finfo(np.float64).eps * np.abs(X).max(initial=0.0)
         aug = np.hstack([np.ones((n, 1)), centered / np.where(flat, 1.0, scale)])
-        Y = Y - Y.mean(axis=0)  # else the Gram form of the held-out SSE loses digits to the mean
         self.n = n
         blocks = []
-        for test_idx in _cv_folds(n, folds, seed):
-            a_tr, y_tr = np.delete(aug, test_idx, axis=0), np.delete(Y, test_idx, axis=0)
-            a_te, y_te = aug[test_idx], Y[test_idx]
-            blocks.append((a_tr.T @ a_tr, a_tr.T @ y_tr, a_te.T @ a_te, a_te.T @ y_te,
-                           (y_te**2).sum(axis=0), ((y_te - y_te.mean(axis=0)) ** 2).sum(axis=0)))
-        self.g_tr, self.c_tr, self.g_te, self.c_te, self.yy_te, sst = map(np.stack, zip(*blocks))
+        with np.errstate(over="ignore", invalid="ignore"):
+            Y = Y - Y.mean(axis=0)  # else the Gram form of the held-out SSE loses digits to the mean
+            for test_idx in _cv_folds(n, folds, seed):
+                a_tr, y_tr = np.delete(aug, test_idx, axis=0), np.delete(Y, test_idx, axis=0)
+                a_te, y_te = aug[test_idx], Y[test_idx]
+                blocks.append((a_tr.T @ a_tr, a_tr.T @ y_tr, a_te.T @ a_te, a_te.T @ y_te,
+                               (y_te**2).sum(axis=0), ((y_te - y_te.mean(axis=0)) ** 2).sum(axis=0)))
+        self.g_tr, self.c_tr, self.g_te, self.c_te, self.yy_te, sst = (
+            _finite("a fold Gram block", np.stack(block)) for block in zip(*blocks))
         self.constant_te = sst == 0.0
         self.sst = np.where(self.constant_te, 1.0, sst)
 
@@ -271,6 +283,8 @@ def _f_test(ss_effect: float, ss_error: float, df_effect: int, df_error: int) ->
     """F test of an effect's sum of squares against the error term, with
     partial eta-squared. A zero error sum of squares gives F = inf and p = 0
     when the effect is nonzero, and F = 0 and p = 1 when it is zero too."""
+    ss_effect, ss_error = float(ss_effect), float(ss_error)  # F past the float range is inf, unwarned
+    _finite("an F test's sum of squares", (ss_effect, ss_error, ss_effect + ss_error))
     if ss_error == 0.0:
         if ss_effect > 0.0:
             return AnovaResult(math.inf, 0.0, 1.0, df_effect, df_error)
@@ -293,9 +307,10 @@ def anova_oneway(groups: Sequence) -> AnovaResult:
     """
     arrays = _as_groups(groups)
     all_values = np.concatenate(arrays)
-    grand = all_values.mean()
-    ssb = sum(g.size * (g.mean() - grand) ** 2 for g in arrays)
-    ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in arrays)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grand = all_values.mean()
+        ssb = sum(g.size * (g.mean() - grand) ** 2 for g in arrays)
+        ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in arrays)
     return _f_test(ssb, ssw, len(arrays) - 1, all_values.size - len(arrays))
 
 
@@ -339,8 +354,9 @@ def ancova(y, factor: Sequence, covariates=None) -> AnovaResult:
     df_error = y.size - full.shape[1]
     if df_error < 1:
         raise ValueError("no error degrees of freedom left")
-    sse_full = _sse(full, y)
-    return _f_test(max(_sse(reduced, y) - sse_full, 0.0), sse_full, df_effect, df_error)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sse_full, sse_reduced = _sse(full, y), _sse(reduced, y)
+    return _f_test(max(sse_reduced - sse_full, 0.0), sse_full, df_effect, df_error)
 
 
 def tukey_hsd(groups: Sequence, labels: Sequence[str] | None = None) -> tuple[TukeyComparison, ...]:
@@ -359,8 +375,9 @@ def tukey_hsd(groups: Sequence, labels: Sequence[str] | None = None) -> tuple[Tu
     elif len(labels) != len(arrays):
         raise ValueError("one label per group required")
     df_error = sum(g.size for g in arrays) - len(arrays)
-    ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in arrays)
-    ms_within = ssw / df_error
+    with np.errstate(over="ignore", invalid="ignore"):
+        ms_within = _finite("the within-group mean square",
+                            sum(float(((g - g.mean()) ** 2).sum()) for g in arrays) / df_error)
     if ms_within == 0.0:
         raise ValueError("zero within-group variance")
     comparisons = []
@@ -368,7 +385,7 @@ def tukey_hsd(groups: Sequence, labels: Sequence[str] | None = None) -> tuple[Tu
     for i in range(k):
         for j in range(i + 1, k):
             gi, gj = arrays[i], arrays[j]
-            diff = float(gj.mean() - gi.mean())
+            diff = _finite("a mean difference", float(gj.mean()) - float(gi.mean()))
             se = math.sqrt(ms_within / 2.0 * (1.0 / gi.size + 1.0 / gj.size))
             q = abs(diff) / se
             comparisons.append(
@@ -393,7 +410,8 @@ def constant_columns(X) -> np.ndarray:
     floats = np.finfo(np.float64)
     bound = np.maximum(X.shape[0] * floats.eps * np.abs(X).max(axis=0, initial=0.0),
                        math.sqrt(floats.tiny))
-    return np.abs(X - X.mean(axis=0)).max(axis=0, initial=0.0) <= bound
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing column is not constant
+        return np.abs(X - X.mean(axis=0)).max(axis=0, initial=0.0) <= bound
 
 
 def pca(X) -> PCAResult:
@@ -404,9 +422,10 @@ def pca(X) -> PCAResult:
         raise ValueError("PCA needs an n x k matrix with n > 1")
     if constant_columns(X).any():
         raise ValueError("zero-variance column cannot be standardized")
-    mean = X.mean(axis=0)
-    centered = X - mean
-    scale = centered.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        centered = X - mean
+        scale = _finite("a feature column's z-scoring scale", centered.std(axis=0, ddof=1))
     u, s, vt = np.linalg.svd(centered / scale, full_matrices=False)
     # sign convention: largest-magnitude loading of each component positive
     for i in range(vt.shape[0]):

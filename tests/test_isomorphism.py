@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ def test_spectrum_invariants():
         SingularSpectrum((1.0, -0.5))
     with pytest.raises(ValueError, match="non-increasing"):
         SingularSpectrum((1.0, 2.0))
+
+
+@pytest.mark.parametrize("values", [(2.0, 1.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)])
+def test_spectrum_refuses_non_finite_values(values):
+    # once an effective condition number of 1.0, an IndexError, or a NaN cast to int
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="singular values must be finite and non-negative"):
+            SingularSpectrum(values)
 
 
 def test_svg_identity_and_symmetry():
@@ -124,6 +134,9 @@ def test_econd_hm_cases():
     assert condition_harmonic_mean(1.0, 3.0) == 1.5
     with pytest.raises(ValueError, match="condition numbers must be positive"):
         condition_harmonic_mean(0.0, 1.0)
+    for ka, kb in [(math.inf, 2.0), (2.0, math.inf), (math.nan, 2.0)]:  # once a NaN mean
+        with pytest.raises(ValueError, match="condition numbers must be positive and finite"):
+            condition_harmonic_mean(ka, kb)
 
 
 def test_mst_hand_case():

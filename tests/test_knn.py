@@ -1,11 +1,13 @@
 import math
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xlalign.corpus import EmbeddingMatrix
-from xlalign.knn import NeighborList, _topk_block, cosine, knn_search, unit_rows
+from xlalign.knn import _topk_block, cosine, knn_search, unit_rows
 from xlalign.mining import _PairTables
 
 from conftest import knn_sort_oracle
@@ -45,28 +47,19 @@ def test_cosine_keeps_the_bits_of_the_norm_formula():
         assert cosine(u, v) == float(expected)
 
 
-def test_neighbor_list_invariants():
-    with pytest.raises(ValueError, match="sorted"):
-        NeighborList(0, ((1, 0.2), (2, 0.9)))
-    with pytest.raises(ValueError, match="duplicate"):
-        NeighborList(0, ((1, 0.9), (1, 0.2)))
-    with pytest.raises(ValueError, match="outside"):
-        NeighborList(0, ((1, 1.5),))
-
-
 def test_knn_one_hot_identity():
     targets = EmbeddingMatrix("t", np.eye(3))
     queries = EmbeddingMatrix("q", np.array([[1.0, 0.0, 0.0]]))
-    (result,) = knn_search(queries, targets, 1)
-    assert result.neighbors == ((0, 1.0),)
+    idx, sim = knn_search(queries, targets, 1)
+    assert idx.tolist() == [[0]] and sim.tolist() == [[1.0]]
 
 
 def test_knn_tie_breaks_to_lower_index():
     s = math.sqrt(0.75)
     targets = EmbeddingMatrix("t", np.array([[0.5, s, 0.0], [0.5, -s, 0.0], [0.0, 0.0, 1.0]]))
     queries = EmbeddingMatrix("q", np.array([[1.0, 0.0, 0.0]]))
-    (result,) = knn_search(queries, targets, 1)
-    assert result.neighbors[0][0] == 0
+    idx, _ = knn_search(queries, targets, 1)
+    assert idx.tolist() == [[0]]
 
 
 def test_knn_k_out_of_range():
@@ -90,11 +83,12 @@ def test_knn_matches_sort_oracle():
         if trial % 3 == 0 and n_t >= 4:
             t[1] = 2.0 * t[0]  # exact duplicate direction: forces a real tie
         k = int(rng.integers(1, n_t + 1))
-        got = knn_search(EmbeddingMatrix("q", q), EmbeddingMatrix("t", t), k)
+        idx, sim = knn_search(EmbeddingMatrix("q", q), EmbeddingMatrix("t", t), k)
+        assert idx.shape == sim.shape == (n_q, k)
         expected = knn_sort_oracle(q, t, k)
-        for row, exp in zip(got, expected):
-            assert [i for i, _ in row.neighbors] == [i for i, _ in exp]
-            for (_, c1), (_, c2) in zip(row.neighbors, exp):
+        for row_idx, row_sim, exp in zip(idx.tolist(), sim.tolist(), expected):
+            assert row_idx == [i for i, _ in exp]
+            for c1, (_, c2) in zip(row_sim, exp):
                 assert abs(c1 - c2) < 1e-12
 
 
@@ -110,14 +104,80 @@ def test_knn_scale_invariance():
     t2[11] *= 2.0
     scaled = knn_search(EmbeddingMatrix("q", q2), EmbeddingMatrix("t", t2), 5)
     for a, b in zip(base, scaled):
-        assert a == b  # power-of-two scaling is exact
+        assert np.array_equal(a, b)  # power-of-two scaling is exact
 
 
 def test_knn_deterministic():
     rng = np.random.default_rng(9)
     q = EmbeddingMatrix("q", rng.standard_normal((40, 8)))
     t = EmbeddingMatrix("t", rng.standard_normal((50, 8)))
-    assert knn_search(q, t, 6) == knn_search(q, t, 6)
+    for a, b in zip(knn_search(q, t, 6), knn_search(q, t, 6)):
+        assert np.array_equal(a, b)
+
+
+@dataclass(frozen=True)
+class NeighborList:
+    """The k nearest targets of one query row, sorted by cosine descending."""
+
+    query_index: int
+    neighbors: tuple[tuple[int, float], ...]
+
+    def __post_init__(self):
+        cosines = [c for _, c in self.neighbors]
+        if any(c2 > c1 + 1e-9 for c1, c2 in zip(cosines, cosines[1:])):
+            raise ValueError("neighbors must be sorted by cosine descending")
+        indices = [t for t, _ in self.neighbors]
+        if len(set(indices)) != len(indices):
+            raise ValueError("duplicate target index in neighbor list")
+        if any(abs(c) > 1.0 + 1e-9 for c in cosines):
+            raise ValueError("cosine outside [-1, 1]")
+
+
+def _ref_knn_search(queries: EmbeddingMatrix, targets: EmbeddingMatrix, k: int) -> list[NeighborList]:
+    """Reference: the search that returned one validated NeighborList per query row."""
+    if queries.dim != targets.dim:
+        raise ValueError(f"dimension mismatch: {queries.dim} vs {targets.dim}")
+    if not 1 <= k <= targets.n_rows:
+        raise ValueError(f"k={k} out of range [1, {targets.n_rows}]")
+    cos = np.clip(unit_rows(queries.data) @ unit_rows(targets.data).T, -1.0, 1.0)
+    idx, sim = _topk_block(cos, k)
+    return [
+        NeighborList(query_index=q, neighbors=tuple(zip(idx[q].tolist(), sim[q].tolist())))
+        for q in range(queries.n_rows)
+    ]
+
+
+@st.composite
+def _search_cases(draw):
+    """Query and target matrices of small integers (many exactly tied cosines),
+    n_q != n_t allowed, k anywhere in 1..n_t, and sometimes a target that
+    repeats another's direction, which ties every query's cosines exactly."""
+    n_q, n_t, d = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.integers(2, 5))
+    entries = st.integers(-3, 3).map(float)
+    q = np.array(draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=n_q, max_size=n_q)))
+    t = np.array(draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=n_t, max_size=n_t)))
+    q[(q == 0).all(axis=1), 0] = 1.0
+    t[(t == 0).all(axis=1), 0] = 1.0
+    if n_t >= 2 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n_t)))[:2]
+        t[dst] = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) * t[src]
+    return q, t, draw(st.integers(1, n_t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_search_cases())
+def test_knn_search_equals_the_reference(case):
+    q, t, k = case
+    queries, targets = EmbeddingMatrix("q", q), EmbeddingMatrix("t", t)
+    idx, sim = knn_search(queries, targets, k)
+    expected = _ref_knn_search(queries, targets, k)
+    assert idx.shape == sim.shape == (q.shape[0], k)
+    assert idx.tolist() == [[i for i, _ in row.neighbors] for row in expected]
+    assert sim.tolist() == [[c for _, c in row.neighbors] for row in expected]
+    # the sweep's forward table is the public search's result
+    if k <= q.shape[0]:
+        tables_idx, tables_sim = _PairTables(queries, targets, k).topk[0]
+        assert np.array_equal(tables_idx, idx) and np.array_equal(tables_sim, sim)
 
 
 def test_unit_rows():

@@ -6,7 +6,7 @@ import pytest
 import xlalign as xa
 from xlalign import isomorphism as iso
 from xlalign import mining
-from xlalign.knn import NeighborList, _topk_block, cosine, unit_rows
+from xlalign.knn import _topk_block, cosine, unit_rows
 from xlalign.mining import MinedAlignment, average_margin, mine_intersection, retrieval_f1
 from xlalign.pipeline import compute_pair_metrics
 
@@ -31,16 +31,17 @@ def _unit(rng, n, d):
 _DENOM_FLOOR = 1e-12  # the floor of xlalign.mining
 
 
-def _ref_margin_score(x_row, y_row, nn_x: NeighborList, nn_y: NeighborList, k: int) -> float:
-    """Margin score of the pair (x, y) given each side's k-NN list.
+def _ref_margin_score(x_row, y_row, cos_x: list[float], cos_y: list[float], k: int) -> float:
+    """Margin score of the pair (x, y) given the cosines of each side's k
+    nearest neighbors.
 
-    ``nn_x`` must hold x's neighbors in the opposite space and vice versa,
-    each of length exactly ``k``.
+    ``cos_x`` must hold the cosines of x's neighbors in the opposite space and
+    vice versa, each of length exactly ``k``.
     """
     # frozen copy of the two-row margin function that xlalign.mining exported
-    if len(nn_x.neighbors) != k or len(nn_y.neighbors) != k:
+    if len(cos_x) != k or len(cos_y) != k:
         raise ValueError(f"neighbor lists must hold exactly k={k} entries")
-    denom = sum(c for _, c in nn_x.neighbors) + sum(c for _, c in nn_y.neighbors)
+    denom = sum(cos_x) + sum(cos_y)
     if denom <= _DENOM_FLOOR:
         raise ValueError(f"margin denominator {denom} is degenerate (all-orthogonal neighborhoods)")
     return 2.0 * k * cosine(x_row, y_row) / denom
@@ -196,9 +197,9 @@ def test_average_margin_single_gold_pair_matches_margin_score():
     pair = xa.align_pair(a, b)  # only id "f" is shared
     assert pair.gold == ((5, 0),)
     k = 3
-    nn_a = xa.knn_search(a, b, k)[5]
-    nn_b = xa.knn_search(b, a, k)[0]
-    direct = _ref_margin_score(a_data[5], b_data[0], nn_a, nn_b, k)
+    cos_a = xa.knn_search(a, b, k)[1][5].tolist()
+    cos_b = xa.knn_search(b, a, k)[1][0].tolist()
+    direct = _ref_margin_score(a_data[5], b_data[0], cos_a, cos_b, k)
     assert average_margin(pair, k) == pytest.approx(direct, abs=1e-12)
 
 

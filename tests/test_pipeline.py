@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -162,7 +163,7 @@ def test_public_names_are_frozen():
                     if not name.startswith("_") and not isinstance(value, type(xa)))
     assert public == [
         "AlignmentMetrics", "AnovaResult", "BitextPair", "Corpus", "EmbeddingMatrix",
-        "FEATURE_NAMES", "LanguageMeta", "METRIC_NAMES", "MinedAlignment", "NeighborList",
+        "FEATURE_NAMES", "LanguageMeta", "METRIC_NAMES", "MinedAlignment",
         "PairFeatureVector", "PersistenceDiagram", "RetrievalScore", "RunConfig",
         "SingularSpectrum", "WordOrder", "ablation_single_step", "adjusted_r2", "align_pair",
         "ancova", "anova_oneway", "average_margin", "bottleneck_distance", "compute_pair_metrics",
@@ -1747,6 +1748,55 @@ def analysis_csvs(analysis_dataset, tmp_path_factory):
     write_features_csv(vectors, root / "features.csv")
     write_metrics_csv(metrics_map, root / "metrics.csv")
     return root
+
+
+def _scale_column(src: Path, dst: Path, column: str, factor: float) -> Path:
+    """A copy of the pair table ``src`` with every cell of ``column`` times ``factor``."""
+    header, *rows = [line.split(",") for line in src.read_text().splitlines()]
+    col = header.index(column)
+    for cells in rows:
+        cells[col] = repr(float(cells[col]) * factor)
+    dst.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]))
+    return dst
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+def test_cli_analyze_reports_or_refuses_sums_that_overflow(analysis_csvs, tmp_path, capsys, warn):
+    """An svg of 1e160 (a metrics cell) or a combined_sentences of 1e160 (a
+    language table's train_sentences) overflows the sums of squares. The
+    correlations and F tests of that column read null and skipped, and the
+    fitted modes stop with the message, with numpy's warnings raised or not."""
+    features, metrics = analysis_csvs / "features.csv", analysis_csvs / "metrics.csv"
+    big_svg = _scale_column(metrics, tmp_path / "big_svg.csv", "svg", 1e160)
+    big_count = _scale_column(features, tmp_path / "big_count.csv", "combined_sentences", 1e160)
+
+    def analyze(mode: str, features: Path, metrics: Path) -> tuple[int, dict | None]:
+        out = tmp_path / f"{mode}.json"
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter(warn, RuntimeWarning)
+            status = main(["analyze", "--features", str(features), "--metrics", str(metrics),
+                           "--mode", mode, "--folds", "3", "--seed", "5", "--out", str(out)])
+        return status, json.loads(out.read_text()) if out.exists() else None
+
+    status, corr = analyze("corr", features, big_svg)
+    assert status == 0 and set(corr["pearson"]["svg"].values()) == {None}
+    assert corr["pearson"]["f1"] == analyze("corr", features, metrics)[1]["pearson"]["f1"]
+    for mode in ("anova", "ancova"):
+        status, report = analyze(mode, features, big_svg)
+        assert status == 0
+        _validate(report, mode)
+        for cells in report["factors"].values():
+            assert cells["svg"] == {"skipped": "an F test's sum of squares overflows float64"}
+            assert "f_stat" in cells["f1"]
+    status, corr = analyze("corr", big_count, metrics)
+    assert status == 0
+    assert {r["combined_sentences"] for r in corr["pearson"].values()} == {None}
+    capsys.readouterr()
+    for mode in ("search", "ablate", "pca", "pcr"):
+        assert analyze(mode, big_count, metrics) == (1, None)
+        assert capsys.readouterr().err == (
+            "xlalign: error: a feature column's z-scoring scale overflows float64\n")
 
 
 @pytest.mark.parametrize("mode", list(ANALYSES))

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
@@ -799,6 +800,138 @@ def test_tukey_pair_count_and_labels():
     assert comparisons[0].group_a == "g0"
     with pytest.raises(ValueError, match="one label per group required"):
         tukey_hsd(groups, ["a", "b", "c"])
+
+
+# ------------------------------------------------- sums that overflow float64
+
+def _ref_pearson(x, y) -> float:
+    """Reference: ``pearson`` before it checked its sums."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.shape != y.shape or x.ndim != 1:
+        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    if x.size < 3:
+        raise ValueError("pearson needs at least 3 observations")
+    xc = x - x.mean()
+    yc = y - y.mean()
+    denom = math.sqrt(float(xc @ xc) * float(yc @ yc))
+    if denom == 0.0:
+        raise ValueError("zero variance in pearson input")
+    return float(np.clip(float(xc @ yc) / denom, -1.0, 1.0))
+
+
+def _ref_f_test(ss_effect: float, ss_error: float, df_effect: int, df_error: int) -> stats.AnovaResult:
+    """Reference: ``stats._f_test`` before it checked its sums."""
+    if ss_error == 0.0:
+        if ss_effect > 0.0:
+            return stats.AnovaResult(math.inf, 0.0, 1.0, df_effect, df_error)
+        return stats.AnovaResult(0.0, 1.0, 0.0, df_effect, df_error)
+    f_stat = float((ss_effect / df_effect) / (ss_error / df_error))
+    return stats.AnovaResult(
+        f_stat=f_stat,
+        p_value=special.f_sf(f_stat, df_effect, df_error),
+        eta_p2=float(ss_effect / (ss_effect + ss_error)),
+        df_effect=df_effect,
+        df_error=df_error,
+    )
+
+
+def _ref_anova_oneway(groups) -> stats.AnovaResult:
+    """Reference: ``anova_oneway`` before it checked its sums."""
+    arrays = stats._as_groups(groups)
+    all_values = np.concatenate(arrays)
+    grand = all_values.mean()
+    ssb = sum(g.size * (g.mean() - grand) ** 2 for g in arrays)
+    ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in arrays)
+    return _ref_f_test(ssb, ssw, len(arrays) - 1, all_values.size - len(arrays))
+
+
+def _ref_tukey_hsd(groups) -> tuple[stats.TukeyComparison, ...]:
+    """Reference: ``tukey_hsd`` (default labels) before it checked its sums."""
+    arrays = stats._as_groups(groups)
+    labels = [f"g{i}" for i in range(len(arrays))]
+    df_error = sum(g.size for g in arrays) - len(arrays)
+    ssw = sum(float(((g - g.mean()) ** 2).sum()) for g in arrays)
+    ms_within = ssw / df_error
+    if ms_within == 0.0:
+        raise ValueError("zero within-group variance")
+    comparisons = []
+    k = len(arrays)
+    for i in range(k):
+        for j in range(i + 1, k):
+            gi, gj = arrays[i], arrays[j]
+            diff = float(gj.mean() - gi.mean())
+            se = math.sqrt(ms_within / 2.0 * (1.0 / gi.size + 1.0 / gj.size))
+            q = abs(diff) / se
+            comparisons.append(stats.TukeyComparison(
+                group_a=str(labels[i]), group_b=str(labels[j]), mean_diff=diff, q_stat=q,
+                p_value=special.studentized_range_sf(q, k, df_error)))
+    return tuple(comparisons)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the message of the ``ValueError`` it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=3),
+    st.integers(min_value=-150, max_value=150),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+def test_finite_sums_keep_the_bits_of_the_unchecked_formulas(seed, sizes, exponent, shift):
+    """Checking the sums changes no statistic whose sums are finite: random
+    groups from 1e-150 to 1e150 in scale, some of them a single value, give
+    the same result or the same refusal (too few values, no variance)."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** exponent
+    groups = [scale * rng.standard_normal(n) + shift * rng.integers(0, 2) for n in sizes]
+    if all(g.size < 2 for g in groups):
+        groups[0] = np.append(groups[0], groups[0] + scale)
+    values = np.concatenate(groups)
+    partner = rng.standard_normal(values.size)
+    for ours, reference, args in [(pearson, _ref_pearson, (values, partner)),
+                                  (anova_oneway, _ref_anova_oneway, (groups,)),
+                                  (tukey_hsd, _ref_tukey_hsd, (groups,))]:
+        with np.errstate(over="ignore"):  # the reference warns where F passes the float range
+            expected = _outcome(reference, *args)
+        assert _outcome(ours, *args) == expected
+
+
+_OVERFLOW_X = np.random.default_rng(40).standard_normal((30, 3))
+
+
+@pytest.mark.parametrize("warn", ["error", "ignore"])
+@pytest.mark.parametrize("call, what", [
+    (lambda: pearson(1e160 * np.array([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0]), "pearson denominator"),
+    (lambda: anova_oneway([[1e200, -1e200], [0.0, 1.0]]), "an F test's sum of squares"),
+    (lambda: tukey_hsd([[1e200, -1e200], [0.0, 1.0]]), "the within-group mean square"),
+    (lambda: tukey_hsd([[1.5e308], [-1.5e308], [0.0, 1.0]]), "a mean difference"),
+    (lambda: ancova([1e200, 0.0, 1.0, 2.0, 3.0, 4.0], ["a", "b"] * 3, [1.0, 3.0, 2.0, 5.0, 4.0, 6.0]),
+     "an F test's sum of squares"),
+    (lambda: feature_search_report(_OVERFLOW_X * [1e160, 1.0, 1.0], {"m": _OVERFLOW_X[:, 0]}, folds=3),
+     "z-scoring scale"),
+    (lambda: feature_search_report(_OVERFLOW_X, {"m": 1e160 * _OVERFLOW_X[:, 0]}, folds=3),
+     "a fold Gram block"),
+    (lambda: ablation_single_step(_OVERFLOW_X * [1e160, 1.0, 1.0], {"m": _OVERFLOW_X[:, 0]}, folds=3),
+     "z-scoring scale"),
+    (lambda: pca(_OVERFLOW_X * [1e160, 1.0, 1.0]), "z-scoring scale"),
+    (lambda: pcr(_OVERFLOW_X * [1e160, 1.0, 1.0], {"m": _OVERFLOW_X[:, 0]}, folds=3), "z-scoring scale"),
+], ids=["pearson", "anova", "tukey", "tukey_means", "ancova", "search", "search_dv", "ablate", "pca", "pcr"])
+def test_sums_that_overflow_are_refused(call, what, warn):
+    """A sum that overflows once gave a wrong statistic: r = 0 for a perfect
+    correlation, F = 0 or NaN, q = inf from an infinite mean difference, a
+    column z-scored to 0. Each is refused, with numpy's warnings raised or
+    silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(warn, RuntimeWarning)
+        with pytest.raises(ValueError, match=f"{what} overflows float64"):
+            call()
 
 
 # ------------------------------------------------------------------------ pca
