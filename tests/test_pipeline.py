@@ -1235,24 +1235,37 @@ def test_cli_report_is_byte_identical_across_hash_seeds(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_report_writes_what_analyze_and_zero_shot_write_from_its_csvs(tmp_path):
+def _pcr_at_its_minimum(root: Path) -> dict:
+    """The 4-language workspace with pcr alone: its 6 complete pairs are
+    pcr's minimum at folds = 3, 2 per fold."""
+    ws = build_workspace(root)
+    _edit_config(ws["config"], "analyses = corr, anova, ancova, pca, zero_shot", "analyses = pcr")
+    return ws
+
+
+@pytest.mark.parametrize("make_workspace", [_every_analysis_workspace, _pcr_at_its_minimum],
+                         ids=["every-analysis", "pcr-at-its-minimum"])
+def test_cli_report_writes_what_analyze_and_zero_shot_write_from_its_csvs(tmp_path, make_workspace):
     """Every analysis file of ``report`` is byte-identical to ``analyze`` (same
     folds and seed) and ``zero-shot`` run on ``report``'s own CSVs."""
-    config = _every_analysis_workspace(tmp_path / "ws")["config"]
+    config = make_workspace(tmp_path / "ws")["config"]
     assert main(["report", "--config", str(config)]) == 0
     cfg = load_config(config)
     out = cfg.out
     csvs = ["--metrics", str(out / "metrics.csv"), "--features", str(out / "features.csv")]
     again = tmp_path / "again"
     again.mkdir()
-    for mode in ANALYSES:
+    modes = [mode for mode in cfg.analyses if mode != "zero_shot"]
+    for mode in modes:
         assert main(["analyze", *csvs, "--mode", mode, "--folds", str(cfg.folds),
                      "--seed", str(cfg.seed), "--out", str(again / f"analysis_{mode}.json")]) == 0
-    assert main(["zero-shot", *csvs, "--languages", str(cfg.languages),
-                 "--out", str(again / "analysis_zero_shot.json"),
-                 "--plot-out", str(again / "plot_zero_shot_groups.csv")]) == 0
+    if "zero_shot" in cfg.analyses:
+        assert main(["zero-shot", *csvs, "--languages", str(cfg.languages),
+                     "--out", str(again / "analysis_zero_shot.json"),
+                     "--plot-out", str(again / "plot_zero_shot_groups.csv")]) == 0
     written = sorted(p.name for p in again.iterdir())
-    assert len(written) == len(ANALYSES) + 2
+    assert written == sorted(p.name for p in out.iterdir()
+                             if p.name.startswith(("analysis_", "plot_")))
     for name in written:
         assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
